@@ -16,11 +16,12 @@ loses while waiting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StateVector
+from .model import ConfigurationError, StateVector
 from .protocols import W_PLUS, W_PRIME, trapped_amplitudes
 
 
@@ -29,13 +30,19 @@ class OverdampedRegimeError(ValueError):
     underdamped regime.  The RK4 oracle remains available there."""
 
 
+def _check_non_negative(name: str, value: float):
+    # plain float comparisons: the decay scans call this per table row
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _check_star_parameters(m: int, r: float, gamma_decay: float, kappa: float):
     if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if not (np.isfinite(r) and r > 0.0):
-        raise ValueError(f"coupling ratio must be positive, got {r}")
-    if gamma_decay < 0.0 or kappa < 0.0:
-        raise ValueError("decay rates must be >= 0")
+        raise ConfigurationError(f"need m >= 2, got {m}")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ConfigurationError(f"coupling ratio must be positive, got {r}")
+    _check_non_negative("gamma_decay", gamma_decay)
+    _check_non_negative("kappa", kappa)
 
 
 def _shifted_frequency(m: int, r: float, gamma_decay: float, kappa: float) -> tuple[float, float]:
@@ -107,6 +114,7 @@ def conditional_amplitudes(
     first propagator column when both rates vanish.
     """
     _check_star_parameters(m, r, gamma_decay, kappa)
+    _check_non_negative("time", t)
     omega, big_omega = _shifted_frequency(m, r, gamma_decay, kappa)
     alpha_c = r / omega**2
     u = np.sin(big_omega * t / 2.0)

@@ -340,7 +340,10 @@ def optimize_coupling_ratio(m: int, objective: str):
         target_fidelity    : argmax of the target-qubit fidelity
         separable_transfer : a1 = 0
 
-    The results recover sqrt(M) -/+ 1 and sqrt(M-1) to better than 1e-6.
+    The roots recover sqrt(M) -/+ 1 and sqrt(M-1) to better than 1e-6.
+    ``target_fidelity`` recovers sqrt(M-1) to 1e-6 *relative* only: near a
+    smooth maximum the fidelity moves by O(dr^2), so in floating point its
+    argmax is fixed to about sqrt(eps) relative (1.1e-6 absolute at M=256).
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")

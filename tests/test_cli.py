@@ -184,6 +184,12 @@ class TestDecoherenceCommand:
         assert code == EXIT_CONFIG
         assert "overdamped" in err
 
+    def test_nan_rate_is_config_error(self, capsys):
+        # used to surface as the misleading "fidelity outside [0, 1]: nan"
+        code, _, err = run_cli(capsys, ["decoherence", "--gamma-decay", "nan"])
+        assert code == EXIT_CONFIG
+        assert "gamma_decay must be finite" in err
+
 
 class TestScanCommand:
     def test_optimizer_rows_locate_m4_pair(self, capsys):

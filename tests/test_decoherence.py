@@ -12,7 +12,12 @@ from qcm.decoherence import (
     no_click_probability,
     renormalized_trapping_time,
 )
-from qcm.model import build_dissipative_hamiltonian, initial_state, star_config
+from qcm.model import (
+    ConfigurationError,
+    build_dissipative_hamiltonian,
+    initial_state,
+    star_config,
+)
 from qcm.propagator import (
     closed_form_propagator,
     evolve,
@@ -92,6 +97,25 @@ class TestConditionalAmplitudes:
             conditional_amplitudes(3, -1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             conditional_amplitudes(3, 1.0, -0.1, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "gamma_decay, kappa",
+        [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, np.inf), (0.0, -0.1)],
+    )
+    def test_non_finite_or_negative_rates_rejected(self, gamma_decay, kappa):
+        # a NaN rate used to slip past `rate < 0.0` and come back as NaN
+        with pytest.raises(ConfigurationError):
+            conditional_amplitudes(2, 1.0, gamma_decay, kappa, 1.0)
+        with pytest.raises(ConfigurationError):
+            renormalized_trapping_time(2, 1.0, gamma_decay, kappa)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1e-9, -50.0])
+    def test_non_finite_or_negative_time_rejected(self, t):
+        # at t = -50 the no-click "probability" used to come back as 5.1e10
+        with pytest.raises(ConfigurationError):
+            conditional_amplitudes(2, 1.0, 0.01, 0.5, t)
+        with pytest.raises(ConfigurationError):
+            no_click_probability(2, 1.0, 0.01, 0.5, t)
 
 
 class TestAgainstRk4Oracle:

@@ -212,6 +212,73 @@ class TestRk4Oracle:
             IntegratorSettings(method="euler")
 
 
+def rk4_step_loop(generator, psi, t, dt):
+    """Reference: the classical k1..k4 RK4 loop, one instance at a time."""
+    n = int(np.ceil(np.round(t / dt, 9)))
+    psi = np.array(psi, dtype=complex)
+    if n == 0:
+        return psi
+    h = t / n
+
+    def deriv(v):
+        return -1j * (generator @ v)
+
+    for _ in range(n):
+        k1 = deriv(psi)
+        k2 = deriv(psi + 0.5 * h * k1)
+        k3 = deriv(psi + 0.5 * h * k2)
+        k4 = deriv(psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
+
+
+class TestRk4StepMatrixPower:
+    STEP_COUNTS = (0, 1, 2, 3, 7, 8, 33)
+    DT = 0.01
+
+    def mixed_batch(self, rng, dissipative=False):
+        generators, blocks, times = [], [], []
+        for i, n in enumerate(self.STEP_COUNTS):
+            m = 1 + (3 * i) % 7
+            rates = dict(gamma_decay=0.3, kappa=0.3) if dissipative else {}
+            config = SystemConfig(tuple(rng.uniform(0.2, 2.0, size=m)), **rates)
+            build = build_dissipative_hamiltonian if dissipative else build_hamiltonian
+            generators.append(build(config).matrix)
+            blocks.append(random_block_state(rng, m).amplitudes[1:])
+            # ceil(t/dt) = n for t in ((n-1)*dt, n*dt]
+            times.append(max(n - 0.5, 0.0) * self.DT)
+        return generators, blocks, np.array(times)
+
+    def test_padded_batch_matches_step_loop(self):
+        rng = np.random.default_rng(30)
+        generators, blocks, times = self.mixed_batch(rng)
+        assert len({g.shape[0] for g in generators}) > 1  # padding is exercised
+        outs = rk4_propagate_many(generators, blocks, times, dt=self.DT)
+        for gen, block, t, out in zip(generators, blocks, times, outs):
+            ref = rk4_step_loop(gen, block, t, self.DT)
+            np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-13)
+
+    def test_zero_steps_return_input_bit_exact(self):
+        rng = np.random.default_rng(31)
+        generators, blocks, times = self.mixed_batch(rng)
+        assert self.STEP_COUNTS[0] == 0 and times[0] == 0.0
+        outs = rk4_propagate_many(generators, blocks, times, dt=self.DT)
+        np.testing.assert_array_equal(outs[0], blocks[0])
+
+    def test_dissipative_norm_decays_without_renormalization(self):
+        # with equal rates the no-click norm^2 shrinks by exactly exp(-2*g*t)
+        rng = np.random.default_rng(32)
+        generators, blocks, times = self.mixed_batch(rng, dissipative=True)
+        outs = rk4_propagate_many(generators, blocks, times, dt=self.DT)
+        for gen, block, t, out in zip(generators[1:], blocks[1:], times[1:], outs[1:]):
+            norm2_in = float(np.sum(np.abs(block) ** 2))
+            norm2 = float(np.sum(np.abs(out) ** 2))
+            assert norm2 < norm2_in
+            assert norm2 == pytest.approx(norm2_in * np.exp(-2.0 * 0.3 * t), abs=1e-8)
+            ref = rk4_step_loop(gen, block, t, self.DT)
+            np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-13)
+
+
 class TestEvolve:
     def test_ground_input_is_stationary(self):
         config = SystemConfig((1.0, 2.0, 0.5))

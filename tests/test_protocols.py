@@ -361,6 +361,17 @@ class TestOptimizeCouplingRatio:
             best = optimize_coupling_ratio(m, "target_fidelity")
             assert best == pytest.approx(np.sqrt(m - 1.0), abs=1e-6)
 
+    def test_target_fidelity_relative_accuracy_at_large_m(self):
+        # the argmax of a smooth maximum is fixed only to ~sqrt(eps) relative,
+        # so at M=256 the optimum lands about 1.1e-6 from sqrt(255)
+        m = 256
+        best = optimize_coupling_ratio(m, "target_fidelity")
+        exact = np.sqrt(m - 1.0)
+        assert abs(best - exact) / exact < 1e-6
+        f_best = fidelity_curve(m, CouplingScheme.custom(best))[0]
+        f_exact = fidelity_curve(m, CouplingScheme.custom(exact))[0]
+        assert f_best == pytest.approx(f_exact, abs=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             optimize_coupling_ratio(4, "fastest")
