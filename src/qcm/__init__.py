@@ -21,7 +21,6 @@ from .model import (
     star_config,
 )
 from .propagator import (
-    IntegratorSettings,
     PropagatorMatrix,
     closed_form_propagator,
     evolve,
@@ -62,50 +61,3 @@ from .decoherence import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigurationError",
-    "ExcitationBasis",
-    "GeneratorMatrix",
-    "StateVector",
-    "SystemConfig",
-    "build_dissipative_hamiltonian",
-    "build_hamiltonian",
-    "collective_rabi",
-    "initial_state",
-    "star_config",
-    "IntegratorSettings",
-    "PropagatorMatrix",
-    "closed_form_propagator",
-    "evolve",
-    "evolve_oracle_expm",
-    "evolve_oracle_rk4",
-    "expm_hermitian",
-    "rk4_propagate",
-    "rk4_propagate_many",
-    "trapping_time",
-    "CouplingScheme",
-    "IDENTICAL",
-    "ProtocolReport",
-    "W_MINUS",
-    "W_PLUS",
-    "W_PRIME",
-    "classify_trapped_state",
-    "copy_fidelity",
-    "equatorial_qubit_density",
-    "fidelity_curve",
-    "generate_w_state",
-    "optimize_coupling_ratio",
-    "reduced_qubit_density",
-    "run_anticlone",
-    "transfer_fidelity_formula",
-    "trapped_amplitudes",
-    "ConditionalAmplitudes",
-    "DecoherenceReport",
-    "OverdampedRegimeError",
-    "conditional_amplitudes",
-    "decohered_fidelity",
-    "decay_robustness_scan",
-    "no_click_probability",
-    "renormalized_trapping_time",
-]

@@ -18,14 +18,13 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .decoherence import (
-    OverdampedRegimeError,
     conditional_amplitudes,
     decohered_fidelity,
     renormalized_trapping_time,
@@ -35,11 +34,15 @@ from .model import (
     SystemConfig,
     build_dissipative_hamiltonian,
     build_hamiltonian,
+    check_count,
+    check_odd_index,
     star_config,
 )
 from .propagator import closed_form_propagator, expm_hermitian, rk4_propagate_many
 from .protocols import (
     CouplingScheme,
+    IDENTICAL,
+    W_MINUS,
     W_PLUS,
     W_PRIME,
     fidelity_curve,
@@ -73,58 +76,30 @@ class CheckFailure(Exception):
     """A cross-validation or internal consistency assertion failed."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged command-line / config-file options for one invocation."""
+def qubit_counts(args: argparse.Namespace, default: tuple[int, int] | None = None) -> list[int]:
+    """The qubit counts of --m or --m-range, else of ``default``."""
+    if args.m is not None and args.m_range is not None:
+        raise ConfigurationError("give either --m or --m-range, not both")
+    if args.m is not None:
+        return [args.m]
+    if args.m_range is not None:
+        lo, hi = _parse_m_range(args.m_range)
+    elif default is not None:
+        lo, hi = default
+    else:
+        raise ConfigurationError("a qubit count is required (--m or --m-range)")
+    return list(range(lo, hi + 1))
 
-    command: str
-    m: int | None = None
-    m_range: tuple[int, int] | None = None
-    scheme: str | None = None
-    r: float | None = None
-    gamma_decay: float | None = None
-    kappa: float | None = None
-    alpha: float = 0.0
-    m_odd: int = 1
-    format: str = "csv"
-    out: str | None = None
-    trials: int = 200
-    seed: int = 42
-    r_grid: str | None = None
-    inject_fault: str | None = None
 
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigurationError(f"unknown command {self.command!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigurationError(f"unknown format {self.format!r}")
-        if self.m is not None and self.m < 1:
-            raise ConfigurationError(f"qubit count must be >= 1, got {self.m}")
-        if self.m_range is not None and self.m_range[1] < self.m_range[0]:
-            raise ConfigurationError(f"empty m-range {self.m_range}")
-        if self.m_odd < 1 or self.m_odd % 2 == 0:
-            raise ConfigurationError(f"m-odd must be a positive odd integer, got {self.m_odd}")
-        if self.trials < 0:
-            raise ConfigurationError(f"trials must be >= 0, got {self.trials}")
-
-    def qubit_counts(self, default: tuple[int, int] | None = None) -> list[int]:
-        if self.m is not None and self.m_range is not None:
-            raise ConfigurationError("give either --m or --m-range, not both")
-        if self.m is not None:
-            return [self.m]
-        lo, hi = self.m_range if self.m_range is not None else (None, None)
-        if lo is None:
-            if default is None:
-                raise ConfigurationError("a qubit count is required (--m or --m-range)")
-            lo, hi = default
-        return list(range(lo, hi + 1))
-
-    def resolve_scheme(self) -> CouplingScheme:
-        if self.r is not None:
-            return CouplingScheme.custom(self.r)
-        if self.scheme is not None:
-            return CouplingScheme.from_string(self.scheme)
-        raise ConfigurationError("a coupling scheme is required (--scheme or --r)")
+def resolve_scheme(args: argparse.Namespace) -> CouplingScheme:
+    """The coupling scheme of --scheme or --r; exactly one must be given."""
+    if args.scheme is not None and args.r is not None:
+        raise ConfigurationError("give either --scheme or --r, not both")
+    if args.r is not None:
+        return CouplingScheme.custom(args.r)
+    if args.scheme is not None:
+        return CouplingScheme.from_string(args.scheme)
+    raise ConfigurationError("a coupling scheme is required (--scheme or --r)")
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +114,19 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_table(headers: list[str], rows: list[list], config: RunConfig):
+def write_table(headers: list[str], rows: list[list], args: argparse.Namespace):
     """Emit rows as CSV (fixed header) or a JSON array of objects."""
-    if config.format == "json":
+    if args.format == "json":
         payload = [dict(zip(headers, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [",".join(headers)]
         lines += [",".join(format_value(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -249,6 +224,7 @@ def run_check_suites(
     trials: int, seed: int, inject_fault: str | None = None
 ) -> list[dict]:
     """Run every cross-validation suite; one result row per suite."""
+    trials = check_count("trials", trials, 0)
     rng = np.random.default_rng(seed)
     rows = []
     if trials > 0:
@@ -268,10 +244,10 @@ def run_check_suites(
     return rows
 
 
-def cmd_check(config: RunConfig) -> int:
-    rows = run_check_suites(config.trials, config.seed, config.inject_fault)
+def cmd_check(args: argparse.Namespace) -> int:
+    rows = run_check_suites(args.trials, args.seed, args.inject_fault)
     headers = ["suite", "trials", "max_deviation", "tolerance", "passed"]
-    write_table(headers, [[row[h] for h in headers] for row in rows], config)
+    write_table(headers, [[row[h] for h in headers] for row in rows], args)
     failed = [row["suite"] for row in rows if not row["passed"]]
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
@@ -283,21 +259,22 @@ def cmd_check(config: RunConfig) -> int:
 # protocol tables
 
 
-def cmd_wstate(config: RunConfig) -> int:
-    scheme = config.resolve_scheme()
+def cmd_wstate(args: argparse.Namespace) -> int:
+    scheme = resolve_scheme(args)
+    m_odd = check_odd_index(args.m_odd)
     headers = ["m", "scheme", "r", "tau_star", "a1", "a", "classification"]
     rows = []
-    for m in config.qubit_counts():
+    for m in qubit_counts(args):
         _, report = generate_w_state(m, scheme)
-        tau = report.trapping_time * config.m_odd
+        tau = report.trapping_time * m_odd
         rows.append(
             [m, report.scheme, report.r, tau, report.a1, report.a, report.classification]
         )
-    write_table(headers, rows, config)
+    write_table(headers, rows, args)
     return EXIT_OK
 
 
-def cmd_anticlone(config: RunConfig) -> int:
+def cmd_anticlone(args: argparse.Namespace) -> int:
     headers = [
         "m",
         "f_iden",
@@ -308,18 +285,13 @@ def cmd_anticlone(config: RunConfig) -> int:
         "f1_minus",
         "f1_sep",
     ]
-    schemes = {
-        "identical": CouplingScheme("identical"),
-        "w_plus": W_PLUS,
-        "w_minus": CouplingScheme("w_minus"),
-        "w_prime": W_PRIME,
-    }
+    schemes = {"identical": IDENTICAL, "w_plus": W_PLUS, "w_minus": W_MINUS, "w_prime": W_PRIME}
     rows = []
-    for m in config.qubit_counts(default=(2, 30)):
+    for m in qubit_counts(args, default=(2, 30)):
         values = {}
         for tag, scheme in schemes.items():
             f_target, f_input = fidelity_curve(m, scheme)
-            report = run_anticlone(m, scheme, alpha=config.alpha)
+            report = run_anticlone(m, scheme, alpha=args.alpha)
             pipeline_target = report.fidelities[-1]
             pipeline_input = report.fidelities[0]
             defect = max(abs(pipeline_target - f_target), abs(pipeline_input - f_input))
@@ -341,33 +313,31 @@ def cmd_anticlone(config: RunConfig) -> int:
                 values["w_prime"][1],
             ]
         )
-    write_table(headers, rows, config)
+    write_table(headers, rows, args)
     return EXIT_OK
 
 
-def cmd_decoherence(config: RunConfig) -> int:
-    gamma_decay = config.gamma_decay if config.gamma_decay is not None else 0.001
-    kappa = config.kappa if config.kappa is not None else 0.02
-    if config.r is not None or config.scheme is not None:
-        schemes = [config.resolve_scheme()]
+def cmd_decoherence(args: argparse.Namespace) -> int:
+    if args.r is not None or args.scheme is not None:
+        schemes = [resolve_scheme(args)]
     else:
         schemes = [W_PLUS, W_PRIME]
     headers = ["m", "scheme", "r", "tau_star_c", "f_r", "p_no_click"]
     rows = []
-    for m in config.qubit_counts(default=(2, 20)):
+    for m in qubit_counts(args, default=(2, 20)):
         for scheme in sorted(schemes, key=lambda s: s.tag):
             report = decohered_fidelity(
                 m,
                 scheme.ratio(m),
-                gamma_decay,
-                kappa,
-                m_odd=config.m_odd,
+                args.gamma_decay,
+                args.kappa,
+                m_odd=args.m_odd,
                 scheme=scheme.tag,
             )
             rows.append(
                 [m, report.scheme, report.r, report.tau_star_c, report.fidelity, report.p_no_click]
             )
-    write_table(headers, rows, config)
+    write_table(headers, rows, args)
     return EXIT_OK
 
 
@@ -383,11 +353,11 @@ def _parse_r_grid(text: str, m: int) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_scan(config: RunConfig) -> int:
-    if config.m is None:
+def cmd_scan(args: argparse.Namespace) -> int:
+    if args.m is None:
         raise ConfigurationError("scan needs a single --m")
-    m = config.m
-    grid = _parse_r_grid(config.r_grid, m)
+    m = check_count("m", args.m, 2)  # before the default grid takes sqrt(m)
+    grid = _parse_r_grid(args.r_grid, m)
     headers = ["kind", "r", "a1", "a", "f_target", "f_input"]
     rows = []
     for r in grid:
@@ -405,7 +375,7 @@ def cmd_scan(config: RunConfig) -> int:
         a1, a = trapped_amplitudes(m, r)
         f_target, f_input = fidelity_curve(m, CouplingScheme.custom(r))
         rows.append([kind, r, a1, a, f_target, f_input])
-    write_table(headers, rows, config)
+    write_table(headers, rows, args)
     return EXIT_OK
 
 
@@ -413,46 +383,70 @@ def cmd_scan(config: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="key = value file; explicit flags win")
-    parser.add_argument("--m", type=int, help="qubit count M")
-    parser.add_argument("--m-range", help="inclusive qubit-count range A:B")
-    parser.add_argument(
-        "--scheme",
-        choices=["identical", "w_plus", "w_minus", "w_prime"],
-        help="named coupling scheme",
-    )
-    parser.add_argument("--r", type=float, help="explicit coupling ratio gamma_1/gamma")
-    parser.add_argument("--gamma-decay", type=float, help="qubit dipole decay rate")
-    parser.add_argument("--kappa", type=float, help="cavity decay rate")
-    parser.add_argument("--alpha", type=float, default=0.0, help="input-qubit phase")
-    parser.add_argument("--m-odd", type=int, default=1, help="odd trapping-time index")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--trials", type=int, default=200, help="randomized trials for check")
-    parser.add_argument("--seed", type=int, default=42, help="RNG seed for check")
-    parser.add_argument("--r-grid", help="scan grid START:STOP:COUNT")
-    parser.add_argument(
-        "--inject-fault",
-        choices=["unitarity_sign"],
-        help="deliberately corrupt the closed form (exercises failure paths)",
-    )
+#: every option of every command, as argparse keyword arguments
+OPTIONS = {
+    "--config": {"help": "key = value file; explicit flags win"},
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+    "--out": {"help": "output path (default: stdout)"},
+    "--m": {"type": int, "help": "qubit count M"},
+    "--m-range": {"help": "inclusive qubit-count range A:B"},
+    "--scheme": {
+        "choices": ["identical", "w_plus", "w_minus", "w_prime"],
+        "help": "named coupling scheme (not with --r)",
+    },
+    "--r": {"type": float, "help": "explicit coupling ratio gamma_1/gamma (not with --scheme)"},
+    "--gamma-decay": {"type": float, "default": 0.001, "help": "qubit dipole decay rate"},
+    "--kappa": {"type": float, "default": 0.02, "help": "cavity decay rate"},
+    "--alpha": {"type": float, "default": 0.0, "help": "input-qubit phase"},
+    "--m-odd": {"type": int, "default": 1, "help": "odd trapping-time index"},
+    "--trials": {"type": int, "default": 200, "help": "randomized trials"},
+    "--seed": {"type": int, "default": 42, "help": "RNG seed"},
+    "--r-grid": {"help": "scan grid START:STOP:COUNT"},
+    "--inject-fault": {
+        "choices": ["unitarity_sign"],
+        "help": "deliberately corrupt the closed form (exercises failure paths)",
+    },
+}
+
+#: command -> (handler, help, the options it reads besides the common ones)
+COMMANDS = {
+    "check": (
+        cmd_check,
+        "cross-validate all closed forms against the oracles",
+        ("--trials", "--seed", "--inject-fault"),
+    ),
+    "wstate": (
+        cmd_wstate,
+        "trapped-state amplitudes and classification",
+        ("--m", "--m-range", "--scheme", "--r", "--m-odd"),
+    ),
+    "anticlone": (
+        cmd_anticlone,
+        "anti-cloning fidelity curves versus qubit count",
+        ("--m", "--m-range", "--alpha"),
+    ),
+    "decoherence": (
+        cmd_decoherence,
+        "no-click fidelity and survival probability",
+        ("--m", "--m-range", "--scheme", "--r", "--gamma-decay", "--kappa", "--m-odd"),
+    ),
+    "scan": (cmd_scan, "coupling-ratio sweep with located optima", ("--m", "--r-grid")),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="qcm",
         description="Multiqubit-cavity machine: trapped-state protocols and their validation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("check", "cross-validate all closed forms against the oracles"),
-        ("wstate", "trapped-state amplitudes and classification"),
-        ("anticlone", "anti-cloning fidelity curves versus qubit count"),
-        ("decoherence", "no-click fidelity and survival probability"),
-        ("scan", "coupling-ratio sweep with located optima"),
-    ]:
-        _add_common_options(sub.add_parser(name, help=help_text))
+    for name, (_, help_text, options) in COMMANDS.items():
+        # no prefix matching: `scan --r` must not pass for `scan --r-grid`
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in ("--config", "--format", "--out") + options:
+            command.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
@@ -481,51 +475,25 @@ def _load_config_file(path: str) -> list[str]:
     return flags
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         # config file values sit before explicit flags so the flags win
-        argv = [argv[0]] + _load_config_file(args.config) + list(argv[1:])
-        args = parser.parse_args(argv)
-    m_range = _parse_m_range(args.m_range) if args.m_range else None
-    return RunConfig(
-        command=args.command,
-        m=args.m,
-        m_range=m_range,
-        scheme=args.scheme,
-        r=args.r,
-        gamma_decay=args.gamma_decay,
-        kappa=args.kappa,
-        alpha=args.alpha,
-        m_odd=args.m_odd,
-        format=args.format,
-        out=args.out,
-        trials=args.trials,
-        seed=args.seed,
-        r_grid=args.r_grid,
-        inject_fault=args.inject_fault,
-    )
-
-
-COMMANDS = {
-    "check": cmd_check,
-    "wstate": cmd_wstate,
-    "anticlone": cmd_anticlone,
-    "decoherence": cmd_decoherence,
-    "scan": cmd_scan,
-}
+        args = parser.parse_args([argv[0]] + _load_config_file(args.config) + argv[1:])
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config = parse_args(argv)
-        return COMMANDS[config.command](config)
+        args = parse_args(argv)
+        handler = COMMANDS[args.command][0]
+        return handler(args)
     except CheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (ConfigurationError, OverdampedRegimeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigurationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,37 +16,36 @@ loses while waiting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, StateVector
+from .model import (
+    ConfigurationError,
+    StateVector,
+    check_count,
+    check_non_negative,
+    check_odd_index,
+    check_positive,
+)
 from .protocols import W_PLUS, W_PRIME, trapped_amplitudes
 
 
-class OverdampedRegimeError(ValueError):
+class OverdampedRegimeError(ConfigurationError):
     """Raised when 2*omega <= |kappa - Gamma|: the closed forms assume the
     underdamped regime.  The RK4 oracle remains available there."""
 
 
-def _check_non_negative(name: str, value: float):
-    # plain float comparisons: the decay scans call this per table row
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _check_star_parameters(m: int, r: float, gamma_decay: float, kappa: float):
-    if m < 2:
-        raise ConfigurationError(f"need m >= 2, got {m}")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ConfigurationError(f"coupling ratio must be positive, got {r}")
-    _check_non_negative("gamma_decay", gamma_decay)
-    _check_non_negative("kappa", kappa)
-
-
 def _shifted_frequency(m: int, r: float, gamma_decay: float, kappa: float) -> tuple[float, float]:
-    """(omega, Omega) for the star configuration; raises when overdamped."""
+    """(omega, Omega) for the star configuration.
+
+    Every closed form here enters through this function, so it is where the
+    star parameters are checked; raises when overdamped.
+    """
+    check_count("m", m, 2)
+    check_positive("coupling ratio", r)
+    check_non_negative("gamma_decay", gamma_decay)
+    check_non_negative("kappa", kappa)
     omega2 = r * r + (m - 1.0)
     detuning = kappa - gamma_decay
     disc = 4.0 * omega2 - detuning * detuning
@@ -113,8 +112,7 @@ def conditional_amplitudes(
     integration of the dissipative generator to 1e-8 and reduces to the
     first propagator column when both rates vanish.
     """
-    _check_star_parameters(m, r, gamma_decay, kappa)
-    _check_non_negative("time", t)
+    check_non_negative("time", t)
     omega, big_omega = _shifted_frequency(m, r, gamma_decay, kappa)
     alpha_c = r / omega**2
     u = np.sin(big_omega * t / 2.0)
@@ -155,9 +153,7 @@ def renormalized_trapping_time(
     Reduces to m_odd*pi/omega when the two rates are equal; the photon
     amplitude vanishes exactly there regardless of M.
     """
-    if m_odd < 1 or m_odd % 2 == 0:
-        raise ValueError(f"trapping index must be a positive odd integer, got {m_odd}")
-    _check_star_parameters(m, r, gamma_decay, kappa)
+    m_odd = check_odd_index(m_odd)
     _, big_omega = _shifted_frequency(m, r, gamma_decay, kappa)
     return 2.0 * m_odd * np.pi / big_omega
 
@@ -241,7 +237,7 @@ def decay_robustness_scan(
     and Gamma = 0.001 in coupling units.
     """
     reports = []
-    for m in sorted(set(int(m) for m in m_values)):
+    for m in sorted({check_count("m", m, 2) for m in m_values}):
         for scheme in (W_PLUS, W_PRIME):
             reports.append(
                 decohered_fidelity(

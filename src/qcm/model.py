@@ -20,6 +20,8 @@ is structural rather than numerical.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,42 @@ import numpy as np
 
 class ConfigurationError(ValueError):
     """Raised when a system configuration violates its invariants."""
+
+
+# Scalar input checks shared by every module.  Plain-float comparisons and
+# operator.index keep them O(1): the decay scans run them several times per
+# table row.
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """Return ``value`` as an int >= ``minimum``; floats are rejected."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ConfigurationError(f"need {name} >= {minimum}, got {count}")
+    return count
+
+
+def check_positive(name: str, value) -> None:
+    """A coupling, a coupling ratio or a step size must be finite and > 0."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_non_negative(name: str, value) -> None:
+    """A rate or a time must be finite and >= 0."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_odd_index(m_odd) -> int:
+    """Return the trapping index m_odd as an int; it must be positive and odd."""
+    index = check_count("trapping index", m_odd, 1)
+    if index % 2 == 0:
+        raise ConfigurationError(f"trapping index must be odd, got {index}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -51,14 +89,10 @@ class SystemConfig:
         object.__setattr__(self, "kappa", float(self.kappa))
         if len(couplings) < 1:
             raise ConfigurationError("need at least one qubit")
-        if not all(np.isfinite(g) and g > 0.0 for g in couplings):
-            raise ConfigurationError(
-                f"couplings must be finite and strictly positive, got {couplings}"
-            )
-        if not (np.isfinite(self.gamma_decay) and self.gamma_decay >= 0.0):
-            raise ConfigurationError("gamma_decay must be finite and >= 0")
-        if not (np.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ConfigurationError("kappa must be finite and >= 0")
+        for g in couplings:
+            check_positive("coupling", g)
+        check_non_negative("gamma_decay", self.gamma_decay)
+        check_non_negative("kappa", self.kappa)
 
     @property
     def m(self) -> int:
@@ -77,10 +111,8 @@ def star_config(
     The single asymmetric qubit (the input qubit of the protocols) couples
     r times more strongly than the M-1 identical partners.
     """
-    if m < 1:
-        raise ConfigurationError(f"need m >= 1, got {m}")
-    if not (np.isfinite(r) and r > 0.0):
-        raise ConfigurationError(f"coupling ratio r must be positive, got {r}")
+    m = check_count("m", m, 1)
+    check_positive("coupling ratio", r)
     return SystemConfig(
         couplings=(float(r),) + (1.0,) * (m - 1),
         gamma_decay=gamma_decay,

@@ -22,9 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ConfigurationError,
     GeneratorMatrix,
     StateVector,
     SystemConfig,
+    check_non_negative,
+    check_odd_index,
+    check_positive,
     collective_rabi,
 )
 
@@ -51,20 +55,6 @@ class PropagatorMatrix:
         object.__setattr__(self, "time", float(self.time))
 
 
-@dataclass(frozen=True)
-class IntegratorSettings:
-    """Fixed-step classical RK4 settings; dt in units of 1/gamma."""
-
-    dt: float = 1e-4
-    method: str = "rk4"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
-
-
 def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
     """Analytic propagator U(t) = exp(-iHt) on the one-excitation block.
 
@@ -77,10 +67,16 @@ def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
 
     The qubit block is uniformly -2*gamma_j*gamma_k*beta off the diagonal;
     any sign asymmetry there would break unitarity (H is a real symmetric
-    star matrix, so U is symmetric).
+    star matrix, so U is symmetric).  The evolution is lossless, so a
+    config with decay rates is rejected: under decay use the conditional
+    closed forms in ``qcm.decoherence``.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    if config.gamma_decay or config.kappa:
+        raise ConfigurationError(
+            "closed_form_propagator is lossless but the config has decay rates; "
+            "use the conditional closed forms in qcm.decoherence"
+        )
+    check_non_negative("time", t)
     m = config.m
     g = np.asarray(config.couplings, dtype=float)
     omega = collective_rabi(config)
@@ -110,6 +106,7 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
 
 def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*matrix*t) for Hermitian ``matrix`` via eigendecomposition."""
+    check_non_negative("time", t)
     eigvals, vecs = np.linalg.eigh(matrix)
     return (vecs * np.exp(-1j * eigvals * t)) @ vecs.conj().T
 
@@ -151,13 +148,12 @@ def rk4_propagate(
     polynomial enters, never an eigendecomposition or the exponential, so
     the oracle stays independent of the closed forms.
     """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_positive("dt", dt)
     g = np.asarray(generator, dtype=complex)
     psi = np.array(amplitudes, dtype=complex)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("times must be finite and >= 0")
+        raise ConfigurationError("times must be finite and >= 0")
     n_steps = np.ceil(np.round(t_arr / dt, 9)).astype(np.int64)
     h = t_arr / np.maximum(n_steps, 1)
 
@@ -209,18 +205,17 @@ def evolve_oracle_rk4(
     generator: GeneratorMatrix,
     state: StateVector,
     t: float,
-    settings: IntegratorSettings | None = None,
+    dt: float = 1e-4,
 ) -> StateVector:
-    """Propagate by RK4 integration; works for either generator kind.
+    """Propagate by RK4 integration with steps of at most ``dt``.
 
-    Under the dissipative generator the output is a sub-normalized
-    conditional state and is flagged as such.
+    Works for either generator kind.  Under the dissipative generator the
+    output is a sub-normalized conditional state and is flagged as such.
     """
     if state.m != generator.m:
         raise ValueError(f"state is for M={state.m} qubits, generator for M={generator.m}")
-    settings = settings if settings is not None else IntegratorSettings()
     amps = np.array(state.amplitudes)
-    amps[1:] = rk4_propagate(generator.matrix, amps[1:], float(t), settings.dt)
+    amps[1:] = rk4_propagate(generator.matrix, amps[1:], float(t), dt)
     # a coarse step drifts the norm below 1 even for a hermitian generator,
     # so the flag follows the measured norm rather than the generator kind
     norm2 = float(np.sum(np.abs(amps) ** 2))
@@ -237,6 +232,4 @@ def trapping_time(config: SystemConfig, m_odd: int = 1) -> float:
     vanishes and the cavity factorizes from the qubits; only odd multiples
     trap (even ones return the full initial state instead).
     """
-    if m_odd < 1 or m_odd % 2 == 0:
-        raise ValueError(f"trapping index must be a positive odd integer, got {m_odd}")
-    return m_odd * np.pi / collective_rabi(config)
+    return check_odd_index(m_odd) * np.pi / collective_rabi(config)

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StateVector, initial_state, star_config
+from .model import (
+    ConfigurationError,
+    StateVector,
+    check_count,
+    check_positive,
+    initial_state,
+    star_config,
+)
 from .propagator import evolve, trapping_time
 
 SCHEME_TAGS = ("identical", "w_plus", "w_minus", "w_prime", "custom")
@@ -48,14 +55,15 @@ class CouplingScheme:
 
     def __post_init__(self):
         if self.tag not in SCHEME_TAGS:
-            raise ValueError(f"unknown scheme {self.tag!r}, expected one of {SCHEME_TAGS}")
+            raise ConfigurationError(
+                f"unknown scheme {self.tag!r}, expected one of {SCHEME_TAGS}"
+            )
         if self.tag == "custom":
-            if self.custom_ratio is None or not (
-                np.isfinite(self.custom_ratio) and self.custom_ratio > 0.0
-            ):
-                raise ValueError("custom scheme needs a positive coupling ratio")
+            if self.custom_ratio is None:
+                raise ConfigurationError("custom scheme needs a coupling ratio")
+            check_positive("coupling ratio", self.custom_ratio)
         elif self.custom_ratio is not None:
-            raise ValueError(f"scheme {self.tag!r} does not take an explicit ratio")
+            raise ConfigurationError(f"scheme {self.tag!r} does not take an explicit ratio")
 
     @classmethod
     def custom(cls, r: float) -> "CouplingScheme":
@@ -66,20 +74,18 @@ class CouplingScheme:
         return cls(tag=text.strip())
 
     def ratio(self, m: int) -> float:
-        """Resolve the coupling ratio for M qubits."""
-        if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
+        """Resolve the coupling ratio for M qubits.
+
+        w_minus and w_prime need M >= 2, where their ratios are positive.
+        """
+        m = check_count("m", m, 2 if self.tag in ("w_minus", "w_prime") else 1)
         if self.tag == "identical":
             return 1.0
         if self.tag == "w_plus":
             return float(np.sqrt(m) + 1.0)
         if self.tag == "w_minus":
-            if m < 2:
-                raise ValueError("w_minus needs m >= 2 (ratio sqrt(m) - 1 must be positive)")
             return float(np.sqrt(m) - 1.0)
         if self.tag == "w_prime":
-            if m < 2:
-                raise ValueError("w_prime needs m >= 2")
             return float(np.sqrt(m - 1.0))
         return float(self.custom_ratio)
 
@@ -121,12 +127,10 @@ def trapped_amplitudes(m: int, r: float) -> tuple[float, float]:
 
         a1 = (M - 1 - r^2) / (M - 1 + r^2),   a = -2r / (M - 1 + r^2)
 
-    satisfying a1^2 + (M-1)*a^2 = 1.
+    satisfying a1^2 + (M-1)*a^2 = 1; needs at least one partner qubit.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2 (at least one partner qubit), got {m}")
-    if not (np.isfinite(r) and r > 0.0):
-        raise ValueError(f"coupling ratio must be positive, got {r}")
+    m = check_count("m", m, 2)
+    check_positive("coupling ratio", r)
     denom = m - 1.0 + r * r
     return (m - 1.0 - r * r) / denom, -2.0 * r / denom
 
@@ -154,8 +158,7 @@ def generate_w_state(m: int, scheme: CouplingScheme) -> tuple[StateVector, Proto
     trapping instant) and a report with the measured branch amplitudes and
     their classification.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    m = check_count("m", m, 2)
     r = scheme.ratio(m)
     config = star_config(m, r)
     tau = trapping_time(config)
@@ -258,8 +261,7 @@ def fidelity_curve(m: int, scheme: CouplingScheme) -> tuple[float, float]:
     case (perfect equatorial complementing, F = 1); M >= 3 gives genuine
     one-to-many anti-cloning over the M-1 partners.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    m = check_count("m", m, 2)
     if scheme.tag == "identical":
         return 0.5 * (1.0 + 2.0 / m), 1.0 / m
     if scheme.tag == "w_plus":
@@ -280,8 +282,7 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
     scores each against the orthogonal complement (phase alpha - pi).  The
     report's fidelities match ``fidelity_curve`` to 1e-12.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    m = check_count("m", m, 2)
     r = scheme.ratio(m)
     config = star_config(m, r)
     tau = trapping_time(config)
@@ -345,10 +346,9 @@ def optimize_coupling_ratio(m: int, objective: str):
     smooth maximum the fidelity moves by O(dr^2), so in floating point its
     argmax is fixed to about sqrt(eps) relative (1.1e-6 absolute at M=256).
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    m = check_count("m", m, 2)
     if objective not in OPTIMIZER_OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}, expected one of {OPTIMIZER_OBJECTIVES}")
+        raise ConfigurationError(f"unknown objective {objective!r}, expected one of {OPTIMIZER_OBJECTIVES}")
     grid = np.geomspace(1e-3, 4.0 * np.sqrt(m), 512)
 
     if objective == "target_fidelity":

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,44 @@ from qcm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TOLERANCE,
-    RunConfig,
+    build_parser,
     main,
     run_check_suites,
 )
+from qcm.model import ConfigurationError
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: the options each command reads besides --config, --format and --out
+COMMAND_FLAGS = {
+    "check": ("--trials", "--seed", "--inject-fault"),
+    "wstate": ("--m", "--m-range", "--scheme", "--r", "--m-odd"),
+    "anticlone": ("--m", "--m-range", "--alpha"),
+    "decoherence": (
+        "--m", "--m-range", "--scheme", "--r", "--gamma-decay", "--kappa", "--m-odd",
+    ),
+    "scan": ("--m", "--r-grid"),
+}
+FLAG_VALUES = {
+    "--m": "4",
+    "--m-range": "2:3",
+    "--scheme": "w_plus",
+    "--r": "2.0",
+    "--gamma-decay": "0.1",
+    "--kappa": "0.1",
+    "--alpha": "1.0",
+    "--m-odd": "3",
+    "--trials": "2",
+    "--seed": "1",
+    "--r-grid": "1:2:3",
+    "--inject-fault": "unitarity_sign",
+}
+DROPPED_FLAGS = [
+    (command, flag)
+    for command, flags in COMMAND_FLAGS.items()
+    for flag in FLAG_VALUES
+    if flag not in flags
+]
 
 
 def run_cli(capsys, argv):
@@ -91,6 +124,11 @@ class TestCheckCommand:
         by_suite = {row["suite"]: row["passed"] for row in rows}
         assert by_suite["unitarity"] == "false"
         assert by_suite["conditional_vs_rk4"] == "true"  # fault is upstream of this suite
+
+    @pytest.mark.parametrize("trials", [-1, 2.5])
+    def test_trials_must_be_a_count(self, trials):
+        with pytest.raises(ConfigurationError):
+            run_check_suites(trials, 1)
 
     def test_suite_rows_carry_tolerances(self):
         rows = run_check_suites(5, 11)
@@ -301,8 +339,54 @@ class TestArgumentErrors:
         )
         assert code == EXIT_CONFIG
 
-    def test_run_config_validation(self):
-        with pytest.raises(Exception):
-            RunConfig(command="wstate", format="xml")
-        with pytest.raises(Exception):
-            RunConfig(command="nothing")
+    @pytest.mark.parametrize("command", ["wstate", "decoherence"])
+    def test_both_scheme_and_ratio_rejected(self, capsys, command):
+        # --r used to win silently over --scheme
+        code, _, err = run_cli(capsys, [command, "--m", "3", "--scheme", "w_plus", "--r", "2.0"])
+        assert code == EXIT_CONFIG
+        assert "--scheme or --r" in err
+
+    def test_unknown_format_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["wstate", "--m", "4", "--scheme", "w_plus", "--format", "xml"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command,flag", DROPPED_FLAGS)
+    def test_flag_a_command_does_not_read_exits_two(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_declared_flags_parse(self, command):
+        argv = [command]
+        for flag in COMMAND_FLAGS[command]:
+            argv += [flag, FLAG_VALUES[flag]]
+        args = build_parser().parse_args(argv)
+        assert args.command == command
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wstate", "--m", "4", "--scheme", "w_plus", "--m-odd", "-1"],
+            ["decoherence", "--m", "3", "--m-odd", "2"],
+            ["wstate", "--m", "0", "--scheme", "w_plus"],
+            ["anticlone", "--m", "0"],
+            ["decoherence", "--m", "0"],
+            ["scan", "--m", "0"],
+            ["scan", "--m", "-4"],
+            ["check", "--trials", "-1"],
+        ],
+    )
+    def test_invalid_values_are_config_errors(self, capsys, argv):
+        # these checks moved from the CLI into the library; none may warn
+        # first (`scan --m -4` must not take sqrt(-4) for its default grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ")

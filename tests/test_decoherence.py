@@ -24,7 +24,6 @@ from qcm.propagator import (
     evolve_oracle_rk4,
     rk4_propagate_many,
     trapping_time,
-    IntegratorSettings,
 )
 from qcm.protocols import W_PLUS, W_PRIME, trapped_amplitudes
 
@@ -89,6 +88,7 @@ class TestConditionalAmplitudes:
         # 2*omega just above 2 while the rate detuning is 5
         with pytest.raises(OverdampedRegimeError):
             conditional_amplitudes(2, 0.1, 0.0, 5.0, 1.0)
+        assert issubclass(OverdampedRegimeError, ConfigurationError)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -97,6 +97,9 @@ class TestConditionalAmplitudes:
             conditional_amplitudes(3, -1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             conditional_amplitudes(3, 1.0, -0.1, 0.0, 1.0)
+        # a fractional count used to return amplitudes
+        with pytest.raises(ConfigurationError):
+            conditional_amplitudes(2.5, 1.0, 0.0, 0.0, 1.0)
 
     @pytest.mark.parametrize(
         "gamma_decay, kappa",
@@ -151,7 +154,7 @@ class TestAgainstRk4Oracle:
         config = star_config(m, r, gamma_decay=DEFAULT_GAMMA, kappa=DEFAULT_KAPPA)
         state = initial_state(0.0, 0.0, config)
         out = evolve_oracle_rk4(
-            build_dissipative_hamiltonian(config), state, tau_c, IntegratorSettings(dt=5e-4)
+            build_dissipative_hamiltonian(config), state, tau_c, dt=5e-4
         )
         assert abs(out.amplitudes[-1]) < 1e-8
 
@@ -193,6 +196,11 @@ class TestRenormalizedTrappingTime:
     def test_validation(self):
         with pytest.raises(ValueError):
             renormalized_trapping_time(3, 1.0, 0.0, 0.0, m_odd=2)
+        # m_odd = 2.5 used to return a time that is no trapping instant
+        with pytest.raises(ConfigurationError):
+            renormalized_trapping_time(3, 1.0, 0.0, 0.0, m_odd=2.5)
+        with pytest.raises(ConfigurationError):
+            renormalized_trapping_time(2.5, 1.0, 0.0, 0.0)
         with pytest.raises(OverdampedRegimeError):
             renormalized_trapping_time(2, 0.1, 0.0, 5.0)
 
@@ -239,10 +247,9 @@ class TestLinearitySplice:
         m, r, gamma_decay, kappa = 3, 1.6, 0.03, 0.07
         config = star_config(m, r, gamma_decay=gamma_decay, kappa=kappa)
         gen = build_dissipative_hamiltonian(config)
-        settings = IntegratorSettings(dt=1e-3)
         t = 1.9
-        full = evolve_oracle_rk4(gen, initial_state(theta, alpha, config), t, settings)
-        branch = evolve_oracle_rk4(gen, initial_state(0.0, 0.0, config), t, settings)
+        full = evolve_oracle_rk4(gen, initial_state(theta, alpha, config), t, dt=1e-3)
+        branch = evolve_oracle_rk4(gen, initial_state(0.0, 0.0, config), t, dt=1e-3)
         expected = (
             np.sin(theta / 2.0) * np.eye(m + 2)[0]
             + np.exp(1j * alpha) * np.cos(theta / 2.0) * branch.amplitudes
@@ -257,7 +264,7 @@ class TestLinearitySplice:
             build_dissipative_hamiltonian(config),
             initial_state(np.pi / 2.0, 0.0, config),
             t,
-            IntegratorSettings(dt=1e-3),
+            dt=1e-3,
         )
         assert full.norm_squared == pytest.approx(0.5 + 0.5 * branch, abs=1e-9)
 
@@ -319,6 +326,15 @@ class TestDecayRobustnessScan:
         assert [(rep.m, rep.scheme) for rep in reports] == [
             (m, tag) for m in range(2, 6) for tag in ("w_plus", "w_prime")
         ]
+
+    def test_validation(self):
+        # [2.5] used to run M = 2 silently
+        with pytest.raises(ConfigurationError):
+            decay_robustness_scan([2.5])
+        with pytest.raises(ConfigurationError):
+            decay_robustness_scan([1])
+        with pytest.raises(ConfigurationError):
+            decay_robustness_scan([3], gamma_decay=np.nan)
 
     def test_matches_direct_call(self):
         reports = decay_robustness_scan([2])

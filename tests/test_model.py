@@ -37,6 +37,10 @@ class TestSystemConfig:
             SystemConfig((1.0,), gamma_decay=-1e-9)
         with pytest.raises(ConfigurationError):
             SystemConfig((1.0,), kappa=-0.1)
+        with pytest.raises(ConfigurationError):
+            SystemConfig((1.0,), gamma_decay=np.nan)
+        with pytest.raises(ConfigurationError):
+            SystemConfig((1.0,), kappa=np.inf)
 
     def test_star_config(self):
         config = star_config(4, 3.0)
@@ -45,6 +49,12 @@ class TestSystemConfig:
             star_config(3, 0.0)
         with pytest.raises(ConfigurationError):
             star_config(0, 1.0)
+        # a fractional count used to die with a TypeError deep inside
+        with pytest.raises(ConfigurationError):
+            star_config(2.5, 1.0)
+        with pytest.raises(ConfigurationError):
+            star_config(3, np.nan)
+        assert star_config(np.int64(2), 1.0).m == 2
 
 
 class TestExcitationBasis:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcm.model import (
+    ConfigurationError,
     StateVector,
     SystemConfig,
     build_dissipative_hamiltonian,
@@ -11,7 +12,6 @@ from qcm.model import (
     star_config,
 )
 from qcm.propagator import (
-    IntegratorSettings,
     PropagatorMatrix,
     closed_form_propagator,
     evolve,
@@ -93,6 +93,19 @@ class TestClosedForm:
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
             closed_form_propagator(SystemConfig((1.0,)), np.inf)
+        with pytest.raises(ConfigurationError):
+            closed_form_propagator(SystemConfig((1.0,)), np.nan)
+        with pytest.raises(ConfigurationError):
+            closed_form_propagator(SystemConfig((1.0,)), -1.0)
+
+    @pytest.mark.parametrize("gamma_decay, kappa", [(0.4, 0.9), (0.4, 0.0), (0.0, 0.9)])
+    def test_rejects_decay_rates(self, gamma_decay, kappa):
+        # the lossless matrix used to come back with the rates ignored
+        config = star_config(3, 1.5, gamma_decay=gamma_decay, kappa=kappa)
+        with pytest.raises(ConfigurationError, match="qcm.decoherence"):
+            closed_form_propagator(config, 2.0)
+        with pytest.raises(ConfigurationError):
+            evolve(initial_state(0.0, 0.0, config), config, 2.0)
 
     def test_propagator_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -148,7 +161,7 @@ class TestRk4Oracle:
         state = initial_state(0.0, 0.3, config)
         t = 2.5
         damped = evolve_oracle_rk4(build_dissipative_hamiltonian(config), state, t)
-        unitary = evolve(state, config, t)
+        unitary = evolve(state, SystemConfig(config.couplings), t)
         expected = np.array(unitary.amplitudes)
         expected[1:] *= np.exp(-g * t)
         np.testing.assert_allclose(damped.amplitudes, expected, atol=1e-8)
@@ -161,7 +174,7 @@ class TestRk4Oracle:
         exact = evolve_oracle_expm(h, state, t).amplitudes
         errors = []
         for dt in (0.02, 0.01):
-            out = evolve_oracle_rk4(h, state, t, IntegratorSettings(dt=dt))
+            out = evolve_oracle_rk4(h, state, t, dt=dt)
             errors.append(np.max(np.abs(out.amplitudes - exact)))
         ratio = errors[0] / errors[1]
         assert 8.0 < ratio < 32.0  # halving dt should shrink the error ~2^4
@@ -201,15 +214,13 @@ class TestRk4Oracle:
         config = SystemConfig((40.0, 40.0, 40.0))
         state = initial_state(0.0, 0.0, config)
         with pytest.raises(FloatingPointError):
-            evolve_oracle_rk4(
-                build_hamiltonian(config), state, 50.0, IntegratorSettings(dt=0.5)
-            )
+            evolve_oracle_rk4(build_hamiltonian(config), state, 50.0, dt=0.5)
 
     def test_settings_validation(self):
+        config = SystemConfig((1.0,))
+        state = initial_state(0.0, 0.0, config)
         with pytest.raises(ValueError):
-            IntegratorSettings(dt=0.0)
-        with pytest.raises(ValueError):
-            IntegratorSettings(method="euler")
+            evolve_oracle_rk4(build_hamiltonian(config), state, 1.0, dt=0.0)
 
 
 def rk4_step_loop(generator, psi, t, dt):
@@ -322,8 +333,9 @@ class TestTrappingTime:
 
     def test_odd_index_required(self):
         config = SystemConfig((1.0,))
-        for bad in (0, 2, -1, 4):
-            with pytest.raises(ValueError):
+        # 3.5 used to return a time that is no trapping instant
+        for bad in (0, 2, -1, 4, 3.5, 1.0):
+            with pytest.raises(ConfigurationError):
                 trapping_time(config, bad)
         assert trapping_time(config, 3) == pytest.approx(3.0 * np.pi, abs=1e-12)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcm.model import StateVector, initial_state, star_config
+from qcm.model import ConfigurationError, StateVector, initial_state, star_config
 from qcm.propagator import closed_form_propagator, evolve, trapping_time
 from qcm.protocols import (
     CouplingScheme,
@@ -59,6 +59,10 @@ class TestCouplingScheme:
             W_MINUS.ratio(1)
         with pytest.raises(ValueError):
             W_PRIME.ratio(1)
+        with pytest.raises(ConfigurationError):
+            W_PLUS.ratio(2.5)
+        with pytest.raises(ConfigurationError):
+            CouplingScheme.custom(np.nan)
 
     def test_from_string(self):
         assert CouplingScheme.from_string("w_plus") == W_PLUS
@@ -88,6 +92,11 @@ class TestTrappedAmplitudes:
             trapped_amplitudes(1, 1.0)
         with pytest.raises(ValueError):
             trapped_amplitudes(3, 0.0)
+        # a fractional count used to return (0.2, -0.8)
+        with pytest.raises(ConfigurationError):
+            trapped_amplitudes(2.5, 1.0)
+        with pytest.raises(ConfigurationError):
+            trapped_amplitudes(3, np.inf)
 
 
 class TestClassification:
@@ -137,6 +146,11 @@ class TestGenerateWState:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_w_state(1, W_PLUS)
+        # used to die with a TypeError deep inside
+        with pytest.raises(ConfigurationError):
+            generate_w_state(3.0, W_PLUS)
+        _, report = generate_w_state(np.int64(3), W_PLUS)
+        assert report.m == 3
 
 
 class TestReducedQubitDensity:
@@ -310,6 +324,13 @@ class TestFidelityCurve:
         assert f_target == pytest.approx(0.5 * (1.0 - a), abs=1e-15)
         assert f_input == pytest.approx(0.5 * (1.0 - a1), abs=1e-15)
 
+    def test_validation(self):
+        for scheme in ALL_SCHEMES:
+            with pytest.raises(ConfigurationError):
+                fidelity_curve(2.5, scheme)
+            with pytest.raises(ConfigurationError):
+                fidelity_curve(1, scheme)
+
 
 class TestRunAnticlone:
     def test_two_qubit_optimum_shared_by_input(self):
@@ -335,6 +356,12 @@ class TestRunAnticlone:
             f_target, f_input = fidelity_curve(4, W_MINUS)
             assert report.fidelities[0] == pytest.approx(f_input, abs=1e-12)
             assert report.fidelities[-1] == pytest.approx(f_target, abs=1e-12)
+
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            run_anticlone(2.5, W_PLUS)
+        with pytest.raises(ConfigurationError):
+            run_anticlone(1, W_PLUS)
 
 
 class TestOptimizeCouplingRatio:
@@ -377,3 +404,5 @@ class TestOptimizeCouplingRatio:
             optimize_coupling_ratio(4, "fastest")
         with pytest.raises(ValueError):
             optimize_coupling_ratio(1, "w_symmetry")
+        with pytest.raises(ConfigurationError):
+            optimize_coupling_ratio(4.0, "w_symmetry")
