@@ -212,11 +212,8 @@ def _conditional_suite(trials: int, rng) -> float:
     integrated = rk4_propagate_many(generators, states, np.array(times), dt=CONDITIONAL_DT)
     worst = 0.0
     for (m, r, gamma_decay, kappa, t), got in zip(params, integrated):
-        amps = conditional_amplitudes(m, r, gamma_decay, kappa, t)
-        predicted = np.full(m + 1, amps.b, dtype=complex)
-        predicted[0] = amps.b1
-        predicted[m] = amps.b_photon
-        worst = max(worst, float(np.max(np.abs(predicted - got))))
+        predicted = conditional_amplitudes(m, r, gamma_decay, kappa, t).to_state_vector()
+        worst = max(worst, float(np.max(np.abs(predicted.amplitudes[1:] - got))))
     return worst
 
 

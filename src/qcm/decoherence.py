@@ -1,14 +1,14 @@
-"""No-click conditional dynamics under qubit and cavity decay.
+"""No-click conditional dynamics of the star configuration under decay.
 
 With the photon channel continuously monitored, the trajectory conditioned
 on detecting nothing evolves under the dissipative generator (Hermitian
 coupling minus i*Gamma on each qubit and minus i*kappa on the photon) and
 its norm decays; the squared norm is the no-click probability P(0, t).
 
-For the star configuration the conditional amplitudes have a closed form in
-the decay-shifted frequency Omega = sqrt(4*omega^2 - (kappa - Gamma)^2),
-valid in the underdamped regime 2*omega > |kappa - Gamma|.  The photon
-amplitude still vanishes exactly at the shifted trapping time 2*pi/Omega,
+The star configuration's amplitudes are the first column of the no-click
+kernel in ``qcm.propagator``: O(1) at any M, in every damping regime.  When
+2*omega > |kappa - Gamma| the photon amplitude still vanishes exactly at the
+shifted trapping time 2*pi/Omega, Omega = sqrt(4*omega^2 - (kappa - Gamma)^2),
 so the trapping mechanism survives decay for any number of qubits; the
 fidelity against the decay-free trapped state quantifies what the register
 loses while waiting.
@@ -20,41 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ConfigurationError,
-    StateVector,
-    check_count,
-    check_non_negative,
-    check_odd_index,
-    check_positive,
-)
+from .model import StateVector, check_count, check_positive
+from .propagator import OverdampedRegimeError, _no_click_kernel, _trap_time  # noqa: F401 re-export
 from .protocols import W_PLUS, W_PRIME, trapped_amplitudes
 
 
-class OverdampedRegimeError(ConfigurationError):
-    """Raised when 2*omega <= |kappa - Gamma|: the closed forms assume the
-    underdamped regime.  The RK4 oracle remains available there."""
-
-
-def _shifted_frequency(m: int, r: float, gamma_decay: float, kappa: float) -> tuple[float, float]:
-    """(omega, Omega) for the star configuration.
-
-    Every closed form here enters through this function, so it is where the
-    star parameters are checked; raises when overdamped.
-    """
-    check_count("m", m, 2)
+def _star_omega2(m: int, r: float) -> float:
+    """omega^2 = r^2 + M - 1 of the star configuration, once M and r are checked."""
+    m = check_count("m", m, 2)
     check_positive("coupling ratio", r)
-    check_non_negative("gamma_decay", gamma_decay)
-    check_non_negative("kappa", kappa)
-    omega2 = r * r + (m - 1.0)
-    detuning = kappa - gamma_decay
-    disc = 4.0 * omega2 - detuning * detuning
-    if disc <= 0.0:
-        raise OverdampedRegimeError(
-            f"overdamped: 2*omega = {2.0 * np.sqrt(omega2):.6g} <= "
-            f"|kappa - gamma_decay| = {abs(detuning):.6g}"
-        )
-    return float(np.sqrt(omega2)), float(np.sqrt(disc))
+    return r * r + (m - 1.0)
 
 
 @dataclass(frozen=True)
@@ -62,9 +37,7 @@ class ConditionalAmplitudes:
     """Closed-form no-click amplitudes of the star configuration at time t.
 
     ``b1`` sits on the input qubit, ``b`` on each of the M-1 partners and
-    ``b_photon`` on the cavity; ``alpha_coupling`` is gamma_1*gamma/omega^2
-    (named to keep it distinct from the input-phase angle alpha) and
-    ``omega_damped`` the decay-shifted frequency Omega.
+    ``b_photon`` on the cavity.
     """
 
     m: int
@@ -75,8 +48,6 @@ class ConditionalAmplitudes:
     b1: complex
     b: complex
     b_photon: complex
-    alpha_coupling: float
-    omega_damped: float
 
     @property
     def branch_norm_squared(self) -> float:
@@ -99,49 +70,21 @@ def conditional_amplitudes(
 ) -> ConditionalAmplitudes:
     """No-click amplitudes at time t, starting from the excited input qubit.
 
-    With alpha_c = gamma_1*gamma/omega^2, u = sin(Omega*t/2) and
-    v = cos(Omega*t/2):
-
-        b(t)        = alpha_c * exp(-Gamma*t)
-                      * (-1 + exp((Gamma-kappa)*t/2) * (v + (kappa-Gamma)*u/Omega))
-        b1(t)       = exp(-Gamma*t) + r*b(t)
-        b_photon(t) = -2i*omega*sqrt(r*alpha_c) * exp(-(Gamma+kappa)*t/2) * u/Omega
-
-    The input qubit keeps its own free-decay term exp(-Gamma*t) on top of
-    the shared partner response r*b(t); this form agrees with the RK4
-    integration of the dissipative generator to 1e-8 and reduces to the
-    first propagator column when both rates vanish.
+    The propagator's first column for gamma_1 = r, from the kernel scalars:
+    b = r*qubit, b1 = dark + r*b (the input qubit's own free decay on top of
+    the shared partner response) and b_photon = r*edge.
     """
-    check_non_negative("time", t)
-    omega, big_omega = _shifted_frequency(m, r, gamma_decay, kappa)
-    alpha_c = r / omega**2
-    u = np.sin(big_omega * t / 2.0)
-    v = np.cos(big_omega * t / 2.0)
-    b = (
-        alpha_c
-        * np.exp(-gamma_decay * t)
-        * (-1.0 + np.exp((gamma_decay - kappa) * t / 2.0) * (v + (kappa - gamma_decay) * u / big_omega))
-    )
-    b1 = np.exp(-gamma_decay * t) + r * b
-    b_photon = (
-        -2j
-        * omega
-        * np.sqrt(r * alpha_c)
-        * np.exp(-(gamma_decay + kappa) * t / 2.0)
-        * u
-        / big_omega
-    )
+    dark, qubit, edge, _ = _no_click_kernel(_star_omega2(m, r), gamma_decay, kappa, t)
+    b = r * qubit
     return ConditionalAmplitudes(
         m=m,
         r=float(r),
         gamma_decay=float(gamma_decay),
         kappa=float(kappa),
         t=float(t),
-        b1=complex(b1),
+        b1=complex(dark + r * b),
         b=complex(b),
-        b_photon=complex(b_photon),
-        alpha_coupling=float(alpha_c),
-        omega_damped=big_omega,
+        b_photon=complex(r * edge),
     )
 
 
@@ -153,9 +96,7 @@ def renormalized_trapping_time(
     Reduces to m_odd*pi/omega when the two rates are equal; the photon
     amplitude vanishes exactly there regardless of M.
     """
-    m_odd = check_odd_index(m_odd)
-    _, big_omega = _shifted_frequency(m, r, gamma_decay, kappa)
-    return 2.0 * m_odd * np.pi / big_omega
+    return _trap_time(_star_omega2(m, r), gamma_decay, kappa, m_odd)
 
 
 def no_click_probability(m: int, r: float, gamma_decay: float, kappa: float, t: float) -> float:

@@ -59,6 +59,12 @@ def check_non_negative(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
+def check_finite(name: str, value) -> None:
+    """An angle may take any real value, but it must be finite."""
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 def check_odd_index(m_odd) -> int:
     """Return the trapping index m_odd as an int; it must be positive and odd."""
     index = check_count("trapping index", m_odd, 1)
@@ -270,8 +276,10 @@ def initial_state(theta: float, alpha: float, config: SystemConfig) -> StateVect
     Qubit 1 carries amplitude sin(theta/2) on its ground state and
     exp(i*alpha)*cos(theta/2) on its excited state; all other qubits are
     ground and the cavity is empty.  Canonically theta in [0, pi] and
-    alpha in [0, 2*pi), though any real angles are accepted.
+    alpha in [0, 2*pi), though any finite angles are accepted.
     """
+    check_finite("theta", theta)
+    check_finite("alpha", alpha)
     amps = np.zeros(config.m + 2, dtype=complex)
     amps[0] = np.sin(theta / 2.0)
     amps[1] = np.exp(1j * alpha) * np.cos(theta / 2.0)

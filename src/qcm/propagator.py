@@ -2,8 +2,9 @@
 
 Three independent routes to the same propagation are kept side by side:
 
-* ``closed_form_propagator`` -- the analytic matrix, entrywise trigonometric
-  in the collective Rabi frequency;
+* ``closed_form_propagator`` -- the analytic no-click matrix for any
+  couplings and rates (unitary without decay), built from one scalar
+  kernel that ``qcm.decoherence`` also projects onto the star couplings;
 * ``evolve_oracle_expm`` -- exp(-iHt) through a Hermitian eigendecomposition;
 * ``evolve_oracle_rk4`` -- fixed-step classical Runge-Kutta integration of
   the Schrodinger equation, valid also for the dissipative generator.  For
@@ -17,6 +18,7 @@ expected agreement is 1e-10 (eigendecomposition) and 1e-8 (RK4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,38 +57,87 @@ class PropagatorMatrix:
         object.__setattr__(self, "time", float(self.time))
 
 
-def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
-    """Analytic propagator U(t) = exp(-iHt) on the one-excitation block.
+class OverdampedRegimeError(ConfigurationError):
+    """Raised for a trapping time when 2*omega <= |kappa - Gamma|: the photon
+    amplitude then never returns to zero.  Amplitudes work in every regime."""
 
-    With omega the collective Rabi frequency and
-    beta = sin^2(omega*t/2) / omega^2:
 
-        U[j, k]   = delta_jk - 2*gamma_j*gamma_k*beta     (qubit block)
-        U[j, M]   = U[M, j] = -i*gamma_j*sin(omega*t)/omega
-        U[M, M]   = cos(omega*t)
-
-    The qubit block is uniformly -2*gamma_j*gamma_k*beta off the diagonal;
-    any sign asymmetry there would break unitarity (H is a real symmetric
-    star matrix, so U is symmetric).  The evolution is lossless, so a
-    config with decay rates is rejected: under decay use the conditional
-    closed forms in ``qcm.decoherence``.
-    """
-    if config.gamma_decay or config.kappa:
-        raise ConfigurationError(
-            "closed_form_propagator is lossless but the config has decay rates; "
-            "use the conditional closed forms in qcm.decoherence"
+def _trap_time(omega2: float, gamma_decay: float, kappa: float, m_odd) -> float:
+    """The m_odd'th trapping instant 2*m_odd*pi/sqrt(4*omega^2 - (kappa - Gamma)^2)."""
+    m_odd = check_odd_index(m_odd)
+    check_non_negative("gamma_decay", gamma_decay)
+    check_non_negative("kappa", kappa)
+    detuning = kappa - gamma_decay
+    disc = 4.0 * omega2 - detuning * detuning
+    if disc <= 0.0:
+        raise OverdampedRegimeError(
+            f"overdamped: 2*omega = {2.0 * math.sqrt(omega2):.6g} <= "
+            f"|kappa - gamma_decay| = {abs(detuning):.6g}; no trapping instant exists"
         )
+    return 2.0 * m_odd * math.pi / math.sqrt(disc)
+
+
+def _no_click_kernel(omega2: float, gamma_decay: float, kappa: float, t: float) -> tuple:
+    """(dark, qubit, edge, photon) of the no-click propagator at time t.
+
+    Qubit vectors orthogonal to the couplings only decay, as dark =
+    exp(-Gamma*t); the bright mode g/omega and the photon form a 2x2 problem
+    of frequency nu, nu^2 = omega^2 - d^2 with d = (kappa - Gamma)/2.  With
+    E = exp(-(Gamma + kappa)*t/2), C = cos(nu*t), S = sin(nu*t)/nu (1 and t
+    at critical damping, cosh and sinh past it) and C - 1 = -2*sin^2(nu*t/2):
+
+        qubit = E*((C - 1) + d*S - expm1(d*t))/omega^2,  edge = -i*E*S,
+        photon = E*(C - d*S)
+    """
+    check_non_negative("gamma_decay", gamma_decay)
+    check_non_negative("kappa", kappa)
     check_non_negative("time", t)
+    d = (kappa - gamma_decay) / 2.0
+    nu2 = omega2 - d * d
+    dark = math.exp(-gamma_decay * t)
+    joint = decay = math.exp(-(gamma_decay + kappa) / 2.0 * t)
+    if nu2 > 0.0:
+        nu = math.sqrt(nu2)
+        c, sinc = math.cos(nu * t), math.sin(nu * t) / nu
+        c_minus_1 = -2.0 * math.sin(nu * t / 2.0) ** 2
+    elif nu2 == 0.0:
+        c, sinc, c_minus_1 = 1.0, t, 0.0
+    else:
+        # cosh and sinh carry exp(mu*t), moved into decay lest they overflow;
+        # mu - (Gamma + kappa)/2 = -min(Gamma, kappa) - omega^2/(|d| + mu) cannot cancel
+        mu = math.sqrt(-nu2) if nu2 > -math.inf else abs(d)  # d*d overflowed: omega << |d|
+        decay = math.exp(-(min(gamma_decay, kappa) + omega2 / (abs(d) + mu)) * t)
+        c = (1.0 + math.exp(-2.0 * mu * t)) / 2.0
+        sinc = -math.expm1(-2.0 * mu * t) / (2.0 * mu)
+        c_minus_1 = math.expm1(-mu * t) ** 2 / 2.0
+    # E*expm1(d*t) = dark - E, in the form that cannot overflow
+    shift = joint * math.expm1(d * t) if d <= 0.0 else -dark * math.expm1(-d * t)
+    qubit = (decay * (c_minus_1 + d * sinc) - shift) / omega2
+    return dark, qubit, -1j * (decay * sinc), decay * (c - d * sinc)
+
+
+def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
+    """Analytic propagator U(t) = exp(-iGt) on the one-excitation block.
+
+    G = H - i*Gamma on each qubit - i*kappa on the photon is the no-click
+    generator (Hermitian without decay); with the ``_no_click_kernel`` scalars
+
+        U[j, k]   = dark*delta_jk + qubit*gamma_j*gamma_k     (qubit block)
+        U[j, M]   = U[M, j] = edge*gamma_j
+        U[M, M]   = photon
+
+    Without decay qubit = -2*sin^2(omega*t/2)/omega^2; any sign asymmetry
+    in the symmetric qubit block would break unitarity.
+    """
     m = config.m
     g = np.asarray(config.couplings, dtype=float)
-    omega = collective_rabi(config)
-    beta = np.sin(omega * t / 2.0) ** 2 / omega**2
+    omega2 = collective_rabi(config) ** 2
+    dark, qubit, edge, photon = _no_click_kernel(omega2, config.gamma_decay, config.kappa, t)
     u = np.zeros((m + 1, m + 1), dtype=complex)
-    u[:m, :m] = np.eye(m) - 2.0 * beta * np.outer(g, g)
-    edge = -1j * g * np.sin(omega * t) / omega
-    u[:m, m] = edge
-    u[m, :m] = edge
-    u[m, m] = np.cos(omega * t)
+    u[:m, :m] = qubit * np.outer(g, g)
+    u.reshape(-1)[: m * (m + 2) : m + 2] += dark  # the first M diagonal entries
+    u[:m, m] = u[m, :m] = edge * g
+    u[m, m] = photon
     return PropagatorMatrix(matrix=u, time=t)
 
 
@@ -94,14 +145,15 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     """Propagate a state with the closed-form propagator.
 
     The index-0 (zero-excitation) amplitude is spliced through unchanged;
-    the normalized flag is preserved.
+    under decay the no-click result is flagged as not normalized.
     """
     if state.m != config.m:
         raise ValueError(f"state is for M={state.m} qubits, config for M={config.m}")
     u = closed_form_propagator(config, t).matrix
     amps = np.array(state.amplitudes)
     amps[1:] = u @ amps[1:]
-    return StateVector(amplitudes=amps, normalized=state.normalized)
+    lossless = not (config.gamma_decay or config.kappa)
+    return StateVector(amplitudes=amps, normalized=state.normalized and lossless)
 
 
 def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:
@@ -226,10 +278,10 @@ def evolve_oracle_rk4(
 
 
 def trapping_time(config: SystemConfig, m_odd: int = 1) -> float:
-    """Earliest (or m_odd'th) vacuum trapping instant, m_odd*pi/omega.
+    """Earliest (or m_odd'th) vacuum trapping instant, m_odd*pi/omega without decay.
 
     At these times the photon amplitude of any initially photon-free state
     vanishes and the cavity factorizes from the qubits; only odd multiples
-    trap (even ones return the full initial state instead).
+    trap (even ones return the full initial state instead).  Rates shift it.
     """
-    return check_odd_index(m_odd) * np.pi / collective_rabi(config)
+    return _trap_time(collective_rabi(config) ** 2, config.gamma_decay, config.kappa, m_odd)

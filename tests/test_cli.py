@@ -193,6 +193,15 @@ class TestAnticloneCommand:
             assert by_m[m]["f_plusminus"] == by_m[m + 1]["f_sep"]
 
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_config_error(self, capsys, alpha):
+        # used to exit 2 with the misleading "amplitudes must be finite"
+        code, out, err = run_cli(capsys, ["anticlone", "--m", "3", "--alpha", alpha])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"alpha must be finite, got {alpha}" in err
+
+
 class TestDecoherenceCommand:
     def test_default_rates_and_survival(self, capsys):
         code, out, _ = run_cli(capsys, ["decoherence"])

@@ -56,6 +56,22 @@ class TestConditionalAmplitudes:
             column = closed_form_propagator(star_config(m, r), t).matrix[:, 0]
             np.testing.assert_allclose(branch_vector(amps), column, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "gamma_decay, kappa", [(0.05, 0.3), (0.3, 0.05), (0.0, 10.0), (12.0, 0.5)]
+    )
+    def test_star_column_of_rated_propagator(self, gamma_decay, kappa):
+        # one kernel: the star amplitudes are the first column of U, with
+        # decay and past critical damping too
+        rng = np.random.default_rng(49)
+        for _ in range(50):
+            m = int(rng.integers(2, 13))
+            r = rng.uniform(0.1, 6.0)
+            t = rng.uniform(0.0, 12.0)
+            amps = conditional_amplitudes(m, r, gamma_decay, kappa, t)
+            config = star_config(m, r, gamma_decay=gamma_decay, kappa=kappa)
+            column = closed_form_propagator(config, t).matrix[:, 0]
+            np.testing.assert_allclose(branch_vector(amps), column, rtol=0.0, atol=1e-13)
+
     def test_equal_rates_factor_out(self):
         rng = np.random.default_rng(42)
         for g in (0.001, 0.01, 0.1):
@@ -80,14 +96,39 @@ class TestConditionalAmplitudes:
             assert amps.branch_norm_squared <= 1.0 + 1e-12
             amps.to_state_vector()  # constructor re-checks the bound
 
-    def test_alpha_coupling_value(self):
-        amps = conditional_amplitudes(5, 2.0, 0.0, 0.0, 1.0)
-        assert amps.alpha_coupling == pytest.approx(2.0 / (4.0 + 4.0), abs=1e-15)
-
-    def test_overdamped_rejected(self):
-        # 2*omega just above 2 while the rate detuning is 5
-        with pytest.raises(OverdampedRegimeError):
-            conditional_amplitudes(2, 0.1, 0.0, 5.0, 1.0)
+    @pytest.mark.parametrize("regime", ["critical", "overdamped"])
+    def test_past_critical_damping_matches_rk4(self, regime):
+        # 2*omega <= |kappa - Gamma| used to raise; only the trapping time
+        # still does, because no trapping instant exists there
+        rng = np.random.default_rng(48)
+        generators, states, times, params = [], [], [], []
+        for _ in range(30):
+            # omega^2 = r^2 + M - 1 = 4, 9, 16: dyadic rates hit critical exactly
+            m, r = [(4, 1.0), (6, 2.0), (8, 3.0)][int(rng.integers(0, 3))]
+            omega = np.sqrt(r * r + m - 1.0)
+            gamma_decay = int(rng.integers(0, 9)) / 4.0
+            stretch = 1.0 if regime == "critical" else rng.uniform(1.05, 3.0)
+            kappa = gamma_decay + 2.0 * omega * stretch
+            if rng.uniform() < 0.5:
+                gamma_decay, kappa = kappa, gamma_decay
+            assert (4.0 * omega**2 == (kappa - gamma_decay) ** 2) == (regime == "critical")
+            with pytest.raises(OverdampedRegimeError):
+                renormalized_trapping_time(m, r, gamma_decay, kappa)
+            t = rng.uniform(0.0, 3.0)
+            config = star_config(m, r, gamma_decay=gamma_decay, kappa=kappa)
+            block = np.zeros(m + 1, dtype=complex)
+            block[0] = 1.0
+            generators.append(build_dissipative_hamiltonian(config).matrix)
+            states.append(block)
+            times.append(t)
+            params.append((m, r, gamma_decay, kappa, t))
+        integrated = rk4_propagate_many(generators, states, np.array(times), dt=1e-4)
+        for (m, r, gamma_decay, kappa, t), got in zip(params, integrated):
+            amps = conditional_amplitudes(m, r, gamma_decay, kappa, t)
+            predicted = branch_vector(amps)
+            assert np.all(np.isfinite(predicted))
+            assert 0.0 < amps.branch_norm_squared <= 1.0
+            np.testing.assert_allclose(predicted, got, rtol=0.0, atol=1e-8)
         assert issubclass(OverdampedRegimeError, ConfigurationError)
 
     def test_validation(self):
@@ -171,9 +212,6 @@ class TestRenormalizedTrappingTime:
         m, r = 2, np.sqrt(2.0) + 1.0
         omega2 = r * r + 1.0
         expected_omega = np.sqrt(4.0 * omega2 - (DEFAULT_KAPPA - DEFAULT_GAMMA) ** 2)
-        amps = conditional_amplitudes(m, r, DEFAULT_GAMMA, DEFAULT_KAPPA, 0.3)
-        assert amps.omega_damped == pytest.approx(expected_omega, abs=1e-15)
-        assert amps.omega_damped == pytest.approx(5.226217, abs=1e-5)
         tau_c = renormalized_trapping_time(m, r, DEFAULT_GAMMA, DEFAULT_KAPPA)
         assert tau_c == pytest.approx(2.0 * np.pi / expected_omega, abs=1e-15)
         assert tau_c == pytest.approx(1.202243, abs=1e-5)
@@ -218,6 +256,13 @@ class TestNoClickProbability:
     def test_no_decay_is_certain(self):
         for t in (0.0, 1.3, 7.9):
             assert no_click_probability(3, 2.0, 0.0, 0.0, t) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma_decay, kappa", [(0.001, 0.02), (0.02, 0.001), (0.5, 0.0)])
+    def test_long_times_decay_without_overflow(self, gamma_decay, kappa):
+        # with Gamma > kappa the star-only formula overflowed into NaN here
+        for t in (3e3, 1e5):
+            p = no_click_probability(3, 2.0, gamma_decay, kappa, t)
+            assert 0.0 <= p <= np.exp(-2.0 * min(gamma_decay, kappa) * t) + 1e-300
 
     def test_two_qubit_default_rates_survival(self):
         m, r = 2, W_PLUS.ratio(2)

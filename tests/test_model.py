@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,19 @@ class TestInitialState:
             alpha = rng.uniform(-10.0, 10.0)
             state = initial_state(theta, alpha, config)
             assert abs(state.norm_squared - 1.0) <= 1e-12
+
+
+    @pytest.mark.parametrize(
+        "theta, alpha, name",
+        [(np.nan, 0.0, "theta"), (np.inf, 0.0, "theta"), (0.0, np.nan, "alpha"), (0.0, -np.inf, "alpha")],
+    )
+    def test_non_finite_angles_rejected(self, theta, alpha, name):
+        # an infinite alpha used to warn inside numpy, then fail as
+        # "amplitudes must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                initial_state(theta, alpha, SystemConfig((1.0, 1.0)))
 
 
 class TestCollectiveRabi:

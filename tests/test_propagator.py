@@ -22,6 +22,7 @@ from qcm.propagator import (
     rk4_propagate_many,
     trapping_time,
 )
+from qcm.decoherence import OverdampedRegimeError, renormalized_trapping_time
 
 from conftest import random_block_state, random_system
 
@@ -99,13 +100,68 @@ class TestClosedForm:
             closed_form_propagator(SystemConfig((1.0,)), -1.0)
 
     @pytest.mark.parametrize("gamma_decay, kappa", [(0.4, 0.9), (0.4, 0.0), (0.0, 0.9)])
-    def test_rejects_decay_rates(self, gamma_decay, kappa):
+    def test_honours_decay_rates(self, gamma_decay, kappa):
         # the lossless matrix used to come back with the rates ignored
         config = star_config(3, 1.5, gamma_decay=gamma_decay, kappa=kappa)
-        with pytest.raises(ConfigurationError, match="qcm.decoherence"):
-            closed_form_propagator(config, 2.0)
-        with pytest.raises(ConfigurationError):
-            evolve(initial_state(0.0, 0.0, config), config, 2.0)
+        u = closed_form_propagator(config, 2.0).matrix
+        generator = build_dissipative_hamiltonian(config).matrix
+        np.testing.assert_allclose(
+            u, rk4_propagate(generator, np.eye(4), np.full(4, 2.0)).T, rtol=0.0, atol=1e-8
+        )
+        state = evolve(initial_state(0.0, 0.0, config), config, 2.0)
+        assert not state.normalized
+        assert state.norm_squared < 1.0
+        np.testing.assert_array_equal(state.amplitudes[1:], u[:, 0])
+
+    @pytest.mark.parametrize("regime", ["random", "critical", "overdamped"])
+    def test_rated_configs_match_rk4(self, regime):
+        # any couplings, any rates: against RK4 of the dissipative generator
+        rng = np.random.default_rng(33)
+        generators, blocks, times, refs = [], [], [], []
+        for _ in range(40):
+            config = random_system(rng, m_high=12)
+            omega = collective_rabi(config)
+            gamma_decay = rng.uniform(0.0, 3.0)
+            if regime == "random":
+                kappa = rng.uniform(0.0, gamma_decay + 4.0 * omega)
+            elif regime == "critical":
+                # dyadic couplings and rates on 1, 4 or 9 qubits keep omega
+                # and kappa - Gamma exact, so 2*omega = kappa - Gamma holds
+                # to the last bit
+                coupling = float(rng.choice([0.25, 0.5, 1.0]))
+                config = SystemConfig((coupling,) * int(rng.choice([1, 4, 9])))
+                omega = collective_rabi(config)
+                gamma_decay = int(rng.integers(0, 13)) / 4.0
+                kappa = gamma_decay + 2.0 * omega
+                assert 4.0 * omega**2 == (kappa - gamma_decay) ** 2
+            else:
+                kappa = gamma_decay + 2.0 * omega * rng.uniform(1.05, 3.0)
+                if rng.uniform() < 0.5:
+                    gamma_decay, kappa = kappa, gamma_decay
+            config = SystemConfig(config.couplings, gamma_decay=gamma_decay, kappa=kappa)
+            state = random_block_state(rng, config.m)
+            t = rng.uniform(0.0, 2.0)
+            generators.append(build_dissipative_hamiltonian(config).matrix)
+            blocks.append(state.amplitudes[1:])
+            times.append(t)
+            refs.append(closed_form_propagator(config, t).matrix @ state.amplitudes[1:])
+        outs = rk4_propagate_many(generators, blocks, np.array(times), dt=1e-4)
+        worst = max(float(np.max(np.abs(ref - out))) for ref, out in zip(refs, outs))
+        assert worst < 1e-8
+
+    @pytest.mark.parametrize("kappa, t", [(9.5, 5000.0), (1e8, 1e8), (1e300, 3.0)])
+    def test_strong_damping_stays_finite_and_accurate(self, kappa, t):
+        # past mu*t = 710 cosh and sinh alone overflow, and for kappa >> omega
+        # the slow rate omega^2/kappa is lost if mu - kappa/2 is subtracted
+        u = closed_form_propagator(SystemConfig((1.0,), kappa=kappa), t).matrix
+        assert np.all(np.isfinite(u))
+        # one qubit, omega = 1: the slow eigenvalue of the 2x2 generator is
+        # -1/(d + mu) with d = kappa/2 and mu = sqrt(d^2 - 1)
+        d = kappa / 2.0
+        mu = d * np.sqrt(1.0 - 1.0 / d / d)
+        expected = (1.0 + d / mu) / 2.0 * np.exp(-t / (d + mu))
+        assert u[0, 0].real == pytest.approx(expected, rel=1e-9)
+        assert abs(u[1, 1]) <= np.exp(-(d - mu) * t)
 
     def test_propagator_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -338,6 +394,25 @@ class TestTrappingTime:
             with pytest.raises(ConfigurationError):
                 trapping_time(config, bad)
         assert trapping_time(config, 3) == pytest.approx(3.0 * np.pi, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "m, r, gamma_decay, kappa", [(2, 2.4, 0.001, 0.02), (5, 0.7, 0.3, 0.05), (9, 3.0, 0.2, 0.2)]
+    )
+    def test_rated_star_matches_renormalized_time(self, m, r, gamma_decay, kappa):
+        # trapping_time used to return pi/omega whatever the config's rates
+        config = star_config(m, r, gamma_decay=gamma_decay, kappa=kappa)
+        for m_odd in (1, 3):
+            tau = trapping_time(config, m_odd)
+            assert tau == pytest.approx(
+                renormalized_trapping_time(m, r, gamma_decay, kappa, m_odd), rel=1e-15
+            )
+            u = closed_form_propagator(config, tau).matrix
+            assert np.max(np.abs(u[-1, :-1])) < 1e-14
+
+    def test_overdamped_has_no_trapping_time(self):
+        config = SystemConfig((1.0, 1.0), gamma_decay=0.0, kappa=3.0)
+        with pytest.raises(OverdampedRegimeError):
+            trapping_time(config)
 
     def test_w_plus_traps_faster_than_w_prime(self):
         for m in range(3, 12):

@@ -363,6 +363,11 @@ class TestRunAnticlone:
         with pytest.raises(ConfigurationError):
             run_anticlone(1, W_PLUS)
 
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            run_anticlone(3, W_PLUS, alpha=alpha)
+
 
 class TestOptimizeCouplingRatio:
     def test_m4_symmetry_pair(self):
