@@ -10,7 +10,6 @@ conditional dynamics under decay all live here.
 
 from .model import (
     ConfigurationError,
-    ExcitationBasis,
     GeneratorMatrix,
     StateVector,
     SystemConfig,

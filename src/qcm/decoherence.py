@@ -20,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StateVector, check_count, check_positive
+from .model import StateVector, _star_omega_squared, check_count
 from .propagator import OverdampedRegimeError, _no_click_kernel, _trap_time  # noqa: F401 re-export
 from .protocols import W_PLUS, W_PRIME, trapped_amplitudes
-
-
-def _star_omega2(m: int, r: float) -> float:
-    """omega^2 = r^2 + M - 1 of the star configuration, once M and r are checked."""
-    m = check_count("m", m, 2)
-    check_positive("coupling ratio", r)
-    return r * r + (m - 1.0)
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ def conditional_amplitudes(
     b = r*qubit, b1 = dark + r*b (the input qubit's own free decay on top of
     the shared partner response) and b_photon = r*edge.
     """
-    dark, qubit, edge, _ = _no_click_kernel(_star_omega2(m, r), gamma_decay, kappa, t)
+    dark, qubit, edge, _ = _no_click_kernel(_star_omega_squared(m, r), gamma_decay, kappa, t)
     b = r * qubit
     return ConditionalAmplitudes(
         m=m,
@@ -96,7 +89,7 @@ def renormalized_trapping_time(
     Reduces to m_odd*pi/omega when the two rates are equal; the photon
     amplitude vanishes exactly there regardless of M.
     """
-    return _trap_time(_star_omega2(m, r), gamma_decay, kappa, m_odd)
+    return _trap_time(_star_omega_squared(m, r), gamma_decay, kappa, m_odd)
 
 
 def no_click_probability(m: int, r: float, gamma_decay: float, kappa: float, t: float) -> float:

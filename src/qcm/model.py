@@ -48,7 +48,7 @@ def check_count(name: str, value, minimum: int) -> int:
 
 
 def check_positive(name: str, value) -> None:
-    """A coupling, a coupling ratio or a step size must be finite and > 0."""
+    """A coupling, a coupling ratio, a step size or omega^2 must be finite and > 0."""
     if not (value > 0.0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
@@ -97,6 +97,8 @@ class SystemConfig:
             raise ConfigurationError("need at least one qubit")
         for g in couplings:
             check_positive("coupling", g)
+        # couplings of 1e200 or 1e-200 pass, but their squares leave the float range
+        check_positive("omega^2 = sum of squared couplings", sum(g * g for g in couplings))
         check_non_negative("gamma_decay", self.gamma_decay)
         check_non_negative("kappa", self.kappa)
 
@@ -126,37 +128,16 @@ def star_config(
     )
 
 
-@dataclass(frozen=True)
-class ExcitationBasis:
-    """Index bookkeeping for the zero/one-excitation sector of M qubits."""
+def _star_omega_squared(m: int, r: float) -> float:
+    """omega^2 = r^2 + M - 1 of the star configuration with M >= 2, in O(1).
 
-    m: int
-
-    @property
-    def dim(self) -> int:
-        return self.m + 2
-
-    @property
-    def ground(self) -> int:
-        return 0
-
-    @property
-    def qubits(self) -> range:
-        """State-vector indices of the single-qubit-excited states."""
-        return range(1, self.m + 1)
-
-    @property
-    def photon(self) -> int:
-        return self.m + 1
-
-    def label(self, i: int) -> str:
-        if i == 0:
-            return "ground"
-        if 1 <= i <= self.m:
-            return f"qubit_{i}"
-        if i == self.m + 1:
-            return "photon"
-        raise IndexError(f"index {i} outside basis of dimension {self.dim}")
+    Checks what ``SystemConfig`` would, without building one in O(M).
+    """
+    m = check_count("m", m, 2)
+    check_positive("coupling ratio", r)
+    omega2 = r * r + (m - 1.0)
+    check_positive("omega^2 = r^2 + M - 1", omega2)
+    return omega2
 
 
 @dataclass(frozen=True)
@@ -192,10 +173,6 @@ class StateVector:
     @property
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    @property
-    def basis(self) -> ExcitationBasis:
-        return ExcitationBasis(self.m)
 
 
 @dataclass(frozen=True)

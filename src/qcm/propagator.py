@@ -142,16 +142,26 @@ def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
 
 
 def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
-    """Propagate a state with the closed-form propagator.
+    """Propagate a state through the closed form in O(M), for any input.
 
-    The index-0 (zero-excitation) amplitude is spliced through unchanged;
-    under decay the no-click result is flagged as not normalized.
+    The ``_no_click_kernel`` scalars act on the qubit amplitudes x and the
+    photon amplitude p directly, with s = g.x: x <- dark*x + qubit*g*s +
+    edge*g*p and p <- edge*s + photon*p, which is U applied without
+    building it.  The index-0 (zero-excitation) amplitude is spliced through
+    unchanged; under decay the no-click result is flagged as not normalized.
     """
     if state.m != config.m:
         raise ValueError(f"state is for M={state.m} qubits, config for M={config.m}")
-    u = closed_form_propagator(config, t).matrix
+    g = np.asarray(config.couplings, dtype=float)
+    omega2 = collective_rabi(config) ** 2
+    dark, qubit, edge, photon = _no_click_kernel(omega2, config.gamma_decay, config.kappa, t)
     amps = np.array(state.amplitudes)
-    amps[1:] = u @ amps[1:]
+    x, p = amps[1:-1], amps[-1]
+    s = g @ x
+    # qubit*(g*s) keeps the product order of U[j, k] = qubit*(g_j*g_k), so the
+    # excited-input column is bit-identical to closed_form_propagator's
+    amps[1:-1] = dark * x + qubit * (g * s) + edge * (g * p)
+    amps[-1] = edge * s + photon * p
     lossless = not (config.gamma_decay or config.kappa)
     return StateVector(amplitudes=amps, normalized=state.normalized and lossless)
 

@@ -28,6 +28,7 @@ from qcm.protocols import (
     generate_w_state,
     optimize_coupling_ratio,
     run_anticlone,
+    trapped_amplitudes,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -242,4 +243,28 @@ def test_criterion_9_check_command_golden_report(tmp_path, capsys):
         f"default `qcm check` exits {code} and matches the committed report: "
         f"{produced == golden}",
         code == 0 and produced == golden,
+    )
+
+
+def test_criterion_10_paper_regime_large_register():
+    # one (M+1)^2 complex propagator at M = 10^5 would take 160 GB; the
+    # protocols apply its rank-two closed form in O(M) instead
+    m = 100_000
+    worst_amp, worst_photon, worst_f = 0.0, 0.0, 0.0
+    for scheme in (IDENTICAL, W_PLUS, W_MINUS, W_PRIME):
+        a1, a = trapped_amplitudes(m, scheme.ratio(m))
+        state, _ = generate_w_state(m, scheme)
+        amps = state.amplitudes
+        worst_amp = max(worst_amp, abs(amps[1] - a1), float(np.max(np.abs(amps[2 : m + 1] - a))))
+        worst_photon = max(worst_photon, abs(amps[m + 1]))
+        f_target, f_input = fidelity_curve(m, scheme)
+        fidelities = np.array(run_anticlone(m, scheme, alpha=0.7).fidelities)
+        worst_f = max(
+            worst_f, abs(fidelities[0] - f_input), float(np.max(np.abs(fidelities[1:] - f_target)))
+        )
+    record(
+        10,
+        f"M=10^5, all four schemes: amplitude dev {worst_amp:.2e}, photon {worst_photon:.2e}, "
+        f"per-qubit fidelity dev {worst_f:.2e}",
+        worst_amp < 1e-10 and worst_photon < 1e-12 and worst_f < 1e-12,
     )

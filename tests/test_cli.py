@@ -237,6 +237,12 @@ class TestDecoherenceCommand:
         assert code == EXIT_CONFIG
         assert "gamma_decay must be finite" in err
 
+    def test_overflowing_ratio_is_config_error(self, capsys):
+        # r^2 = inf used to surface as "fidelity outside [0, 1]: nan"
+        code, _, err = run_cli(capsys, ["decoherence", "--m", "2", "--r", "1e200"])
+        assert code == EXIT_CONFIG
+        assert "omega^2 = r^2 + M - 1 must be finite and > 0, got inf" in err
+
 
 class TestScanCommand:
     def test_optimizer_rows_locate_m4_pair(self, capsys):

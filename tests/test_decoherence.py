@@ -141,6 +141,9 @@ class TestConditionalAmplitudes:
         # a fractional count used to return amplitudes
         with pytest.raises(ConfigurationError):
             conditional_amplitudes(2.5, 1.0, 0.0, 0.0, 1.0)
+        # r^2 = inf used to raise a bare "math domain error" from math.cos(inf)
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            conditional_amplitudes(2, 1e200, 0.0, 0.0, 1.0)
 
     @pytest.mark.parametrize(
         "gamma_decay, kappa",
@@ -241,6 +244,9 @@ class TestRenormalizedTrappingTime:
             renormalized_trapping_time(2.5, 1.0, 0.0, 0.0)
         with pytest.raises(OverdampedRegimeError):
             renormalized_trapping_time(2, 0.1, 0.0, 5.0)
+        # r^2 = inf used to give a trapping time of 0.0
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            renormalized_trapping_time(2, 1e200, 0.0, 0.0)
 
 
 class TestNoClickProbability:

@@ -5,7 +5,6 @@ import pytest
 
 from qcm.model import (
     ConfigurationError,
-    ExcitationBasis,
     GeneratorMatrix,
     StateVector,
     SystemConfig,
@@ -33,6 +32,10 @@ class TestSystemConfig:
             SystemConfig((1.0, -0.5))
         with pytest.raises(ConfigurationError):
             SystemConfig(())
+        # each coupling is finite and > 0, but their squares leave the float range
+        for couplings in [(1e200,), (1.0, 1e200), (1e154, 1e154), (1e-200,)]:
+            with pytest.raises(ConfigurationError, match="omega\\^2"):
+                SystemConfig(couplings)
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ConfigurationError):
@@ -57,20 +60,6 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError):
             star_config(3, np.nan)
         assert star_config(np.int64(2), 1.0).m == 2
-
-
-class TestExcitationBasis:
-    def test_index_layout(self):
-        basis = ExcitationBasis(3)
-        assert basis.dim == 5
-        assert basis.ground == 0
-        assert list(basis.qubits) == [1, 2, 3]
-        assert basis.photon == 4
-        assert basis.label(0) == "ground"
-        assert basis.label(2) == "qubit_2"
-        assert basis.label(4) == "photon"
-        with pytest.raises(IndexError):
-            basis.label(5)
 
 
 class TestStateVector:

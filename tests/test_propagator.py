@@ -163,6 +163,12 @@ class TestClosedForm:
         assert u[0, 0].real == pytest.approx(expected, rel=1e-9)
         assert abs(u[1, 1]) <= np.exp(-(d - mu) * t)
 
+    def test_underflowing_couplings_rejected(self):
+        # a 1e-200 coupling squares to omega^2 = 0 and raised ZeroDivisionError,
+        # which is no ValueError, so the CLI would not have caught it
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            closed_form_propagator(SystemConfig((1e-200,)), 1.0)
+
     def test_propagator_matrix_validation(self):
         with pytest.raises(ValueError):
             PropagatorMatrix(np.zeros((2, 3)), time=0.0)
@@ -376,6 +382,38 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(state, SystemConfig((1.0,)), 1.0)
 
+    @pytest.mark.parametrize("regime", ["lossless", "underdamped", "critical", "overdamped"])
+    def test_matches_propagator_matrix(self, regime):
+        # evolve applies the kernel scalars without building U; any couplings,
+        # any rates, and inputs that carry every amplitude, the photon too
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            config = random_system(rng)
+            omega = collective_rabi(config)
+            gamma_decay = rng.uniform(0.0, 3.0)
+            if regime == "lossless":
+                gamma_decay = kappa = 0.0
+            elif regime == "underdamped":
+                kappa = max(0.0, gamma_decay + 2.0 * omega * rng.uniform(-0.95, 0.95))
+            elif regime == "critical":
+                # dyadic couplings on 1, 4 or 9 qubits keep 2*omega = kappa - Gamma exact
+                coupling = float(rng.choice([0.25, 0.5, 1.0]))
+                config = SystemConfig((coupling,) * int(rng.choice([1, 4, 9])))
+                gamma_decay = int(rng.integers(0, 13)) / 4.0
+                kappa = gamma_decay + 2.0 * collective_rabi(config)
+            else:
+                kappa = gamma_decay + 2.0 * omega * rng.uniform(1.05, 3.0)
+                if rng.uniform() < 0.5:
+                    gamma_decay, kappa = kappa, gamma_decay
+            config = SystemConfig(config.couplings, gamma_decay=gamma_decay, kappa=kappa)
+            state = random_block_state(rng, config.m)
+            t = rng.uniform(0.0, 5.0)
+            out = evolve(state, config, t)
+            expected = closed_form_propagator(config, t).matrix @ state.amplitudes[1:]
+            np.testing.assert_allclose(out.amplitudes[1:], expected, rtol=0.0, atol=1e-13)
+            assert out.amplitudes[0] == state.amplitudes[0]
+            assert out.normalized == (regime == "lossless")
+
 
 class TestTrappingTime:
     def test_single_qubit(self):
@@ -408,6 +446,11 @@ class TestTrappingTime:
             )
             u = closed_form_propagator(config, tau).matrix
             assert np.max(np.abs(u[-1, :-1])) < 1e-14
+
+    def test_overflowing_coupling_rejected(self):
+        # omega^2 = inf used to give a trapping time of 0.0
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            trapping_time(star_config(2, 1e200))
 
     def test_overdamped_has_no_trapping_time(self):
         config = SystemConfig((1.0, 1.0), gamma_decay=0.0, kappa=3.0)

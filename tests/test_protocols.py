@@ -97,6 +97,9 @@ class TestTrappedAmplitudes:
             trapped_amplitudes(2.5, 1.0)
         with pytest.raises(ConfigurationError):
             trapped_amplitudes(3, np.inf)
+        # r^2 = inf used to return (nan, -0.0)
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            trapped_amplitudes(2, 1e200)
 
 
 class TestClassification:
@@ -151,6 +154,9 @@ class TestGenerateWState:
             generate_w_state(3.0, W_PLUS)
         _, report = generate_w_state(np.int64(3), W_PLUS)
         assert report.m == 3
+        # used to warn of a numpy overflow, then fail in PropagatorMatrix
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            generate_w_state(2, CouplingScheme.custom(1e200))
 
 
 class TestReducedQubitDensity:
@@ -179,6 +185,14 @@ class TestReducedQubitDensity:
                 brute_force_reduced_density(state, j),
                 atol=1e-12,
             )
+            # an index array gives the stack of the scalar results
+            for indices in (np.arange(1, m + 1), rng.integers(1, m + 1, size=(2, 3))):
+                stacked = reduced_qubit_density(state, indices)
+                assert stacked.shape == indices.shape + (2, 2)
+                scalar = [reduced_qubit_density(state, int(k)) for k in indices.flat]
+                np.testing.assert_allclose(
+                    stacked.reshape(-1, 2, 2), scalar, rtol=0.0, atol=1e-15
+                )
 
     def test_trapped_coherence_against_closed_form(self):
         # transfer amplitude onto qubit 2 at trapping is -2r/(r^2+1) for M=2
@@ -230,6 +244,9 @@ class TestReducedQubitDensity:
             reduced_qubit_density(state, 0)
         with pytest.raises(IndexError):
             reduced_qubit_density(state, 3)
+        for bad in (np.array([0, 1]), np.array([1, 3]), np.array([1.0, 2.0]), 1.5, True):
+            with pytest.raises(IndexError):
+                reduced_qubit_density(state, bad)
 
 
 class TestCopyFidelity:
