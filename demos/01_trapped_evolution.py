@@ -24,7 +24,7 @@ config = SystemConfig(couplings=(2.0, 1.0, 1.0))
 omega = collective_rabi(config)
 tau = trapping_time(config)
 
-print("three qubits, couplings", config.couplings)
+print("three qubits, couplings", config.couplings.tolist())
 print(f"collective Rabi frequency omega = {omega:.6f}  (sqrt(6))")
 print(f"first trapping time tau* = pi/omega = {tau:.6f}")
 print()

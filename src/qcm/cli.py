@@ -136,7 +136,7 @@ def write_table(headers: list[str], rows: list[list], args: argparse.Namespace):
 
 def _sample_config(rng) -> SystemConfig:
     m = int(rng.integers(1, 17))
-    return SystemConfig(tuple(rng.uniform(0.25, 2.0, size=m)))
+    return SystemConfig(rng.uniform(0.25, 2.0, size=m))
 
 
 def _closed_matrix(config: SystemConfig, t: float, inject_fault: str | None) -> np.ndarray:
@@ -451,7 +451,8 @@ def _parse_m_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigurationError(f"m-range must be A:B, got {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
+    # every command that reads --m-range needs two qubits
+    lo, hi = (check_count("m", int(part), 2) for part in parts)
     if hi < lo:
         raise ConfigurationError(f"empty m-range {text!r}")
     return lo, hi

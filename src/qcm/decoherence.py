@@ -16,6 +16,7 @@ loses while waiting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,6 @@ class ConditionalAmplitudes:
     """
 
     m: int
-    r: float
-    gamma_decay: float
-    kappa: float
-    t: float
     b1: complex
     b: complex
     b_photon: complex
@@ -71,10 +68,6 @@ def conditional_amplitudes(
     b = r * qubit
     return ConditionalAmplitudes(
         m=m,
-        r=float(r),
-        gamma_decay=float(gamma_decay),
-        kappa=float(kappa),
-        t=float(t),
         b1=complex(dark + r * b),
         b=complex(b),
         b_photon=complex(r * edge),
@@ -108,8 +101,6 @@ class DecoherenceReport:
 
     m: int
     r: float
-    gamma_decay: float
-    kappa: float
     tau_star_c: float
     fidelity: float
     p_no_click: float
@@ -145,12 +136,10 @@ def decohered_fidelity(
         raise ValueError("conditional state has zero norm")
     a1, a = trapped_amplitudes(m, r)
     overlap = a1 * amps.b1 + (m - 1) * a * amps.b
-    fidelity = float(abs(overlap) / np.sqrt(p))
+    fidelity = abs(overlap) / math.sqrt(p)
     return DecoherenceReport(
         m=m,
         r=float(r),
-        gamma_decay=float(gamma_decay),
-        kappa=float(kappa),
         tau_star_c=tau_c,
         fidelity=min(fidelity, 1.0),
         p_no_click=p,

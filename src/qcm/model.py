@@ -37,13 +37,19 @@ class ConfigurationError(ValueError):
 
 
 def check_count(name: str, value, minimum: int) -> int:
-    """Return ``value`` as an int >= ``minimum``; floats are rejected."""
+    """Return ``value`` as an int in [``minimum``, 2**53]; floats are rejected.
+
+    Up to 2**53 every integer is an exact float, as the closed forms that
+    take sqrt(M) or M - 1.0 need; past it they overflow or lose the count.
+    """
     try:
         count = operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
     if count < minimum:
         raise ConfigurationError(f"need {name} >= {minimum}, got {count}")
+    if count > 2**53:
+        raise ConfigurationError(f"need {name} <= 2**53, got {count}")
     return count
 
 
@@ -73,32 +79,42 @@ def check_odd_index(m_odd) -> int:
     return index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemConfig:
     """Physical definition of the machine.
 
     Attributes:
         couplings: qubit-cavity coupling strengths (gamma_1, ..., gamma_M),
-            all strictly positive, in units of gamma = 1.
+            all strictly positive, in units of gamma = 1.  Stored as a
+            read-only float64 copy of the input, checked once in one
+            vectorised pass.
         gamma_decay: qubit dipole decay rate (same units), >= 0.
         kappa: cavity decay rate (same units), >= 0.
+
+    Configs compare and hash by identity, since an array has no tuple-like
+    equality.
     """
 
-    couplings: tuple[float, ...]
+    couplings: np.ndarray
     gamma_decay: float = 0.0
     kappa: float = 0.0
 
     def __post_init__(self):
-        couplings = tuple(float(g) for g in self.couplings)
+        couplings = np.array(self.couplings, dtype=float)
+        if couplings.ndim != 1 or couplings.size < 1:
+            raise ConfigurationError(
+                f"need a 1-D sequence of at least one coupling, got shape {couplings.shape}"
+            )
+        couplings.flags.writeable = False
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "gamma_decay", float(self.gamma_decay))
         object.__setattr__(self, "kappa", float(self.kappa))
-        if len(couplings) < 1:
-            raise ConfigurationError("need at least one qubit")
-        for g in couplings:
-            check_positive("coupling", g)
+        ok = (couplings > 0.0) & (couplings < math.inf)
+        # argmin finds the first coupling that is not finite and > 0, else the first one
+        check_positive("coupling", couplings[ok.argmin()])
         # couplings of 1e200 or 1e-200 pass, but their squares leave the float range
-        check_positive("omega^2 = sum of squared couplings", sum(g * g for g in couplings))
+        with np.errstate(over="ignore"):
+            check_positive("omega^2 = sum of squared couplings", collective_rabi(self) ** 2)
         check_non_negative("gamma_decay", self.gamma_decay)
         check_non_negative("kappa", self.kappa)
 
@@ -121,11 +137,9 @@ def star_config(
     """
     m = check_count("m", m, 1)
     check_positive("coupling ratio", r)
-    return SystemConfig(
-        couplings=(float(r),) + (1.0,) * (m - 1),
-        gamma_decay=gamma_decay,
-        kappa=kappa,
-    )
+    couplings = np.ones(m)
+    couplings[0] = r
+    return SystemConfig(couplings=couplings, gamma_decay=gamma_decay, kappa=kappa)
 
 
 def _star_omega_squared(m: int, r: float) -> float:

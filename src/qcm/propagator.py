@@ -129,8 +129,7 @@ def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
     Without decay qubit = -2*sin^2(omega*t/2)/omega^2; any sign asymmetry
     in the symmetric qubit block would break unitarity.
     """
-    m = config.m
-    g = np.asarray(config.couplings, dtype=float)
+    m, g = config.m, config.couplings
     omega2 = collective_rabi(config) ** 2
     dark, qubit, edge, photon = _no_click_kernel(omega2, config.gamma_decay, config.kappa, t)
     u = np.zeros((m + 1, m + 1), dtype=complex)
@@ -152,7 +151,7 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     """
     if state.m != config.m:
         raise ValueError(f"state is for M={state.m} qubits, config for M={config.m}")
-    g = np.asarray(config.couplings, dtype=float)
+    g = config.couplings
     omega2 = collective_rabi(config) ** 2
     dark, qubit, edge, photon = _no_click_kernel(omega2, config.gamma_decay, config.kappa, t)
     amps = np.array(state.amplitudes)

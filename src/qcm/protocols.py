@@ -25,6 +25,7 @@ qubit, which also maximizes the target fidelity) at r = sqrt(M-1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,11 @@ class CouplingScheme:
         if self.tag == "identical":
             return 1.0
         if self.tag == "w_plus":
-            return float(np.sqrt(m) + 1.0)
+            return math.sqrt(m) + 1.0
         if self.tag == "w_minus":
-            return float(np.sqrt(m) - 1.0)
+            return math.sqrt(m) - 1.0
         if self.tag == "w_prime":
-            return float(np.sqrt(m - 1.0))
+            return math.sqrt(m - 1.0)
         return float(self.custom_ratio)
 
 
@@ -103,14 +104,15 @@ W_MINUS = CouplingScheme("w_minus")
 W_PRIME = CouplingScheme("w_prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolReport:
     """Row type of the protocol scan tables.
 
     ``a1`` and ``a`` are the trapped branch amplitudes on the input qubit
     and on each partner; ``fidelities`` holds the per-qubit copy fidelities
-    of an anti-cloning run and is None for W-state generation (which has no
-    reference phase to copy against).
+    of an anti-cloning run, as a read-only float64 array checked in one
+    vectorised pass, and is None for W-state generation (which has no
+    reference phase to copy against).  Reports compare and hash by identity.
     """
 
     m: int
@@ -120,13 +122,19 @@ class ProtocolReport:
     a1: float
     a: float
     classification: str
-    fidelities: tuple[float, ...] | None = None
+    fidelities: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.fidelities is not None and any(
-            not (-1e-12 <= f <= 1.0 + 1e-12) for f in self.fidelities
-        ):
-            raise ValueError(f"fidelities outside [0, 1]: {self.fidelities}")
+        if self.fidelities is not None:
+            fidelities = np.array(self.fidelities, dtype=float)
+            fidelities.flags.writeable = False
+            object.__setattr__(self, "fidelities", fidelities)
+            ok = (fidelities >= -1e-12) & (fidelities <= 1.0 + 1e-12)
+            first = ok.argmin()  # the first value outside [0, 1], else the first one
+            if not ok[first]:
+                raise ValueError(
+                    f"fidelity of qubit {first + 1} outside [0, 1]: {fidelities[first]}"
+                )
 
 
 def trapped_amplitudes(m: int, r: float) -> tuple[float, float]:
@@ -271,12 +279,12 @@ def fidelity_curve(m: int, scheme: CouplingScheme) -> tuple[float, float]:
     if scheme.tag == "identical":
         return 0.5 * (1.0 + 2.0 / m), 1.0 / m
     if scheme.tag == "w_plus":
-        f = 0.5 * (1.0 + 1.0 / np.sqrt(m))
+        f = 0.5 * (1.0 + 1.0 / math.sqrt(m))
         return f, f
     if scheme.tag == "w_minus":
-        return 0.5 * (1.0 + 1.0 / np.sqrt(m)), 0.5 * (1.0 - 1.0 / np.sqrt(m))
+        return 0.5 * (1.0 + 1.0 / math.sqrt(m)), 0.5 * (1.0 - 1.0 / math.sqrt(m))
     if scheme.tag == "w_prime":
-        return 0.5 * (1.0 + 1.0 / np.sqrt(m - 1.0)), 0.5
+        return 0.5 * (1.0 + 1.0 / math.sqrt(m - 1.0)), 0.5
     a1, a = trapped_amplitudes(m, scheme.ratio(m))
     return 0.5 * (1.0 - a), 0.5 * (1.0 - a1)
 
@@ -296,7 +304,6 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
     mu = alpha - np.pi
     target = np.array([1.0, np.exp(1j * mu)]) / np.sqrt(2.0)
     rho = reduced_qubit_density(state, np.arange(1, m + 1))
-    fidelities = tuple((target.conj() @ rho @ target).real.tolist())
     # branch amplitudes with the input superposition factors stripped off
     rescale = np.sqrt(2.0) * np.exp(-1j * alpha)
     a1 = float((state.amplitudes[1] * rescale).real)
@@ -309,7 +316,7 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
         a1=a1,
         a=a,
         classification=classify_trapped_state(a1, a),
-        fidelities=fidelities,
+        fidelities=(target.conj() @ rho @ target).real,
     )
 
 

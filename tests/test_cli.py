@@ -405,3 +405,22 @@ class TestArgumentErrors:
             code, _, err = run_cli(capsys, argv)
         assert code == EXIT_CONFIG
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decoherence", "--m", str(10**400)],
+            ["wstate", "--m", str(10**400), "--scheme", "w_plus"],
+            ["scan", "--m", str(10**400)],
+            ["anticlone", "--m", str(10**400)],
+            ["wstate", "--m-range", f"2:{10**20}", "--scheme", "w_plus"],
+            ["decoherence", "--m-range", f"2:{10**16}"],
+            ["check", "--trials", str(10**400)],
+        ],
+    )
+    def test_counts_past_exact_float_range_are_config_errors(self, capsys, argv):
+        # these used to end in a TypeError, OverflowError or MemoryError
+        # traceback (exit 1), or to hang for `check`
+        code, _, err = run_cli(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and "2**53" in err

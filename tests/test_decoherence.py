@@ -365,8 +365,7 @@ class TestDecoheredFidelity:
     def test_report_validation(self):
         with pytest.raises(ValueError):
             DecoherenceReport(
-                m=2, r=1.0, gamma_decay=0.0, kappa=0.0, tau_star_c=1.0,
-                fidelity=1.5, p_no_click=0.9,
+                m=2, r=1.0, tau_star_c=1.0, fidelity=1.5, p_no_click=0.9,
             )
 
 

@@ -10,6 +10,7 @@ from qcm.model import (
     SystemConfig,
     build_dissipative_hamiltonian,
     build_hamiltonian,
+    check_count,
     collective_rabi,
     initial_state,
     star_config,
@@ -23,15 +24,34 @@ class TestSystemConfig:
     def test_fields_and_qubit_count(self):
         config = SystemConfig((2.0, 1.0, 1.0), gamma_decay=0.001, kappa=0.02)
         assert config.m == 3
-        assert config.couplings == (2.0, 1.0, 1.0)
+        np.testing.assert_array_equal(config.couplings, [2.0, 1.0, 1.0])
+
+    def test_couplings_are_a_read_only_copy(self):
+        mine = np.array([2.0, 1.0, 1.0])
+        config = SystemConfig(mine)
+        assert config.couplings.dtype == np.float64
+        with pytest.raises(ValueError):
+            config.couplings[0] = 5.0
+        mine[0] = 5.0
+        np.testing.assert_array_equal(config.couplings, [2.0, 1.0, 1.0])
+        assert SystemConfig([1, 2]).couplings.dtype == np.float64
 
     def test_rejects_nonpositive_couplings(self):
         with pytest.raises(ConfigurationError):
-            SystemConfig((1.0, 0.0))
-        with pytest.raises(ConfigurationError):
             SystemConfig((1.0, -0.5))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"shape \(0,\)"):
             SystemConfig(())
+        with pytest.raises(ConfigurationError, match=r"shape \(1, 2\)"):
+            SystemConfig([[1.0, 2.0]])
+        with pytest.raises(TypeError):
+            SystemConfig((1.0, 1.0 + 1.0j))
+        # the first bad coupling is named wherever it sits, not a later -1
+        for bad in (np.nan, np.inf, 0.0):
+            for where in (0, 2, 4):
+                couplings = [1.0] * 4 + [-1.0]
+                couplings[where] = bad
+                with pytest.raises(ConfigurationError, match=f"> 0, got {bad}$"):
+                    SystemConfig(couplings)
         # each coupling is finite and > 0, but their squares leave the float range
         for couplings in [(1e200,), (1.0, 1e200), (1e154, 1e154), (1e-200,)]:
             with pytest.raises(ConfigurationError, match="omega\\^2"):
@@ -49,7 +69,7 @@ class TestSystemConfig:
 
     def test_star_config(self):
         config = star_config(4, 3.0)
-        assert config.couplings == (3.0, 1.0, 1.0, 1.0)
+        np.testing.assert_array_equal(config.couplings, [3.0, 1.0, 1.0, 1.0])
         with pytest.raises(ConfigurationError):
             star_config(3, 0.0)
         with pytest.raises(ConfigurationError):
@@ -60,6 +80,16 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError):
             star_config(3, np.nan)
         assert star_config(np.int64(2), 1.0).m == 2
+
+
+class TestCheckCount:
+    def test_exact_float_range(self):
+        # up to 2**53 every integer is an exact float; 2**53 + 1 is not
+        assert check_count("m", 2**53, 1) == 2**53
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            check_count("m", 2**53 + 1, 1)
+        with pytest.raises(ConfigurationError):
+            check_count("m", 10**400, 1)
 
 
 class TestStateVector:

@@ -6,6 +6,7 @@ from qcm.propagator import closed_form_propagator, evolve, trapping_time
 from qcm.protocols import (
     CouplingScheme,
     IDENTICAL,
+    ProtocolReport,
     W_MINUS,
     W_PLUS,
     W_PRIME,
@@ -384,6 +385,21 @@ class TestRunAnticlone:
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
             run_anticlone(3, W_PLUS, alpha=alpha)
+
+
+class TestProtocolReport:
+    def test_fidelities_are_a_read_only_array(self):
+        report = run_anticlone(3, W_PLUS)
+        assert report.fidelities.dtype == np.float64
+        with pytest.raises(ValueError):
+            report.fidelities[0] = 0.5
+
+    def test_out_of_range_fidelity_named_briefly(self):
+        fidelities = np.full(10**5, 0.5)
+        fidelities[[7, 99]] = 1.5, -0.5
+        with pytest.raises(ValueError, match="qubit 8 outside") as caught:
+            ProtocolReport(10**5, "custom", 1.0, 1.0, 0.0, 0.0, "generic", fidelities=fidelities)
+        assert len(str(caught.value)) < 200
 
 
 class TestOptimizeCouplingRatio:
