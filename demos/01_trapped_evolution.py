@@ -13,7 +13,6 @@ from qcm import (
     SystemConfig,
     build_hamiltonian,
     closed_form_propagator,
-    collective_rabi,
     evolve,
     evolve_oracle_expm,
     initial_state,
@@ -21,7 +20,7 @@ from qcm import (
 )
 
 config = SystemConfig(couplings=(2.0, 1.0, 1.0))
-omega = collective_rabi(config)
+omega = config.omega
 tau = trapping_time(config)
 
 print("three qubits, couplings", config.couplings.tolist())

@@ -15,7 +15,6 @@ from .model import (
     SystemConfig,
     build_dissipative_hamiltonian,
     build_hamiltonian,
-    collective_rabi,
     initial_state,
     star_config,
 )

@@ -12,7 +12,7 @@ Commands:
 Identical invocations (including --seed) produce byte-identical output:
 floats are emitted with 17 significant digits, rows in a fixed sorted
 order.  Exit codes: 0 success, 1 tolerance or assertion breach, 2
-configuration error.
+configuration error (including a qubit count too large to allocate).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def resolve_scheme(args: argparse.Namespace) -> CouplingScheme:
     if args.r is not None:
         return CouplingScheme.custom(args.r)
     if args.scheme is not None:
-        return CouplingScheme.from_string(args.scheme)
+        return CouplingScheme(args.scheme)
     raise ConfigurationError("a coupling scheme is required (--scheme or --r)")
 
 
@@ -493,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_TOLERANCE
     except (ValueError, OSError) as exc:  # ConfigurationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a qubit count too large to allocate
+        print(f"error: {str(exc) or 'not enough memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

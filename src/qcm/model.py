@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +90,9 @@ class SystemConfig:
             vectorised pass.
         gamma_decay: qubit dipole decay rate (same units), >= 0.
         kappa: cavity decay rate (same units), >= 0.
+        omega: collective Rabi frequency sqrt(sum_j gamma_j^2), derived from
+            the couplings when they are checked; neither an argument nor
+            assignable.
 
     Configs compare and hash by identity, since an array has no tuple-like
     equality.
@@ -98,9 +101,13 @@ class SystemConfig:
     couplings: np.ndarray
     gamma_decay: float = 0.0
     kappa: float = 0.0
+    omega: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        couplings = np.array(self.couplings, dtype=float)
+        couplings = np.asarray(self.couplings)
+        if couplings.dtype.kind == "c":
+            raise ConfigurationError(f"couplings must be real, got {couplings.dtype}")
+        couplings = np.array(couplings, dtype=float)
         if couplings.ndim != 1 or couplings.size < 1:
             raise ConfigurationError(
                 f"need a 1-D sequence of at least one coupling, got shape {couplings.shape}"
@@ -114,7 +121,9 @@ class SystemConfig:
         check_positive("coupling", couplings[ok.argmin()])
         # couplings of 1e200 or 1e-200 pass, but their squares leave the float range
         with np.errstate(over="ignore"):
-            check_positive("omega^2 = sum of squared couplings", collective_rabi(self) ** 2)
+            omega = float(np.sqrt(np.sum(np.square(couplings))))
+            check_positive("omega^2 = sum of squared couplings", omega**2)
+        object.__setattr__(self, "omega", omega)
         check_non_negative("gamma_decay", self.gamma_decay)
         check_non_negative("kappa", self.kappa)
 
@@ -154,16 +163,20 @@ def _star_omega_squared(m: int, r: float) -> float:
     return omega2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over the M+2 basis states, in basis order.
 
     Conditional (no-click) states are sub-normalized; ``normalized=False``
     marks them and relaxes the unit-norm invariant to norm <= 1.
+    ``norm_squared`` is derived from the amplitudes when they are checked;
+    it is neither an argument nor assignable.  States compare and hash by
+    identity.
     """
 
     amplitudes: np.ndarray
     normalized: bool = True
+    norm_squared: float = field(init=False, repr=False)
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex)
@@ -173,7 +186,8 @@ class StateVector:
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        n2 = self.norm_squared
+        n2 = float(np.sum(np.abs(amps) ** 2))
+        object.__setattr__(self, "norm_squared", n2)
         if self.normalized:
             if abs(n2 - 1.0) > 1e-12:
                 raise ValueError(f"normalized state has |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
@@ -184,18 +198,14 @@ class StateVector:
     def m(self) -> int:
         return self.amplitudes.size - 2
 
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """(M+1)x(M+1) generator on the one-excitation block.
 
     ``kind`` is "hermitian" for the closed system and "dissipative" for the
     no-click conditional generator, whose anti-Hermitian part is
-    -i*diag(Gamma, ..., Gamma, kappa).
+    -i*diag(Gamma, ..., Gamma, kappa).  Generators compare by identity.
     """
 
     matrix: np.ndarray
@@ -225,17 +235,8 @@ class GeneratorMatrix:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def m(self) -> int:
-        return self.dim - 1
-
-
-def collective_rabi(config: SystemConfig) -> float:
-    """Collective Rabi frequency omega = sqrt(sum_j gamma_j^2)."""
-    return float(np.sqrt(np.sum(np.square(config.couplings))))
+        return self.matrix.shape[0] - 1
 
 
 def build_hamiltonian(config: SystemConfig) -> GeneratorMatrix:

@@ -31,20 +31,18 @@ from .model import (
     check_non_negative,
     check_odd_index,
     check_positive,
-    collective_rabi,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagatorMatrix:
-    """(M+1)x(M+1) propagator over the one-excitation block at time ``time``.
+    """(M+1)x(M+1) propagator over the one-excitation block.
 
     Row/column k < M corresponds to basis state k+1 (qubit k+1 excited),
-    row/column M to the one-photon state; time is in units of 1/gamma.
+    row/column M to the one-photon state.  Propagators compare by identity.
     """
 
     matrix: np.ndarray
-    time: float
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -54,7 +52,6 @@ class PropagatorMatrix:
             raise ValueError("propagator has non-finite entries")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "time", float(self.time))
 
 
 class OverdampedRegimeError(ConfigurationError):
@@ -130,14 +127,15 @@ def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
     in the symmetric qubit block would break unitarity.
     """
     m, g = config.m, config.couplings
-    omega2 = collective_rabi(config) ** 2
-    dark, qubit, edge, photon = _no_click_kernel(omega2, config.gamma_decay, config.kappa, t)
+    dark, qubit, edge, photon = _no_click_kernel(
+        config.omega**2, config.gamma_decay, config.kappa, t
+    )
     u = np.zeros((m + 1, m + 1), dtype=complex)
     u[:m, :m] = qubit * np.outer(g, g)
     u.reshape(-1)[: m * (m + 2) : m + 2] += dark  # the first M diagonal entries
     u[:m, m] = u[m, :m] = edge * g
     u[m, m] = photon
-    return PropagatorMatrix(matrix=u, time=t)
+    return PropagatorMatrix(matrix=u)
 
 
 def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
@@ -152,8 +150,9 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     if state.m != config.m:
         raise ValueError(f"state is for M={state.m} qubits, config for M={config.m}")
     g = config.couplings
-    omega2 = collective_rabi(config) ** 2
-    dark, qubit, edge, photon = _no_click_kernel(omega2, config.gamma_decay, config.kappa, t)
+    dark, qubit, edge, photon = _no_click_kernel(
+        config.omega**2, config.gamma_decay, config.kappa, t
+    )
     amps = np.array(state.amplitudes)
     x, p = amps[1:-1], amps[-1]
     s = g @ x
@@ -293,4 +292,4 @@ def trapping_time(config: SystemConfig, m_odd: int = 1) -> float:
     vanishes and the cavity factorizes from the qubits; only odd multiples
     trap (even ones return the full initial state instead).  Rates shift it.
     """
-    return _trap_time(collective_rabi(config) ** 2, config.gamma_decay, config.kappa, m_odd)
+    return _trap_time(config.omega**2, config.gamma_decay, config.kappa, m_odd)

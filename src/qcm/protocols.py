@@ -77,10 +77,6 @@ class CouplingScheme:
     def custom(cls, r: float) -> "CouplingScheme":
         return cls(tag="custom", custom_ratio=float(r))
 
-    @classmethod
-    def from_string(cls, text: str) -> "CouplingScheme":
-        return cls(tag=text.strip())
-
     def ratio(self, m: int) -> float:
         """Resolve the coupling ratio for M qubits.
 
@@ -148,18 +144,18 @@ def trapped_amplitudes(m: int, r: float) -> tuple[float, float]:
     return (m - 1.0 - r * r) / denom, -2.0 * r / denom
 
 
-def classify_trapped_state(a1: float, a: float, tol: float = CLASSIFY_TOL) -> str:
+def classify_trapped_state(a1: float, a: float) -> str:
     """Classify trapped branch amplitudes by their sign/magnitude pattern.
 
     separable_W: the input qubit is empty; symmetric_W / antisymmetric_W:
     all M amplitudes share a magnitude, with qubit 1 carrying the same or
     the opposite sign; anything else is generic.
     """
-    if abs(a1) < tol:
+    if abs(a1) < CLASSIFY_TOL:
         return "separable_W"
-    if abs(a1 - a) < tol:
+    if abs(a1 - a) < CLASSIFY_TOL:
         return "symmetric_W"
-    if abs(a1 + a) < tol:
+    if abs(a1 + a) < CLASSIFY_TOL:
         return "antisymmetric_W"
     return "generic"
 
@@ -323,14 +319,14 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
 OPTIMIZER_OBJECTIVES = ("w_symmetry", "target_fidelity", "separable_transfer")
 
 
-def _golden_section_argmin(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi]."""
+def _golden_section_argmin(f, lo: float, hi: float) -> float:
+    """Golden-section minimizer of a unimodal function on [lo, hi], to 1e-8."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-8:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -10,7 +10,7 @@ from qcm.model import StateVector, SystemConfig
 def random_system(rng, m_low=1, m_high=16, coupling_low=0.25, coupling_high=2.0):
     """Random SystemConfig with M drawn from [m_low, m_high]."""
     m = int(rng.integers(m_low, m_high + 1))
-    return SystemConfig(tuple(rng.uniform(coupling_low, coupling_high, size=m)))
+    return SystemConfig(rng.uniform(coupling_low, coupling_high, size=m))
 
 
 def random_block_state(rng, m):

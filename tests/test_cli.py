@@ -424,3 +424,20 @@ class TestArgumentErrors:
         code, _, err = run_cli(capsys, argv)
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and "2**53" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 10**15 float64 couplings are 8 PB, past any user address space,
+            # so each allocation fails at once; never try a count that could fit
+            ["wstate", "--m", str(10**15), "--scheme", "w_plus"],
+            ["anticlone", "--m", str(10**15)],
+            ["wstate", "--m-range", f"2:{10**15}", "--scheme", "w_plus"],
+        ],
+    )
+    def test_counts_too_large_to_allocate_are_config_errors(self, capsys, argv):
+        # numpy's _ArrayMemoryError has a message; list(range(...))'s MemoryError has none
+        code, _, err = run_cli(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err[len("error: "):].strip()
+        assert "Traceback" not in err

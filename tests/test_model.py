@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,11 +12,10 @@ from qcm.model import (
     build_dissipative_hamiltonian,
     build_hamiltonian,
     check_count,
-    collective_rabi,
     initial_state,
     star_config,
 )
-from qcm.propagator import evolve
+from qcm.propagator import PropagatorMatrix, evolve
 
 from conftest import random_system
 
@@ -43,7 +43,7 @@ class TestSystemConfig:
             SystemConfig(())
         with pytest.raises(ConfigurationError, match=r"shape \(1, 2\)"):
             SystemConfig([[1.0, 2.0]])
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigurationError):
             SystemConfig((1.0, 1.0 + 1.0j))
         # the first bad coupling is named wherever it sits, not a later -1
         for bad in (np.nan, np.inf, 0.0):
@@ -55,6 +55,17 @@ class TestSystemConfig:
         # each coupling is finite and > 0, but their squares leave the float range
         for couplings in [(1e200,), (1.0, 1e200), (1e154, 1e154), (1e-200,)]:
             with pytest.raises(ConfigurationError, match="omega\\^2"):
+                SystemConfig(couplings)
+
+    def test_rejects_complex_couplings(self):
+        # a float cast would drop the imaginary part with only a ComplexWarning
+        for couplings in (
+            np.array([1 + 1j, 2 + 0j]),
+            [np.complex128(1 + 1j), 2.0],
+            (1 + 1j, 2.0),
+            np.array([1 + 0j, 2 + 0j]),
+        ):
+            with pytest.raises(ConfigurationError, match="^couplings must be real, got complex"):
                 SystemConfig(couplings)
 
     def test_rejects_negative_rates(self):
@@ -93,6 +104,28 @@ class TestCheckCount:
 
 
 class TestStateVector:
+    def test_norm_squared_is_derived(self):
+        state = StateVector(np.array([0.6, 0.0, 0.8j]))
+        assert state.norm_squared == float(np.sum(np.abs(state.amplitudes) ** 2))
+        half = StateVector(np.array([0.5, 0.5, 0.0]), normalized=False)
+        assert half.norm_squared == 0.5
+        with pytest.raises(TypeError):
+            StateVector(np.array([1.0, 0.0, 0.0]), norm_squared=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.norm_squared = 2.0
+
+    def test_array_records_compare_by_identity(self):
+        # == on equal-content arrays gives no single bool, and arrays do not hash
+        ones = np.ones((2, 2))
+        for make in (
+            lambda: StateVector(np.array([1.0, 0.0, 0.0])),
+            lambda: GeneratorMatrix(ones, kind="hermitian"),
+            lambda: PropagatorMatrix(ones),
+        ):
+            a, b = make(), make()
+            assert a != b and a == a
+            assert len({a, b}) == 2
+
     def test_norm_invariants(self):
         StateVector(np.array([1.0, 0.0, 0.0]))
         StateVector(np.array([0.5, 0.5, 0.0]), normalized=False)
@@ -129,7 +162,7 @@ class TestBuildHamiltonian:
     def test_three_qubit_structure(self):
         config = SystemConfig((2.0, 1.0, 1.0))
         h = build_hamiltonian(config).matrix
-        assert collective_rabi(config) == pytest.approx(np.sqrt(6.0), abs=1e-15)
+        assert config.omega == pytest.approx(np.sqrt(6.0), abs=1e-15)
         assert np.linalg.matrix_rank(h) == 2
         # only qubit <-> photon couplings
         assert np.max(np.abs(h[:3, :3])) == 0.0
@@ -228,20 +261,32 @@ class TestInitialState:
 
 
 class TestCollectiveRabi:
+    def test_bit_identical_to_couplings(self):
+        rng = np.random.default_rng(16)
+        configs = [random_system(rng) for _ in range(1000)]
+        configs += [star_config(m, r) for m in (1, 2, 10**3, 10**6) for r in (0.3, 1.0, 1e3)]
+        for config in configs:
+            assert config.omega == float(np.sqrt(np.sum(np.square(config.couplings))))
+
+    def test_omega_is_neither_an_argument_nor_assignable(self):
+        with pytest.raises(TypeError):
+            SystemConfig((1.0,), omega=2.0)
+        config = SystemConfig((1.0,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.omega = 2.0
+
     def test_single_coupling(self):
-        assert collective_rabi(SystemConfig((1.0,))) == 1.0
+        assert SystemConfig((1.0,)).omega == 1.0
 
     def test_star_formula(self):
         # omega = gamma * sqrt(r^2 + M - 1)
         for m, r in [(4, 3.0), (7, 0.4), (2, np.sqrt(2.0) + 1.0)]:
             config = star_config(m, r)
-            assert collective_rabi(config) == pytest.approx(
-                np.sqrt(r * r + m - 1.0), abs=1e-14
-            )
+            assert config.omega == pytest.approx(np.sqrt(r * r + m - 1.0), abs=1e-14)
 
     def test_m4_r3_matches_eigenvalue_oracle(self):
         config = star_config(4, 3.0)
-        omega = collective_rabi(config)
+        omega = config.omega
         assert omega == pytest.approx(np.sqrt(12.0), abs=1e-14)
         eigvals = np.linalg.eigvalsh(build_hamiltonian(config).matrix)
         assert eigvals.max() == pytest.approx(omega, abs=1e-12)

@@ -7,7 +7,6 @@ from qcm.model import (
     SystemConfig,
     build_dissipative_hamiltonian,
     build_hamiltonian,
-    collective_rabi,
     initial_state,
     star_config,
 )
@@ -49,7 +48,7 @@ class TestClosedForm:
         rng = np.random.default_rng(21)
         for _ in range(50):
             config = random_system(rng)
-            u = closed_form_propagator(config, np.pi / collective_rabi(config)).matrix
+            u = closed_form_propagator(config, np.pi / config.omega).matrix
             assert np.max(np.abs(u[-1, :-1])) < 1e-14
             assert np.max(np.abs(u[:-1, -1])) < 1e-14
 
@@ -59,7 +58,7 @@ class TestClosedForm:
             config = random_system(rng)
             t = rng.uniform(0.0, 10.0)
             u = closed_form_propagator(config, t).matrix
-            omega = collective_rabi(config)
+            omega = config.omega
             assert abs(u[-1, -1] - np.cos(omega * t)) <= 1e-12
 
     def test_matrix_is_symmetric(self):
@@ -120,7 +119,7 @@ class TestClosedForm:
         generators, blocks, times, refs = [], [], [], []
         for _ in range(40):
             config = random_system(rng, m_high=12)
-            omega = collective_rabi(config)
+            omega = config.omega
             gamma_decay = rng.uniform(0.0, 3.0)
             if regime == "random":
                 kappa = rng.uniform(0.0, gamma_decay + 4.0 * omega)
@@ -130,7 +129,7 @@ class TestClosedForm:
                 # to the last bit
                 coupling = float(rng.choice([0.25, 0.5, 1.0]))
                 config = SystemConfig((coupling,) * int(rng.choice([1, 4, 9])))
-                omega = collective_rabi(config)
+                omega = config.omega
                 gamma_decay = int(rng.integers(0, 13)) / 4.0
                 kappa = gamma_decay + 2.0 * omega
                 assert 4.0 * omega**2 == (kappa - gamma_decay) ** 2
@@ -171,7 +170,7 @@ class TestClosedForm:
 
     def test_propagator_matrix_validation(self):
         with pytest.raises(ValueError):
-            PropagatorMatrix(np.zeros((2, 3)), time=0.0)
+            PropagatorMatrix(np.zeros((2, 3)))
 
 
 class TestExpmOracle:
@@ -389,7 +388,7 @@ class TestEvolve:
         rng = np.random.default_rng(35)
         for _ in range(50):
             config = random_system(rng)
-            omega = collective_rabi(config)
+            omega = config.omega
             gamma_decay = rng.uniform(0.0, 3.0)
             if regime == "lossless":
                 gamma_decay = kappa = 0.0
@@ -400,7 +399,7 @@ class TestEvolve:
                 coupling = float(rng.choice([0.25, 0.5, 1.0]))
                 config = SystemConfig((coupling,) * int(rng.choice([1, 4, 9])))
                 gamma_decay = int(rng.integers(0, 13)) / 4.0
-                kappa = gamma_decay + 2.0 * collective_rabi(config)
+                kappa = gamma_decay + 2.0 * config.omega
             else:
                 kappa = gamma_decay + 2.0 * omega * rng.uniform(1.05, 3.0)
                 if rng.uniform() < 0.5:

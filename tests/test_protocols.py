@@ -65,9 +65,6 @@ class TestCouplingScheme:
         with pytest.raises(ConfigurationError):
             CouplingScheme.custom(np.nan)
 
-    def test_from_string(self):
-        assert CouplingScheme.from_string("w_plus") == W_PLUS
-
 
 class TestTrappedAmplitudes:
     def test_m4_symmetric_pair(self):
