@@ -48,15 +48,11 @@ print()
 
 print("robustness grows with the number of qubits (Gamma != kappa):")
 print("  M    F_r (w_plus)      F_r (w_prime)     P (w_plus)  P (w_prime)")
-reports = decay_robustness_scan(range(2, 13), gamma_decay=GAMMA, kappa=KAPPA)
-by_m = {}
-for rep in reports:
-    by_m.setdefault(rep.m, {})[rep.scheme] = rep
-for m in sorted(by_m):
-    plus, prime = by_m[m]["w_plus"], by_m[m]["w_prime"]
-    print(
-        f"  {m:2d}   {plus.fidelity:.12f}    {prime.fidelity:.12f}    "
-        f"{plus.p_no_click:.6f}    {prime.p_no_click:.6f}"
-    )
+table = decay_robustness_scan(range(2, 13), gamma_decay=GAMMA, kappa=KAPPA)
+# one row per (M, scheme), the schemes in tag order: w_plus, then w_prime
+fidelity = table.fidelity.reshape(-1, 2)
+survival = table.p_no_click.reshape(-1, 2)
+for m, (f_plus, f_prime), (p_plus, p_prime) in zip(table.m[::2], fidelity, survival):
+    print(f"  {m:2d}   {f_plus:.12f}    {f_prime:.12f}    {p_plus:.6f}    {p_prime:.6f}")
 print()
 print("every column rises with M, and never drops below 0.97 survival")

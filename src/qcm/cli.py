@@ -20,13 +20,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
 from .decoherence import (
     conditional_amplitudes,
-    decohered_fidelity,
+    decay_robustness_scan,
     renormalized_trapping_time,
 )
 from .model import (
@@ -114,14 +116,28 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_table(headers: list[str], rows: list[list], args: argparse.Namespace):
-    """Emit rows as CSV (fixed header) or a JSON array of objects."""
+def format_column(column):
+    """The CSV cells of one column, lazily; a float or integer array is
+    formatted in one typed pass, like ``format_value`` without its per-cell
+    dispatch."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return map(format, column.tolist(), repeat(".17g"))
+    if kind in ("i", "u"):
+        return map(str, column.tolist())
+    return map(format_value, column.tolist() if kind else column)
+
+
+def write_table(headers: list[str], columns: list, args: argparse.Namespace):
+    """Emit columns (one sequence or array per header, of equal lengths) as
+    CSV (fixed header) or a JSON array of row objects."""
     if args.format == "json":
-        payload = [dict(zip(headers, row)) for row in rows]
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        payload = [dict(zip(headers, row)) for row in zip(*cells)]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [",".join(headers)]
-        lines += [",".join(format_value(v) for v in row) for row in rows]
+        lines += map(",".join, zip(*map(format_column, columns)))
         text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -244,7 +260,7 @@ def run_check_suites(
 def cmd_check(args: argparse.Namespace) -> int:
     rows = run_check_suites(args.trials, args.seed, args.inject_fault)
     headers = ["suite", "trials", "max_deviation", "tolerance", "passed"]
-    write_table(headers, [[row[h] for h in headers] for row in rows], args)
+    write_table(headers, [[row[h] for row in rows] for h in headers], args)
     failed = [row["suite"] for row in rows if not row["passed"]]
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
@@ -263,11 +279,12 @@ def cmd_wstate(args: argparse.Namespace) -> int:
     rows = []
     for m in qubit_counts(args):
         _, report = generate_w_state(m, scheme)
-        tau = report.trapping_time * m_odd
+        # the m_odd'th instant itself, as `decoherence` reports it without decay
+        tau = renormalized_trapping_time(m, report.r, 0.0, 0.0, m_odd)
         rows.append(
             [m, report.scheme, report.r, tau, report.a1, report.a, report.classification]
         )
-    write_table(headers, rows, args)
+    write_table(headers, list(zip(*rows)), args)
     return EXIT_OK
 
 
@@ -310,7 +327,7 @@ def cmd_anticlone(args: argparse.Namespace) -> int:
                 values["w_prime"][1],
             ]
         )
-    write_table(headers, rows, args)
+    write_table(headers, list(zip(*rows)), args)
     return EXIT_OK
 
 
@@ -319,22 +336,16 @@ def cmd_decoherence(args: argparse.Namespace) -> int:
         schemes = [resolve_scheme(args)]
     else:
         schemes = [W_PLUS, W_PRIME]
+    table = decay_robustness_scan(
+        qubit_counts(args, default=(2, 20)),
+        args.gamma_decay,
+        args.kappa,
+        m_odd=args.m_odd,
+        schemes=schemes,
+    )
     headers = ["m", "scheme", "r", "tau_star_c", "f_r", "p_no_click"]
-    rows = []
-    for m in qubit_counts(args, default=(2, 20)):
-        for scheme in sorted(schemes, key=lambda s: s.tag):
-            report = decohered_fidelity(
-                m,
-                scheme.ratio(m),
-                args.gamma_decay,
-                args.kappa,
-                m_odd=args.m_odd,
-                scheme=scheme.tag,
-            )
-            rows.append(
-                [m, report.scheme, report.r, report.tau_star_c, report.fidelity, report.p_no_click]
-            )
-    write_table(headers, rows, args)
+    columns = [table.m, table.scheme, table.r, table.tau_star_c, table.fidelity, table.p_no_click]
+    write_table(headers, columns, args)
     return EXIT_OK
 
 
@@ -344,7 +355,10 @@ def _parse_r_grid(text: str, m: int) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigurationError(f"r-grid must be START:STOP:COUNT, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigurationError(f"r-grid START and STOP must be finite, got {text!r}")
+    count = check_count("r-grid COUNT", int(parts[2]), 0)
     if count < 1 or stop < start or start <= 0.0:
         raise ConfigurationError("empty r-grid")
     return np.linspace(start, stop, count)
@@ -372,7 +386,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         a1, a = trapped_amplitudes(m, r)
         f_target, f_input = fidelity_curve(m, CouplingScheme.custom(r))
         rows.append([kind, r, a1, a, f_target, f_input])
-    write_table(headers, rows, args)
+    write_table(headers, list(zip(*rows)), args)
     return EXIT_OK
 
 

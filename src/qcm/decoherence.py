@@ -12,6 +12,15 @@ shifted trapping time 2*pi/Omega, Omega = sqrt(4*omega^2 - (kappa - Gamma)^2),
 so the trapping mechanism survives decay for any number of qubits; the
 fidelity against the decay-free trapped state quantifies what the register
 loses while waiting.
+
+``decay_robustness_scan`` builds the decay-robustness table (the output of
+``qcm decoherence``) as float64 columns in one pass: the counts, the rates
+and m_odd are checked once, and every row goes through the same kernel
+formulas as one float would.  numpy does the IEEE arithmetic and the
+correctly rounded sqrt; exp, expm1, sin, cos and pow go through ``math``
+entry by entry, since numpy's versions may round differently.  Every entry
+is therefore bit-identical to the scalar route, and ``decohered_fidelity``
+is the one-row case.
 """
 
 from __future__ import annotations
@@ -21,9 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StateVector, _star_omega_squared, check_count
-from .propagator import OverdampedRegimeError, _no_click_kernel, _trap_time  # noqa: F401 re-export
-from .protocols import W_PLUS, W_PRIME, trapped_amplitudes
+from .model import StateVector, _star_omega_squared, check_count, check_positive
+from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
+    _COLUMNS,
+    _FLOATS,
+    OverdampedRegimeError,
+    _kernel_terms,
+    _no_click_kernel,
+    _trap_time,
+)
+from .protocols import W_PLUS, W_PRIME
 
 
 @dataclass(frozen=True)
@@ -42,9 +58,7 @@ class ConditionalAmplitudes:
     @property
     def branch_norm_squared(self) -> float:
         """Squared norm of the conditional one-excitation branch."""
-        return float(
-            abs(self.b1) ** 2 + (self.m - 1) * abs(self.b) ** 2 + abs(self.b_photon) ** 2
-        )
+        return float(_branch_norm_squared(self.m, abs(self.b1), abs(self.b), abs(self.b_photon)))
 
     def to_state_vector(self) -> StateVector:
         """Unnormalized conditional state over the M+2 basis states."""
@@ -53,6 +67,11 @@ class ConditionalAmplitudes:
         amps[2 : self.m + 1] = self.b
         amps[self.m + 1] = self.b_photon
         return StateVector(amplitudes=amps, normalized=False)
+
+
+def _branch_norm_squared(m, b1, b, photon, libm=_FLOATS):
+    """|b1|^2 + (M-1)*|b|^2 + |photon|^2 from the magnitudes, as floats or columns."""
+    return libm.square(b1) + (m - 1) * libm.square(b) + libm.square(photon)
 
 
 def conditional_amplitudes(
@@ -95,6 +114,11 @@ def no_click_probability(m: int, r: float, gamma_decay: float, kappa: float, t: 
     return conditional_amplitudes(m, r, gamma_decay, kappa, t).branch_norm_squared
 
 
+def _in_unit_interval(x):
+    """Whether x (a float, or each entry of a column) lies in [0, 1], to 1e-12."""
+    return (x >= -1e-12) & (x <= 1.0 + 1e-12)
+
+
 @dataclass(frozen=True)
 class DecoherenceReport:
     """One row of the decay-robustness tables."""
@@ -107,10 +131,95 @@ class DecoherenceReport:
     scheme: str = "custom"
 
     def __post_init__(self):
-        if not -1e-12 <= self.fidelity <= 1.0 + 1e-12:
+        if not _in_unit_interval(self.fidelity):
             raise ValueError(f"fidelity outside [0, 1]: {self.fidelity}")
-        if not -1e-12 <= self.p_no_click <= 1.0 + 1e-12:
+        if not _in_unit_interval(self.p_no_click):
             raise ValueError(f"no-click probability outside [0, 1]: {self.p_no_click}")
+
+
+@dataclass(frozen=True, eq=False)
+class DecoherenceTable:
+    """The decay-robustness table as read-only columns, one entry per row.
+
+    ``m`` is an int64 column, ``scheme`` a tuple of tags, and ``r``,
+    ``tau_star_c``, ``fidelity`` and ``p_no_click`` are float64 columns.
+    Indexing or iterating yields each row as a ``DecoherenceReport``; the
+    CLI formats the columns directly.  Tables compare by identity.
+    """
+
+    m: np.ndarray
+    scheme: tuple[str, ...]
+    r: np.ndarray
+    tau_star_c: np.ndarray
+    fidelity: np.ndarray
+    p_no_click: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scheme)
+
+    def __getitem__(self, i: int) -> DecoherenceReport:
+        return DecoherenceReport(
+            m=int(self.m[i]),
+            r=float(self.r[i]),
+            tau_star_c=float(self.tau_star_c[i]),
+            fidelity=float(self.fidelity[i]),
+            p_no_click=float(self.p_no_click[i]),
+            scheme=self.scheme[i],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _decay_columns(m: np.ndarray, r: np.ndarray, gamma_decay: float, kappa: float, m_odd):
+    """(tau*_c, fidelity, p_no_click) columns of the rows (m[i], r[i]).
+
+    ``m`` holds checked qubit counts and ``r`` positive ratios, as float64
+    columns of one length.  Each entry is bit-identical to the row's scalar
+    closed form (``renormalized_trapping_time`` and
+    ``conditional_amplitudes``).  The rates and m_odd are checked once; the
+    checks the scalar route makes on every row run over whole columns, and
+    the first failing row raises the error that route raises for it.
+    """
+    if m.size:
+        _star_omega_squared(int(m[0]), float(r[0]))  # checked before the rates, as row by row
+    # a row that fails its checks may overflow or divide by zero on the way,
+    # which Python floats did silently or never reached
+    with np.errstate(all="ignore"):
+        omega2 = r * r + (m - 1.0)  # as _star_omega_squared
+        tau = _trap_time(omega2, gamma_decay, kappa, m_odd, _COLUMNS)
+        # the row-by-row route raises at the first row with no finite omega^2
+        # or trapping instant, so only the n rows before it are evaluated
+        trapped = np.isfinite(omega2) & np.isfinite(tau)
+        n = m.size if trapped.all() else int(trapped.argmin())
+        mn, rn, omega2n = m[:n], r[:n], omega2[:n]
+        dark, qubit, damped_sinc, _ = _kernel_terms(omega2n, gamma_decay, kappa, tau[:n], _COLUMNS)
+        b = rn * qubit
+        b1 = dark + rn * b  # conditional_amplitudes' b1 and b, with |b_photon| = |r*E*S|
+        p = _branch_norm_squared(mn, abs(b1), abs(b), abs(rn * damped_sinc), _COLUMNS)
+        a1 = (mn - 1.0 - rn * rn) / omega2n  # as trapped_amplitudes
+        a = -2.0 * rn / omega2n
+        fidelity = np.minimum(abs(a1 * b1 + (mn - 1.0) * a * b) / np.sqrt(p), 1.0)
+    ok = (p > 1e-300) & _in_unit_interval(fidelity) & _in_unit_interval(p)
+    first = n if ok.all() else int(ok.argmin())
+    if first < m.size:
+        found = (float(fidelity[first]), float(p[first])) if first < n else ()
+        _raise_for_row(int(m[first]), float(r[first]), gamma_decay, kappa, m_odd, *found)
+    return tau, fidelity, p
+
+
+def _raise_for_row(m, r, gamma_decay, kappa, m_odd, fidelity=math.nan, p=math.nan):
+    """Raise the error the scalar route finds first on one table row.
+
+    The order is the route's: omega^2, m_odd and the rates, overdamping, a
+    time that is not finite, a zero norm, then the [0, 1] ranges of the
+    fidelity and p_no_click found by the table.
+    """
+    tau_c = renormalized_trapping_time(m, r, gamma_decay, kappa, m_odd)
+    conditional_amplitudes(m, r, gamma_decay, kappa, tau_c)
+    if p <= 1e-300:
+        raise ValueError("conditional state has zero norm")
+    DecoherenceReport(m=m, r=r, tau_star_c=tau_c, fidelity=fidelity, p_no_click=p)
 
 
 def decohered_fidelity(
@@ -127,22 +236,20 @@ def decohered_fidelity(
     decay-free trapped state (taken at its own trapping time tau*); also
     reports the no-click probability accumulated up to tau*_c.  For equal
     rates the conditional state is proportional to the decay-free one and
-    the fidelity is exactly 1.
+    the fidelity is exactly 1.  This is the one-row case of the table of
+    ``decay_robustness_scan``.
     """
-    tau_c = renormalized_trapping_time(m, r, gamma_decay, kappa, m_odd)
-    amps = conditional_amplitudes(m, r, gamma_decay, kappa, tau_c)
-    p = amps.branch_norm_squared
-    if p <= 1e-300:
-        raise ValueError("conditional state has zero norm")
-    a1, a = trapped_amplitudes(m, r)
-    overlap = a1 * amps.b1 + (m - 1) * a * amps.b
-    fidelity = abs(overlap) / math.sqrt(p)
+    m = check_count("m", m, 2)
+    check_positive("coupling ratio", r)
+    tau, fidelity, p = _decay_columns(
+        np.array([m], dtype=float), np.array([r], dtype=float), gamma_decay, kappa, m_odd
+    )
     return DecoherenceReport(
         m=m,
         r=float(r),
-        tau_star_c=tau_c,
-        fidelity=min(fidelity, 1.0),
-        p_no_click=p,
+        tau_star_c=float(tau[0]),
+        fidelity=float(fidelity[0]),
+        p_no_click=float(p[0]),
         scheme=scheme,
     )
 
@@ -151,24 +258,32 @@ def decay_robustness_scan(
     m_values,
     gamma_decay: float = 0.001,
     kappa: float = 0.02,
-) -> list[DecoherenceReport]:
-    """Decay-robustness table over qubit counts, both protocol schemes.
+    m_odd: int = 1,
+    schemes=(W_PLUS, W_PRIME),
+) -> DecoherenceTable:
+    """Decay-robustness table over qubit counts and coupling schemes.
 
-    For each M (ascending) emits one row per scheme in (w_plus, w_prime):
-    the shifted trapping time, the fidelity against the decay-free trapped
-    state, and the no-click probability.  Default rates are kappa = 0.02
-    and Gamma = 0.001 in coupling units.
+    Rows run over the distinct M ascending and, for each M, over the
+    schemes by tag: the shifted trapping time, the fidelity against the
+    decay-free trapped state, and the no-click probability.  Default rates
+    are kappa = 0.02 and Gamma = 0.001 in coupling units, with both
+    protocol schemes.  The counts are checked once, in the order given, and
+    the table is built as float64 columns in one pass (``_decay_columns``).
     """
-    reports = []
-    for m in sorted({check_count("m", m, 2) for m in m_values}):
-        for scheme in (W_PLUS, W_PRIME):
-            reports.append(
-                decohered_fidelity(
-                    m,
-                    scheme.ratio(m),
-                    gamma_decay,
-                    kappa,
-                    scheme=scheme.tag,
-                )
-            )
-    return reports
+    counts = np.array(sorted({check_count("m", m, 2) for m in m_values}), dtype=np.int64)
+    schemes = sorted(schemes, key=lambda scheme: scheme.tag)
+    r = np.empty((counts.size, len(schemes)))
+    for j, scheme in enumerate(schemes):
+        r[:, j] = scheme.ratio(counts.astype(float))
+    m, r = np.repeat(counts, len(schemes)), r.reshape(-1)
+    tau, fidelity, p = _decay_columns(m.astype(float), r, gamma_decay, kappa, m_odd)
+    for column in (m, r, tau, fidelity, p):
+        column.flags.writeable = False
+    return DecoherenceTable(
+        m=m,
+        scheme=tuple(scheme.tag for scheme in schemes) * counts.size,
+        r=r,
+        tau_star_c=tau,
+        fidelity=fidelity,
+        p_no_click=p,
+    )

@@ -32,8 +32,8 @@ class ConfigurationError(ValueError):
 
 
 # Scalar input checks shared by every module.  Plain-float comparisons and
-# operator.index keep them O(1): the decay scans run them several times per
-# table row.
+# operator.index keep them O(1): the protocol and oracle layers run them on
+# every call.
 
 
 def check_count(name: str, value, minimum: int) -> int:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,19 +61,60 @@ class OverdampedRegimeError(ConfigurationError):
     amplitude then never returns to zero.  Amplitudes work in every regime."""
 
 
-def _trap_time(omega2: float, gamma_decay: float, kappa: float, m_odd) -> float:
-    """The m_odd'th trapping instant 2*m_odd*pi/sqrt(4*omega^2 - (kappa - Gamma)^2)."""
+#: the kernel's libm routines on Python floats
+_FLOATS = SimpleNamespace(
+    columns=False,
+    exp=math.exp,
+    expm1=math.expm1,
+    cos=math.cos,
+    sin=math.sin,
+    sqrt=math.sqrt,
+    square=lambda x: x ** 2,  # libm pow, as every `** 2` on a float
+)
+
+
+def _per_entry(routine):
+    """``routine`` applied to each entry of a float64 column.
+
+    numpy's own exp and expm1 may round an entry differently from the libm
+    call a Python float makes; mapping the ``math`` routine keeps every
+    entry bit-identical to the float result.
+    """
+    return lambda column: np.fromiter(map(routine, column.tolist()), float, column.size)
+
+
+#: the same routines on float64 columns; IEEE arithmetic and the correctly
+#: rounded sqrt run in numpy, every other libm call entry by entry
+_COLUMNS = SimpleNamespace(
+    columns=True,
+    exp=_per_entry(math.exp),
+    expm1=_per_entry(math.expm1),
+    cos=_per_entry(math.cos),
+    sin=_per_entry(math.sin),
+    sqrt=np.sqrt,
+    # libm pow(x, 2) entry by entry, as `x ** 2` on a float (numpy squares)
+    square=lambda column: np.fromiter(map(pow, column.tolist(), repeat(2)), float, column.size),
+)
+
+
+def _trap_time(omega2, gamma_decay: float, kappa: float, m_odd, libm=_FLOATS):
+    """The m_odd'th trapping instant 2*m_odd*pi/sqrt(4*omega^2 - (kappa - Gamma)^2).
+
+    With ``libm=_COLUMNS`` omega2 is a float64 column; a row with no trapping
+    instant then comes back NaN or infinite instead of raising, so that the
+    caller can check its rows in order.
+    """
     m_odd = check_odd_index(m_odd)
     check_non_negative("gamma_decay", gamma_decay)
     check_non_negative("kappa", kappa)
     detuning = kappa - gamma_decay
     disc = 4.0 * omega2 - detuning * detuning
-    if disc <= 0.0:
+    if not libm.columns and disc <= 0.0:
         raise OverdampedRegimeError(
             f"overdamped: 2*omega = {2.0 * math.sqrt(omega2):.6g} <= "
             f"|kappa - gamma_decay| = {abs(detuning):.6g}; no trapping instant exists"
         )
-    return 2.0 * m_odd * math.pi / math.sqrt(disc)
+    return 2.0 * m_odd * math.pi / libm.sqrt(disc)
 
 
 def _no_click_kernel(omega2: float, gamma_decay: float, kappa: float, t: float) -> tuple:
@@ -89,14 +132,26 @@ def _no_click_kernel(omega2: float, gamma_decay: float, kappa: float, t: float) 
     check_non_negative("gamma_decay", gamma_decay)
     check_non_negative("kappa", kappa)
     check_non_negative("time", t)
+    dark, qubit, damped_sinc, photon = _kernel_terms(omega2, gamma_decay, kappa, t)
+    return dark, qubit, -1j * damped_sinc, photon
+
+
+def _kernel_terms(omega2, gamma_decay: float, kappa: float, t, libm=_FLOATS) -> tuple:
+    """(dark, qubit, E*S, photon) of ``_no_click_kernel``, unchecked.
+
+    With ``libm=_COLUMNS`` omega2 and t are float64 columns whose rows the
+    caller has checked to be underdamped (4*nu^2 is their trapping
+    discriminant, so every row with a trapping instant is), and each entry
+    is bit-identical to the float result.
+    """
     d = (kappa - gamma_decay) / 2.0
     nu2 = omega2 - d * d
-    dark = math.exp(-gamma_decay * t)
-    joint = decay = math.exp(-(gamma_decay + kappa) / 2.0 * t)
-    if nu2 > 0.0:
-        nu = math.sqrt(nu2)
-        c, sinc = math.cos(nu * t), math.sin(nu * t) / nu
-        c_minus_1 = -2.0 * math.sin(nu * t / 2.0) ** 2
+    dark = libm.exp(-gamma_decay * t)
+    joint = decay = libm.exp(-(gamma_decay + kappa) / 2.0 * t)
+    if libm.columns or nu2 > 0.0:
+        nu = libm.sqrt(nu2)
+        c, sinc = libm.cos(nu * t), libm.sin(nu * t) / nu
+        c_minus_1 = -2.0 * libm.square(libm.sin(nu * t / 2.0))
     elif nu2 == 0.0:
         c, sinc, c_minus_1 = 1.0, t, 0.0
     else:
@@ -108,9 +163,9 @@ def _no_click_kernel(omega2: float, gamma_decay: float, kappa: float, t: float) 
         sinc = -math.expm1(-2.0 * mu * t) / (2.0 * mu)
         c_minus_1 = math.expm1(-mu * t) ** 2 / 2.0
     # E*expm1(d*t) = dark - E, in the form that cannot overflow
-    shift = joint * math.expm1(d * t) if d <= 0.0 else -dark * math.expm1(-d * t)
+    shift = joint * libm.expm1(d * t) if d <= 0.0 else -dark * libm.expm1(-d * t)
     qubit = (decay * (c_minus_1 + d * sinc) - shift) / omega2
-    return dark, qubit, -1j * (decay * sinc), decay * (c - d * sinc)
+    return dark, qubit, decay * sinc, decay * (c - d * sinc)
 
 
 def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:

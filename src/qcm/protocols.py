@@ -77,20 +77,28 @@ class CouplingScheme:
     def custom(cls, r: float) -> "CouplingScheme":
         return cls(tag="custom", custom_ratio=float(r))
 
-    def ratio(self, m: int) -> float:
+    def ratio(self, m):
         """Resolve the coupling ratio for M qubits.
 
         w_minus and w_prime need M >= 2, where their ratios are positive.
+        ``m`` may also be a float64 column of counts the caller has checked
+        (each at least 2); a ratio that depends on M then comes back as a
+        column whose entries are bit-identical to the one-count ratios, as
+        numpy's sqrt and libm's are both correctly rounded.
         """
-        m = check_count("m", m, 2 if self.tag in ("w_minus", "w_prime") else 1)
+        if isinstance(m, np.ndarray):
+            sqrt = np.sqrt
+        else:
+            m = check_count("m", m, 2 if self.tag in ("w_minus", "w_prime") else 1)
+            sqrt = math.sqrt
         if self.tag == "identical":
             return 1.0
         if self.tag == "w_plus":
-            return math.sqrt(m) + 1.0
+            return sqrt(m) + 1.0
         if self.tag == "w_minus":
-            return math.sqrt(m) - 1.0
+            return sqrt(m) - 1.0
         if self.tag == "w_prime":
-            return math.sqrt(m - 1.0)
+            return sqrt(m - 1.0)
         return float(self.custom_ratio)
 
 

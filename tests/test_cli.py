@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from qcm.cli import (
     main,
     run_check_suites,
 )
+from qcm.decoherence import conditional_amplitudes, renormalized_trapping_time
 from qcm.model import ConfigurationError
+from qcm.protocols import W_MINUS, W_PLUS, W_PRIME, CouplingScheme, trapped_amplitudes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,6 +176,20 @@ class TestWstateCommand:
         assert "scheme" in err
 
 
+    @pytest.mark.parametrize("m_odd", [3, 5, 7, 101])
+    def test_tau_is_the_decay_free_decoherence_instant(self, capsys, m_odd):
+        # tau used to be m_odd times the first instant, off in the last bit
+        # on about a quarter of these rows
+        m_flags = ["--m-range", "2:300", "--scheme", "w_plus", "--m-odd", str(m_odd)]
+        _, out_w, _ = run_cli(capsys, ["wstate", *m_flags])
+        _, out_d, _ = run_cli(
+            capsys, ["decoherence", *m_flags, "--gamma-decay", "0", "--kappa", "0"]
+        )
+        _, wstate = parse_csv(out_w)
+        _, decoherence = parse_csv(out_d)
+        assert [row["tau_star"] for row in wstate] == [row["tau_star_c"] for row in decoherence]
+
+
 class TestAnticloneCommand:
     def test_reference_values(self, capsys):
         code, out, _ = run_cli(capsys, ["anticlone", "--m-range", "2:5"])
@@ -243,6 +260,45 @@ class TestDecoherenceCommand:
         assert code == EXIT_CONFIG
         assert "omega^2 = r^2 + M - 1 must be finite and > 0, got inf" in err
 
+    def test_overflow_in_the_columns_does_not_warn(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["decoherence", "--m-range", "2:9", "--r", "1e200"])
+        assert code == EXIT_CONFIG and out == ""
+        assert "omega^2 = r^2 + M - 1 must be finite and > 0, got inf" in err
+
+    def test_first_overdamped_row_is_named(self, capsys):
+        # (2, w_plus) is the first row past critical damping
+        code, _, err = run_cli(capsys, ["decoherence", "--m-range", "2:40", "--kappa", "9"])
+        assert code == EXIT_CONFIG
+        assert "overdamped: 2*omega = 5.22625 <= |kappa - gamma_decay| = 8.999" in err
+
+    @pytest.mark.parametrize(
+        "flags, schemes",
+        [
+            (["--r", "0.7"], [CouplingScheme.custom(0.7)]),
+            (["--scheme", "w_minus"], [W_MINUS]),
+            ([], [W_PLUS, W_PRIME]),
+        ],
+    )
+    @pytest.mark.parametrize("m_odd", [1, 3])
+    def test_cells_match_the_scalar_route(self, capsys, flags, schemes, m_odd):
+        argv = ["decoherence", "--m-range", "2:300", "--gamma-decay", "0.013", "--kappa", "0.2"]
+        code, out, _ = run_cli(capsys, argv + flags + ["--m-odd", str(m_odd)])
+        assert code == EXIT_OK
+        expected = []
+        for m in range(2, 301):
+            for scheme in schemes:
+                r = scheme.ratio(m)
+                tau = renormalized_trapping_time(m, r, 0.013, 0.2, m_odd)
+                amps = conditional_amplitudes(m, r, 0.013, 0.2, tau)
+                p = amps.branch_norm_squared
+                a1, a = trapped_amplitudes(m, r)
+                f = min(abs(a1 * amps.b1 + (m - 1) * a * amps.b) / math.sqrt(p), 1.0)
+                cells = [format(v, ".17g") for v in (r, tau, f, p)]
+                expected.append(",".join([str(m), scheme.tag, *cells]))
+        assert out.splitlines()[1:] == expected
+
 
 class TestScanCommand:
     def test_optimizer_rows_locate_m4_pair(self, capsys):
@@ -272,6 +328,22 @@ class TestScanCommand:
     def test_grid_must_be_well_formed(self, capsys):
         code, _, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", "1.0:2.0"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", ["0.1:inf:3", "nan:1:3", "0.1:nan:3", "inf:1:3"])
+    def test_non_finite_grid_ends_rejected(self, capsys, grid):
+        # 0.1:inf:3 used to leak numpy's invalid-value warning, then exit 2
+        # with "coupling ratio ... got nan", which does not name the flag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", grid])
+        assert code == EXIT_CONFIG and out == ""
+        assert "r-grid START and STOP must be finite" in err
+
+    def test_grid_count_past_exact_float_range_rejected(self, capsys):
+        # used to reach numpy's "Maximum allowed size exceeded"
+        code, _, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", f"0.1:1:{10**20}"])
+        assert code == EXIT_CONFIG
+        assert "need r-grid COUNT <= 2**53" in err
 
 
 class TestOutputModes:

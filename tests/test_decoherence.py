@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from qcm.decoherence import (
     DecoherenceReport,
+    DecoherenceTable,
     OverdampedRegimeError,
     conditional_amplitudes,
     decohered_fidelity,
@@ -25,7 +27,7 @@ from qcm.propagator import (
     rk4_propagate_many,
     trapping_time,
 )
-from qcm.protocols import W_PLUS, W_PRIME, trapped_amplitudes
+from qcm.protocols import IDENTICAL, W_MINUS, W_PLUS, W_PRIME, CouplingScheme, trapped_amplitudes
 
 DEFAULT_GAMMA = 0.001
 DEFAULT_KAPPA = 0.02
@@ -404,3 +406,113 @@ class TestDecayRobustnessScan:
         for tag in ("w_plus", "w_prime"):
             column = [rep.p_no_click for rep in reports if rep.scheme == tag]
             assert all(b >= a for a, b in itertools.pairwise(column))
+
+
+def scalar_row(m, r, gamma_decay, kappa, m_odd=1):
+    """(tau*_c, fidelity, p_no_click) of one row, built from the scalar route.
+
+    Raises what that route raises, with the zero-norm and [0, 1] checks of
+    the table's rows.
+    """
+    tau = renormalized_trapping_time(m, r, gamma_decay, kappa, m_odd)
+    amps = conditional_amplitudes(m, r, gamma_decay, kappa, tau)
+    p = amps.branch_norm_squared
+    if p <= 1e-300:
+        raise ValueError("conditional state has zero norm")
+    a1, a = trapped_amplitudes(m, r)
+    fidelity = min(abs(a1 * amps.b1 + (m - 1) * a * amps.b) / math.sqrt(p), 1.0)
+    DecoherenceReport(m=m, r=r, tau_star_c=tau, fidelity=fidelity, p_no_click=p)
+    return tau, fidelity, p
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+#: matched, unmatched both ways, zero and one-sided rates
+RATE_PAIRS = [(0.05, 0.05), (0.001, 0.02), (0.13, 0.04), (0.0, 0.0), (0.3, 0.0), (0.0, 0.7)]
+
+
+class TestDecayTable:
+    @pytest.mark.parametrize("gamma_decay, kappa", RATE_PAIRS)
+    @pytest.mark.parametrize("m_odd", [1, 3])
+    def test_bitwise_equal_to_scalar_route(self, gamma_decay, kappa, m_odd):
+        counts = range(2, 2001)
+        table = decay_robustness_scan(counts, gamma_decay, kappa, m_odd=m_odd)
+        expected = [
+            (m, scheme.tag, scheme.ratio(m), *scalar_row(m, scheme.ratio(m), gamma_decay, kappa, m_odd))
+            for m in counts
+            for scheme in (W_PLUS, W_PRIME)
+        ]
+        m, tags, r, tau, fidelity, p = zip(*expected)
+        assert table.m.tolist() == list(m)
+        assert table.scheme == tags
+        for got, want in [
+            (table.r, r),
+            (table.tau_star_c, tau),
+            (table.fidelity, fidelity),
+            (table.p_no_click, p),
+        ]:
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("scheme", [IDENTICAL, W_MINUS, CouplingScheme.custom(0.7)])
+    def test_other_schemes_bitwise(self, scheme):
+        table = decay_robustness_scan(range(2, 301), 0.02, 0.11, m_odd=3, schemes=[scheme])
+        expected = [scalar_row(m, scheme.ratio(m), 0.02, 0.11, 3) for m in range(2, 301)]
+        np.testing.assert_array_equal(
+            bits(np.column_stack([table.tau_star_c, table.fidelity, table.p_no_click])),
+            bits(expected),
+        )
+
+    def test_one_row_is_decohered_fidelity(self):
+        table = decay_robustness_scan([7], 0.004, 0.09, m_odd=5, schemes=[W_MINUS])
+        assert table[0] == decohered_fidelity(7, W_MINUS.ratio(7), 0.004, 0.09, 5, "w_minus")
+
+    def test_columns_are_read_only(self):
+        table = decay_robustness_scan(range(2, 5))
+        assert isinstance(table, DecoherenceTable) and len(table) == 6
+        for column in (table.m, table.r, table.tau_star_c, table.fidelity, table.p_no_click):
+            assert not column.flags.writeable
+            assert len(column) == 6
+        assert table.m.dtype == np.int64 and table.fidelity.dtype == np.float64
+
+    def test_counts_and_schemes_sorted_and_distinct(self):
+        table = decay_robustness_scan([5, 2, 5, 3], schemes=[W_PRIME, W_PLUS])
+        assert [(rep.m, rep.scheme) for rep in table] == [
+            (m, tag) for m in (2, 3, 5) for tag in ("w_plus", "w_prime")
+        ]
+
+    @pytest.mark.parametrize(
+        "gamma_decay, kappa, first_error",
+        [
+            (0.001, 9.0, "overdamped: 2*omega = 5.22625"),  # on every row
+            (0.0, 6.0, "overdamped: 2*omega = 5.22625"),  # on the first rows only
+            (5000.0, 5000.0, "zero norm"),  # on every row
+            # zero norm at (2, w_plus), just inside the trapped regime, before
+            # the overdamped (2, w_prime)
+            (0.001, 5.227251859505501, "zero norm"),
+        ],
+    )
+    def test_first_failing_row_raises_its_own_error(self, gamma_decay, kappa, first_error):
+        rows = [(m, scheme.ratio(m)) for m in range(2, 41) for scheme in (W_PLUS, W_PRIME)]
+        with pytest.raises(ValueError) as scalar:
+            for m, r in rows:
+                scalar_row(m, r, gamma_decay, kappa)
+        assert first_error in str(scalar.value)
+        with pytest.raises(type(scalar.value)) as table:
+            decay_robustness_scan(range(2, 41), gamma_decay, kappa)
+        assert str(table.value) == str(scalar.value)
+
+    def test_first_row_omega_checked_before_the_rates(self):
+        # the row-by-row route checked the first row's omega^2 before the rates
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            decay_robustness_scan([2], np.nan, 0.0, schemes=[CouplingScheme.custom(1e200)])
+        with pytest.raises(ConfigurationError, match="gamma_decay"):
+            decay_robustness_scan([2], np.nan, 0.0)
+
+    def test_overflow_raises_without_warning(self):
+        # pytest turns a numpy RuntimeWarning into an error, so none may leak
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            decay_robustness_scan(range(2, 9), schemes=[CouplingScheme.custom(1e200)])
+        with pytest.raises(ConfigurationError, match="time must be finite"):
+            decay_robustness_scan(range(2, 9), 0.0, 1e155, schemes=[CouplingScheme.custom(1e154)])
