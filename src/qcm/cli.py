@@ -47,6 +47,7 @@ from .protocols import (
     W_MINUS,
     W_PLUS,
     W_PRIME,
+    anticlone_fidelities,
     fidelity_curve,
     generate_w_state,
     optimize_coupling_ratio,
@@ -288,6 +289,10 @@ def cmd_wstate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: the anticlone schemes, in the order each qubit count checks them
+ANTICLONE_SCHEMES = (IDENTICAL, W_PLUS, W_MINUS, W_PRIME)
+
+
 def cmd_anticlone(args: argparse.Namespace) -> int:
     headers = [
         "m",
@@ -299,36 +304,54 @@ def cmd_anticlone(args: argparse.Namespace) -> int:
         "f1_minus",
         "f1_sep",
     ]
-    schemes = {"identical": IDENTICAL, "w_plus": W_PLUS, "w_minus": W_MINUS, "w_prime": W_PRIME}
-    rows = []
-    for m in qubit_counts(args, default=(2, 30)):
-        values = {}
-        for tag, scheme in schemes.items():
-            f_target, f_input = fidelity_curve(m, scheme)
-            report = run_anticlone(m, scheme, alpha=args.alpha)
-            pipeline_target = report.fidelities[-1]
-            pipeline_input = report.fidelities[0]
-            defect = max(abs(pipeline_target - f_target), abs(pipeline_input - f_input))
-            if defect > 1e-12:
-                raise CheckFailure(
-                    f"anticlone closed form disagrees with pipeline at m={m} "
-                    f"scheme={tag}: defect {defect:.3e}"
-                )
-            values[tag] = (f_target, f_input)
-        rows.append(
-            [
-                m,
-                values["identical"][0],
-                values["w_plus"][0],
-                values["w_prime"][0],
-                values["identical"][1],
-                values["w_plus"][1],
-                values["w_minus"][1],
-                values["w_prime"][1],
-            ]
-        )
-    write_table(headers, list(zip(*rows)), args)
+    counts = qubit_counts(args, default=(2, 30))
+    n = len(ANTICLONE_SCHEMES)
+    # (target, input) closed forms of each (M, scheme) row, M ascending, then
+    # scheme; fidelity_curve checks each count on its first row
+    closed = np.array([fidelity_curve(m, scheme) for m in counts for scheme in ANTICLONE_SCHEMES])
+    count_column = np.array(counts, dtype=np.int64)
+    m = np.repeat(count_column, n)
+    r = np.empty((len(counts), n))
+    for j, scheme in enumerate(ANTICLONE_SCHEMES):
+        r[:, j] = scheme.ratio(count_column.astype(float))
+    pipeline = np.empty_like(closed)
+    start = 0
+    for block in anticlone_fidelities(m, r.reshape(-1), args.alpha):
+        rows = slice(start, start + len(block))
+        pipeline[rows, 0] = block[np.arange(len(block)), m[rows] - 1]  # the last target qubit
+        pipeline[rows, 1] = block[:, 0]  # the input qubit
+        start = rows.stop
+    defect = np.max(abs(pipeline - closed), axis=1)  # NaN where the pipeline failed a check
+    # each flagged row is checked again, in order, through the one-register
+    # route, which raises its own error for the first row that fails there
+    for i in np.flatnonzero(~(defect <= 1e-12)):
+        _check_anticlone_row(int(m[i]), ANTICLONE_SCHEMES[i % n], args.alpha)
+    f = {scheme.tag: closed[j::n] for j, scheme in enumerate(ANTICLONE_SCHEMES)}
+    columns = [
+        counts,
+        f["identical"][:, 0],
+        f["w_plus"][:, 0],
+        f["w_prime"][:, 0],
+        f["identical"][:, 1],
+        f["w_plus"][:, 1],
+        f["w_minus"][:, 1],
+        f["w_prime"][:, 1],
+    ]
+    write_table(headers, columns, args)
     return EXIT_OK
+
+
+def _check_anticlone_row(m: int, scheme: CouplingScheme, alpha: float) -> None:
+    """Check one (M, scheme) row through ``run_anticlone``, the one-register
+    pipeline, against its closed form; raises on a failed check."""
+    f_target, f_input = fidelity_curve(m, scheme)
+    report = run_anticlone(m, scheme, alpha=alpha)
+    defect = max(abs(report.fidelities[-1] - f_target), abs(report.fidelities[0] - f_input))
+    if defect > 1e-12:
+        raise CheckFailure(
+            f"anticlone closed form disagrees with pipeline at m={m} "
+            f"scheme={scheme.tag}: defect {defect:.3e}"
+        )
 
 
 def cmd_decoherence(args: argparse.Namespace) -> int:

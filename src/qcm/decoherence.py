@@ -39,7 +39,7 @@ from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     _no_click_kernel,
     _trap_time,
 )
-from .protocols import W_PLUS, W_PRIME
+from .protocols import W_PLUS, W_PRIME, _in_unit_interval
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,6 @@ def no_click_probability(m: int, r: float, gamma_decay: float, kappa: float, t: 
     1/2 + branch/2, since the zero-excitation component does not decay.
     """
     return conditional_amplitudes(m, r, gamma_decay, kappa, t).branch_norm_squared
-
-
-def _in_unit_interval(x):
-    """Whether x (a float, or each entry of a column) lies in [0, 1], to 1e-12."""
-    return (x >= -1e-12) & (x <= 1.0 + 1e-12)
 
 
 @dataclass(frozen=True)

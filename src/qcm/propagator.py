@@ -100,19 +100,30 @@ _COLUMNS = SimpleNamespace(
 def _trap_time(omega2, gamma_decay: float, kappa: float, m_odd, libm=_FLOATS):
     """The m_odd'th trapping instant 2*m_odd*pi/sqrt(4*omega^2 - (kappa - Gamma)^2).
 
-    With ``libm=_COLUMNS`` omega2 is a float64 column; a row with no trapping
-    instant then comes back NaN or infinite instead of raising, so that the
-    caller can check its rows in order.
+    The discriminant must be finite: past about omega^2 = 4.5e307 it
+    overflows to inf (or to inf - inf = NaN), where the time would come back
+    0 or NaN.  With ``libm=_COLUMNS`` omega2 is a float64 column; a row with
+    no trapping instant or a non-finite discriminant then comes back NaN or
+    infinite instead of raising, so that the caller can check its rows in
+    order.
     """
     m_odd = check_odd_index(m_odd)
     check_non_negative("gamma_decay", gamma_decay)
     check_non_negative("kappa", kappa)
     detuning = kappa - gamma_decay
     disc = 4.0 * omega2 - detuning * detuning
-    if not libm.columns and disc <= 0.0:
-        raise OverdampedRegimeError(
-            f"overdamped: 2*omega = {2.0 * math.sqrt(omega2):.6g} <= "
-            f"|kappa - gamma_decay| = {abs(detuning):.6g}; no trapping instant exists"
+    if libm.columns:
+        disc = np.where(disc < math.inf, disc, math.nan)
+    elif not 0.0 < disc < math.inf:
+        if disc <= 0.0:
+            raise OverdampedRegimeError(
+                f"overdamped: 2*omega = {2.0 * math.sqrt(omega2):.6g} <= "
+                f"|kappa - gamma_decay| = {abs(detuning):.6g}; no trapping instant exists"
+            )
+        raise ConfigurationError(
+            f"trapping time must be finite, but 4*omega^2 - (kappa - gamma_decay)^2 "
+            f"is {disc} for omega^2 = {omega2:.6g}, gamma_decay = {gamma_decay:.6g}, "
+            f"kappa = {kappa:.6g}"
         )
     return 2.0 * m_odd * math.pi / libm.sqrt(disc)
 
@@ -196,27 +207,35 @@ def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
 def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     """Propagate a state through the closed form in O(M), for any input.
 
-    The ``_no_click_kernel`` scalars act on the qubit amplitudes x and the
-    photon amplitude p directly, with s = g.x: x <- dark*x + qubit*g*s +
-    edge*g*p and p <- edge*s + photon*p, which is U applied without
-    building it.  The index-0 (zero-excitation) amplitude is spliced through
-    unchanged; under decay the no-click result is flagged as not normalized.
+    ``_apply_kernel`` applies the ``_no_click_kernel`` scalars to the
+    amplitudes directly, which is U applied without building it.  The
+    index-0 (zero-excitation) amplitude is spliced through unchanged; under
+    decay the no-click result is flagged as not normalized.
     """
     if state.m != config.m:
         raise ValueError(f"state is for M={state.m} qubits, config for M={config.m}")
-    g = config.couplings
-    dark, qubit, edge, photon = _no_click_kernel(
-        config.omega**2, config.gamma_decay, config.kappa, t
-    )
+    kernel = _no_click_kernel(config.omega**2, config.gamma_decay, config.kappa, t)
     amps = np.array(state.amplitudes)
-    x, p = amps[1:-1], amps[-1]
-    s = g @ x
-    # qubit*(g*s) keeps the product order of U[j, k] = qubit*(g_j*g_k), so the
-    # excited-input column is bit-identical to closed_form_propagator's
-    amps[1:-1] = dark * x + qubit * (g * s) + edge * (g * p)
-    amps[-1] = edge * s + photon * p
+    _apply_kernel(amps, config.couplings, *kernel)
     lossless = not (config.gamma_decay or config.kappa)
     return StateVector(amplitudes=amps, normalized=state.normalized and lossless)
+
+
+def _apply_kernel(amps, g, dark, qubit, edge, photon) -> None:
+    """Apply the no-click propagator to amplitude vectors in place, in O(M).
+
+    ``amps[..., 1:-1]`` are the qubit amplitudes x and ``amps[..., -1]`` the
+    photon amplitude p; with s = g.x, x <- dark*x + qubit*g*s + edge*g*p and
+    p <- edge*s + photon*p.  ``amps`` and the couplings ``g`` may carry
+    leading axes, one register per row, with the kernel scalars as (..., 1)
+    columns; a register zero-padded in g and x stays exactly zero there.
+    """
+    x, p = amps[..., 1:-1], amps[..., -1:]
+    s = np.matmul(g[..., None, :], x[..., :, None])[..., 0]  # bit-identical to g @ x
+    # qubit*(g*s) keeps the product order of U[j, k] = qubit*(g_j*g_k), so the
+    # excited-input column is bit-identical to closed_form_propagator's
+    amps[..., 1:-1] = dark * x + qubit * (g * s) + edge * (g * p)
+    amps[..., -1:] = edge * s + photon * p
 
 
 def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:

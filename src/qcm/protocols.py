@@ -16,7 +16,10 @@ Both cost O(M): ``evolve`` applies the closed form's rank-two structure to
 the input without building the (M+1)^2 propagator, and one vectorised
 ``reduced_qubit_density`` call reduces every qubit, so the large registers
 where the paper places its robustness claims are reachable (M = 10^5 in
-about a tenth of a second).
+about a tenth of a second).  ``anticlone_fidelities`` runs the same
+arithmetic batched, on zero-padded blocks of many registers at once, for
+the pipeline check of ``qcm anticlone``; ``run_anticlone``, the
+one-register route, is the reference it is tested against.
 
 A scan/optimizer utility recovers the special coupling ratios numerically:
 |a1| = |a| at r = sqrt(M) +/- 1, and a1 = 0 (full transfer out of the input
@@ -39,7 +42,14 @@ from .model import (
     initial_state,
     star_config,
 )
-from .propagator import evolve, trapping_time
+from .propagator import (
+    _COLUMNS,
+    _apply_kernel,
+    _kernel_terms,
+    _trap_time,
+    evolve,
+    trapping_time,
+)
 
 SCHEME_TAGS = ("identical", "w_plus", "w_minus", "w_prime", "custom")
 
@@ -133,12 +143,17 @@ class ProtocolReport:
             fidelities = np.array(self.fidelities, dtype=float)
             fidelities.flags.writeable = False
             object.__setattr__(self, "fidelities", fidelities)
-            ok = (fidelities >= -1e-12) & (fidelities <= 1.0 + 1e-12)
+            ok = _in_unit_interval(fidelities)
             first = ok.argmin()  # the first value outside [0, 1], else the first one
             if not ok[first]:
                 raise ValueError(
                     f"fidelity of qubit {first + 1} outside [0, 1]: {fidelities[first]}"
                 )
+
+
+def _in_unit_interval(x):
+    """Whether x (a float, or each entry of an array) lies in [0, 1], to 1e-12."""
+    return (x >= -1e-12) & (x <= 1.0 + 1e-12)
 
 
 def trapped_amplitudes(m: int, r: float) -> tuple[float, float]:
@@ -211,13 +226,30 @@ def reduced_qubit_density(state: StateVector, j: int | np.ndarray) -> np.ndarray
     if index.dtype.kind not in "iu" or not np.all((index >= 1) & (index <= m)):
         raise IndexError(f"qubit index {j} is not an integer in 1..{m}")
     c = state.amplitudes
-    n2 = state.norm_squared
-    if n2 <= 1e-300:
+    if state.norm_squared <= 1e-300:
         raise ValueError("cannot reduce a zero-norm state")
-    excited = np.abs(c[index]) ** 2
-    coherence = c[0] * np.conj(c[index])
-    rho = np.stack([n2 - excited, coherence, np.conj(coherence), excited], axis=-1)
-    return rho.reshape(index.shape + (2, 2)) / n2
+    return _qubit_densities(c[0], c[index], state.norm_squared)
+
+
+def _qubit_densities(ground, qubits, norm_squared) -> np.ndarray:
+    """(..., 2, 2) reduced densities of the qubits with amplitudes ``qubits``.
+
+    ``ground`` (the zero-excitation amplitude) and ``norm_squared`` may be
+    scalars or columns broadcasting against ``qubits``, one state per row.
+    """
+    excited = np.abs(qubits) ** 2
+    coherence = ground * np.conj(qubits)
+    rho = np.stack([norm_squared - excited, coherence, np.conj(coherence), excited], axis=-1)
+    rho /= np.asarray(norm_squared)[..., None]
+    return rho.reshape(qubits.shape + (2, 2))
+
+
+def _complement_fidelities(rho: np.ndarray, alpha: float) -> np.ndarray:
+    """Fidelity of each density in ``rho`` (..., 2, 2) with the orthogonal
+    complement of the equatorial input, the equatorial state of phase alpha - pi."""
+    mu = alpha - np.pi
+    target = np.array([1.0, np.exp(1j * mu)]) / np.sqrt(2.0)
+    return np.einsum("i,...ij,j->...", target.conj(), rho, target).real
 
 
 def equatorial_qubit_density(u_j1: float, alpha: float) -> np.ndarray:
@@ -305,8 +337,6 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
     config = star_config(m, r)
     tau = trapping_time(config)
     state = evolve(initial_state(np.pi / 2.0, alpha, config), config, tau)
-    mu = alpha - np.pi
-    target = np.array([1.0, np.exp(1j * mu)]) / np.sqrt(2.0)
     rho = reduced_qubit_density(state, np.arange(1, m + 1))
     # branch amplitudes with the input superposition factors stripped off
     rescale = np.sqrt(2.0) * np.exp(-1j * alpha)
@@ -320,8 +350,76 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
         a1=a1,
         a=a,
         classification=classify_trapped_state(a1, a),
-        fidelities=(target.conj() @ rho @ target).real,
+        fidelities=_complement_fidelities(rho, alpha),
     )
+
+
+#: padded amplitudes per block of ``anticlone_fidelities`` (64 KB of
+#: complex): a block's temporaries stay under 1 MB whatever the counts, and
+#: small enough for malloc to reuse them, where blocks of 2**13 or 2**14
+#: amplitudes page-faulted afresh about 1000 to 2000 times a sweep
+_BLOCK_AMPLITUDES = 2**12
+
+
+def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0):
+    """``run_anticlone``'s per-qubit fidelities for many star registers, block by block.
+
+    Row i is the register of m[i] >= 2 qubits (an integer column of checked
+    counts) with coupling ratio r[i].  Yields consecutive rows, in order, as
+    (rows, max m) float64 blocks of at most ``_BLOCK_AMPLITUDES`` padded
+    amplitudes (or of one larger row); row i's qubits fill its first m[i]
+    entries, and the rest is padding.  The couplings are zero-padded, the
+    kernel scalars come as columns, and ``_apply_kernel``,
+    ``_qubit_densities`` and ``_complement_fidelities`` do the arithmetic of
+    ``run_anticlone``; only omega^2 is r^2 + M - 1 here, so entries agree
+    with ``run_anticlone`` to about 1e-16, not bit for bit.
+
+    alpha is checked once, up front.  A row that fails any other check
+    ``run_anticlone`` makes (the ratio, omega^2, the time, finite amplitudes
+    of unit norm, fidelities in [0, 1]) comes back NaN; ``run_anticlone``
+    raises that check's error on it.
+    """
+    state = initial_state(np.pi / 2.0, alpha, star_config(1, 1.0))
+    ground, excited = state.amplitudes[:2]
+    start, widest = 0, 0
+    for i, count in enumerate(m.tolist()):
+        widest = max(widest, count)
+        if i > start and (i + 1 - start) * (widest + 2) > _BLOCK_AMPLITUDES:
+            yield _anticlone_block(m[start:i], r[start:i], ground, excited, alpha)
+            start, widest = i, count
+    if start < m.size:
+        yield _anticlone_block(m[start:], r[start:], ground, excited, alpha)
+
+
+def _anticlone_block(m, r, ground, excited, alpha):
+    """Padded per-qubit fidelities of the rows (m[i], r[i]); failing rows NaN."""
+    rows, width = m.size, int(m.max())
+    # a row that fails its checks may overflow on the way, as it would not
+    # have got that far in run_anticlone
+    with np.errstate(all="ignore"):
+        omega2 = r * r + (m - 1.0)  # as _star_omega_squared
+        tau = _trap_time(omega2, 0.0, 0.0, 1, _COLUMNS)
+        dark, qubit, damped_sinc, photon = _kernel_terms(omega2, 0.0, 0.0, tau, _COLUMNS)
+        g = np.zeros((rows, width))
+        g[:, 0] = r
+        g[:, 1:] = np.arange(2, width + 1) <= m[:, None]
+        amps = np.zeros((rows, width + 2), dtype=complex)
+        amps[:, 0], amps[:, 1] = ground, excited
+        kernel = (dark, qubit, -1j * damped_sinc, photon)
+        _apply_kernel(amps, g, *(column[:, None] for column in kernel))
+        n2 = np.sum(np.abs(amps) ** 2, axis=-1)  # as StateVector
+        rho = _qubit_densities(ground, amps[:, 1:-1], n2[:, None])
+        fidelities = _complement_fidelities(rho, alpha)
+        ok = (
+            (r > 0.0) & (r < math.inf)
+            & (omega2 > 0.0) & (omega2 < math.inf)
+            & (tau >= 0.0) & (tau < math.inf)
+            & np.isfinite(amps).all(axis=-1)
+            & (abs(n2 - 1.0) <= 1e-12) & (n2 > 1e-300)
+            & _in_unit_interval(fidelities).all(axis=-1)
+        )
+    fidelities[~ok] = np.nan
+    return fidelities
 
 
 OPTIMIZER_OBJECTIVES = ("w_symmetry", "target_fidelity", "separable_transfer")

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcm.cli as cli
 from qcm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -16,7 +18,14 @@ from qcm.cli import (
 )
 from qcm.decoherence import conditional_amplitudes, renormalized_trapping_time
 from qcm.model import ConfigurationError
-from qcm.protocols import W_MINUS, W_PLUS, W_PRIME, CouplingScheme, trapped_amplitudes
+from qcm.protocols import (
+    W_MINUS,
+    W_PLUS,
+    W_PRIME,
+    CouplingScheme,
+    run_anticlone,
+    trapped_amplitudes,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,8 +227,90 @@ class TestAnticloneCommand:
         assert out == ""
         assert f"alpha must be finite, got {alpha}" in err
 
+    @pytest.mark.parametrize(
+        "shifted, named",
+        [
+            ({(7, "w_minus")}, "m=7 scheme=w_minus"),
+            # the first row in the loop order: M ascending, then identical,
+            # w_plus, w_minus, w_prime
+            ({(9, "identical"), (6, "w_prime")}, "m=6 scheme=w_prime"),
+            ({(6, "w_prime"), (6, "w_plus")}, "m=6 scheme=w_plus"),
+        ],
+    )
+    def test_closed_form_defect_fails_the_check(self, capsys, monkeypatch, shifted, named):
+        exact = cli.fidelity_curve
+
+        def moved(m, scheme):
+            f_target, f_input = exact(m, scheme)
+            return (f_target + 1e-9 if (m, scheme.tag) in shifted else f_target), f_input
+
+        monkeypatch.setattr(cli, "fidelity_curve", moved)
+        code, out, err = run_cli(capsys, ["anticlone", "--m-range", "2:12", "--alpha", "0.6"])
+        assert code == EXIT_TOLERANCE
+        assert out == ""
+        assert err == (
+            f"error: anticlone closed form disagrees with pipeline at {named}: defect 1.000e-09\n"
+        )
+
+    def test_rows_the_batch_flags_are_decided_by_run_anticlone(self, capsys, monkeypatch):
+        # a batch row that comes back NaN is checked again through
+        # run_anticlone, which passes it here, so the table is unchanged
+        _, expected, _ = run_cli(capsys, ["anticlone", "--m-range", "2:150"])
+        batched, flagged, replayed = cli.anticlone_fidelities, [], []
+
+        def one_nan_row_per_block(m, r, alpha):
+            start = 0
+            for block in batched(m, r, alpha):
+                block[len(block) // 2] = np.nan
+                flagged.append((int(m[start + len(block) // 2]), (start + len(block) // 2) % 4))
+                start += len(block)
+                yield block
+
+        def recorded(m, scheme, alpha):
+            replayed.append((m, cli.ANTICLONE_SCHEMES.index(scheme)))
+            return run_anticlone(m, scheme, alpha)
+
+        monkeypatch.setattr(cli, "anticlone_fidelities", one_nan_row_per_block)
+        monkeypatch.setattr(cli, "run_anticlone", recorded)
+        code, out, err = run_cli(capsys, ["anticlone", "--m-range", "2:150"])
+        assert (code, out, err) == (EXIT_OK, expected, "")
+        assert len(flagged) > 1 and replayed == flagged
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--m", "0"], "need m >= 2, got 0"),
+            (["--m-range", "2:40", "--alpha", "nan"], "alpha must be finite, got nan"),
+        ],
+    )
+    def test_config_errors_come_before_the_batch(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, ["anticlone", *argv])
+        assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+    def test_peak_memory_stays_bounded(self, capsys):
+        # rows are padded to the widest register of their block, and a block
+        # holds at most a fixed number of amplitudes: unblocked, one complex
+        # temporary of these 5996 rows padded to 1500 qubits would be 144 MB
+        tracemalloc.start()
+        try:
+            code = main(["anticlone", "--m-range", "2:1500"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert peak < 8e6
+
 
 class TestDecoherenceCommand:
+    def test_non_finite_discriminant_names_omega_and_rates(self, capsys):
+        # used to exit 2 with "time must be finite and >= 0, got nan"
+        code, out, err = run_cli(
+            capsys, ["decoherence", "--m", "2", "--r", "1e154", "--kappa", "1e155"]
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "is nan for omega^2 = 1e+308, gamma_decay = 0.001, kappa = 1e+155" in err
+
     def test_default_rates_and_survival(self, capsys):
         code, out, _ = run_cli(capsys, ["decoherence"])
         assert code == EXIT_OK

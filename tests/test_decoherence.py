@@ -250,6 +250,16 @@ class TestRenormalizedTrappingTime:
         with pytest.raises(ConfigurationError, match="omega\\^2"):
             renormalized_trapping_time(2, 1e200, 0.0, 0.0)
 
+    def test_non_finite_discriminant_rejected(self):
+        # inf - inf used to come back as a trapping time of nan
+        with pytest.raises(ConfigurationError) as caught:
+            renormalized_trapping_time(2, 1e154, 0.0, 1e155)
+        assert not isinstance(caught.value, OverdampedRegimeError)
+        assert str(caught.value) == (
+            "trapping time must be finite, but 4*omega^2 - (kappa - gamma_decay)^2 "
+            "is nan for omega^2 = 1e+308, gamma_decay = 0, kappa = 1e+155"
+        )
+
 
 class TestNoClickProbability:
     def test_equal_rates_pure_exponential(self):
@@ -491,6 +501,8 @@ class TestDecayTable:
             # zero norm at (2, w_plus), just inside the trapped regime, before
             # the overdamped (2, w_prime)
             (0.001, 5.227251859505501, "zero norm"),
+            # (kappa - Gamma)^2 overflows: overdamped, not a non-finite discriminant
+            (0.0, 1e155, "overdamped: 2*omega = 5.22625 <= |kappa - gamma_decay| = 1e+155"),
         ],
     )
     def test_first_failing_row_raises_its_own_error(self, gamma_decay, kappa, first_error):
@@ -501,6 +513,22 @@ class TestDecayTable:
         assert first_error in str(scalar.value)
         with pytest.raises(type(scalar.value)) as table:
             decay_robustness_scan(range(2, 41), gamma_decay, kappa)
+        assert str(table.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("gamma_decay, kappa", [(0.0, 1e155), (0.0, 0.0), (0.001, 0.02)])
+    def test_non_finite_discriminant_row_raises_its_own_error(self, gamma_decay, kappa):
+        # omega^2 = 1e308 passes its check, but 4*omega^2 overflows: the
+        # row's time came back nan (first case) or 0.0 with a trapped state
+        # that is not one (the others); custom sorts before w_plus, so it is
+        # the first row, and the table and the scalar route both name it
+        schemes = [W_PLUS, CouplingScheme.custom(1e154)]
+        with pytest.raises(ConfigurationError) as scalar:
+            for m in range(2, 6):
+                for scheme in sorted(schemes, key=lambda scheme: scheme.tag):
+                    scalar_row(m, scheme.ratio(m), gamma_decay, kappa)
+        assert "trapping time must be finite, but 4*omega^2" in str(scalar.value)
+        with pytest.raises(ConfigurationError) as table:
+            decay_robustness_scan(range(2, 6), gamma_decay, kappa, schemes=schemes)
         assert str(table.value) == str(scalar.value)
 
     def test_first_row_omega_checked_before_the_rates(self):

@@ -456,6 +456,25 @@ class TestTrappingTime:
         with pytest.raises(OverdampedRegimeError):
             trapping_time(config)
 
+    @pytest.mark.parametrize(
+        "r, kappa, disc",
+        [
+            (1e154, 1e155, "nan"),  # 4*omega^2 - (kappa - Gamma)^2 = inf - inf
+            (1e154, 0.0, "inf"),  # 4*omega^2 overflows; the time came back 0.0
+        ],
+    )
+    def test_non_finite_discriminant_rejected(self, r, kappa, disc):
+        # the NaN case used to return nan, caught only later as a bad time
+        with pytest.raises(ConfigurationError) as caught:
+            trapping_time(star_config(2, r, kappa=kappa))
+        assert not isinstance(caught.value, OverdampedRegimeError)
+        message = str(caught.value)
+        assert f"is {disc} for omega^2 = 1e+308" in message
+        assert f"gamma_decay = 0, kappa = {kappa:.6g}" in message
+        # the overdamped regime keeps its own error
+        with pytest.raises(OverdampedRegimeError):
+            trapping_time(star_config(2, 1.0, kappa=1e155))
+
     def test_w_plus_traps_faster_than_w_prime(self):
         for m in range(3, 12):
             fast = trapping_time(star_config(m, np.sqrt(m) + 1.0))

@@ -4,12 +4,14 @@ import pytest
 from qcm.model import ConfigurationError, StateVector, initial_state, star_config
 from qcm.propagator import closed_form_propagator, evolve, trapping_time
 from qcm.protocols import (
+    _BLOCK_AMPLITUDES,
     CouplingScheme,
     IDENTICAL,
     ProtocolReport,
     W_MINUS,
     W_PLUS,
     W_PRIME,
+    anticlone_fidelities,
     classify_trapped_state,
     copy_fidelity,
     equatorial_qubit_density,
@@ -382,6 +384,62 @@ class TestRunAnticlone:
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
             run_anticlone(3, W_PLUS, alpha=alpha)
+
+
+def star_rows(counts, schemes):
+    """(m, r) columns of the rows (M, scheme), M in ``counts``, then scheme."""
+    m = np.repeat(np.array(counts, dtype=np.int64), len(schemes))
+    r = np.array([scheme.ratio(int(count)) for count in counts for scheme in schemes])
+    return m, r
+
+
+def batched_rows(m, r, alpha):
+    """The rows of every block of ``anticlone_fidelities``, each cut to its qubits."""
+    rows = [row for block in anticlone_fidelities(m, r, alpha) for row in block]
+    assert len(rows) == m.size
+    return [row[:count] for row, count in zip(rows, m.tolist())]
+
+
+class TestAnticloneFidelities:
+    @pytest.mark.parametrize("alpha", [0.0, 1.1, 4.32])
+    def test_agrees_with_run_anticlone(self, alpha):
+        m, r = star_rows(range(2, 301), ALL_SCHEMES)
+        batched = batched_rows(m, r, alpha)
+        for i, got in enumerate(batched):
+            reference = run_anticlone(int(m[i]), ALL_SCHEMES[i % 4], alpha).fidelities
+            np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-15)
+
+    def test_blocks_are_bounded_and_cover_the_rows_in_order(self):
+        # a register wider than a block gets a block of its own
+        counts = list(range(2, 200)) + [3 * _BLOCK_AMPLITUDES, 5]
+        m, r = star_rows(counts, (W_PLUS, W_PRIME))
+        start = 0
+        for block in anticlone_fidelities(m, r, 0.3):
+            rows = m[start : start + len(block)]
+            assert block.shape == (len(block), rows.max())
+            assert len(block) == 1 or block.size + 2 * len(block) <= _BLOCK_AMPLITUDES
+            assert np.all(np.isfinite(block))
+            start += len(block)
+        assert start == m.size
+
+    def test_rows_failing_a_check_come_back_nan(self):
+        # omega^2 = inf, and 4*omega^2 = inf with omega^2 finite, amid good rows
+        bad = (CouplingScheme.custom(1e200), CouplingScheme.custom(1e154))
+        m, r = star_rows([4], (W_PLUS,) + bad + (W_PRIME,))
+        rows = batched_rows(m, r, 0.5)
+        assert [bool(np.all(np.isnan(row))) for row in rows] == [False, True, True, False]
+        assert all(np.all(np.isfinite(row)) for row in (rows[0], rows[3]))
+        # the one-register route raises each failed check's own error
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            run_anticlone(4, bad[0])
+        with pytest.raises(ConfigurationError, match="trapping time must be finite"):
+            run_anticlone(4, bad[1])
+
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        m, r = star_rows([3], ALL_SCHEMES)
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            next(anticlone_fidelities(m, r, alpha))
 
 
 class TestProtocolReport:
