@@ -314,13 +314,7 @@ def cmd_anticlone(args: argparse.Namespace) -> int:
     r = np.empty((len(counts), n))
     for j, scheme in enumerate(ANTICLONE_SCHEMES):
         r[:, j] = scheme.ratio(count_column.astype(float))
-    pipeline = np.empty_like(closed)
-    start = 0
-    for block in anticlone_fidelities(m, r.reshape(-1), args.alpha):
-        rows = slice(start, start + len(block))
-        pipeline[rows, 0] = block[np.arange(len(block)), m[rows] - 1]  # the last target qubit
-        pipeline[rows, 1] = block[:, 0]  # the input qubit
-        start = rows.stop
+    pipeline = anticlone_fidelities(m, r.reshape(-1), args.alpha)  # (target, input), as closed
     defect = np.max(abs(pipeline - closed), axis=1)  # NaN where the pipeline failed a check
     # each flagged row is checked again, in order, through the one-register
     # route, which raises its own error for the first row that fails there
@@ -375,13 +369,17 @@ def cmd_decoherence(args: argparse.Namespace) -> int:
 def _parse_r_grid(text: str, m: int) -> np.ndarray:
     if text is None:
         return np.linspace(0.1, 4.0 * np.sqrt(m), 64)
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigurationError(f"r-grid must be START:STOP:COUNT, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ConfigurationError(
+            f"r-grid must be START:STOP:COUNT with numbers START and STOP and an "
+            f"integer COUNT, got {text!r}"
+        ) from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigurationError(f"r-grid START and STOP must be finite, got {text!r}")
-    count = check_count("r-grid COUNT", int(parts[2]), 0)
+    count = check_count("r-grid COUNT", count, 0)
     if count < 1 or stop < start or start <= 0.0:
         raise ConfigurationError("empty r-grid")
     return np.linspace(start, stop, count)
@@ -485,11 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_m_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigurationError(f"m-range must be A:B, got {text!r}")
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise ConfigurationError(
+            f"m-range must be A:B with integers A and B, got {text!r}"
+        ) from None
     # every command that reads --m-range needs two qubits
-    lo, hi = (check_count("m", int(part), 2) for part in parts)
+    lo, hi = (check_count("m", count, 2) for count in (lo, hi))
     if hi < lo:
         raise ConfigurationError(f"empty m-range {text!r}")
     return lo, hi

@@ -37,6 +37,7 @@ from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     OverdampedRegimeError,
     _kernel_terms,
     _no_click_kernel,
+    _star_column,
     _trap_time,
 )
 from .protocols import W_PLUS, W_PRIME, _in_unit_interval
@@ -79,18 +80,11 @@ def conditional_amplitudes(
 ) -> ConditionalAmplitudes:
     """No-click amplitudes at time t, starting from the excited input qubit.
 
-    The propagator's first column for gamma_1 = r, from the kernel scalars:
-    b = r*qubit, b1 = dark + r*b (the input qubit's own free decay on top of
-    the shared partner response) and b_photon = r*edge.
+    The propagator's first column for gamma_1 = r (``_star_column``).
     """
     dark, qubit, edge, _ = _no_click_kernel(_star_omega_squared(m, r), gamma_decay, kappa, t)
-    b = r * qubit
-    return ConditionalAmplitudes(
-        m=m,
-        b1=complex(dark + r * b),
-        b=complex(b),
-        b_photon=complex(r * edge),
-    )
+    b1, b, b_photon = _star_column(r, dark, qubit, edge)
+    return ConditionalAmplitudes(m=m, b1=complex(b1), b=complex(b), b_photon=complex(b_photon))
 
 
 def renormalized_trapping_time(
@@ -189,9 +183,9 @@ def _decay_columns(m: np.ndarray, r: np.ndarray, gamma_decay: float, kappa: floa
         n = m.size if trapped.all() else int(trapped.argmin())
         mn, rn, omega2n = m[:n], r[:n], omega2[:n]
         dark, qubit, damped_sinc, _ = _kernel_terms(omega2n, gamma_decay, kappa, tau[:n], _COLUMNS)
-        b = rn * qubit
-        b1 = dark + rn * b  # conditional_amplitudes' b1 and b, with |b_photon| = |r*E*S|
-        p = _branch_norm_squared(mn, abs(b1), abs(b), abs(rn * damped_sinc), _COLUMNS)
+        # conditional_amplitudes' column, with |b_photon| = |r*E*S|
+        b1, b, photon = _star_column(rn, dark, qubit, damped_sinc)
+        p = _branch_norm_squared(mn, abs(b1), abs(b), abs(photon), _COLUMNS)
         a1 = (mn - 1.0 - rn * rn) / omega2n  # as trapped_amplitudes
         a = -2.0 * rn / omega2n
         fidelity = np.minimum(abs(a1 * b1 + (mn - 1.0) * a * b) / np.sqrt(p), 1.0)

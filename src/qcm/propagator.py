@@ -179,6 +179,17 @@ def _kernel_terms(omega2, gamma_decay: float, kappa: float, t, libm=_FLOATS) -> 
     return dark, qubit, decay * sinc, decay * (c - d * sinc)
 
 
+def _star_column(r, dark, qubit, edge) -> tuple:
+    """(b1, b, photon): the propagator's first column for gamma_1 = r, gamma_j>1 = 1.
+
+    From the kernel scalars: b = r*qubit on each of the M-1 partners, b1 =
+    dark + r*b on the input qubit (its own free decay on top of the shared
+    partner response) and photon = r*edge; floats or float64 columns.
+    """
+    b = r * qubit
+    return dark + r * b, b, r * edge
+
+
 def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
     """Analytic propagator U(t) = exp(-iGt) on the one-excitation block.
 
@@ -207,35 +218,27 @@ def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
 def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     """Propagate a state through the closed form in O(M), for any input.
 
-    ``_apply_kernel`` applies the ``_no_click_kernel`` scalars to the
-    amplitudes directly, which is U applied without building it.  The
-    index-0 (zero-excitation) amplitude is spliced through unchanged; under
-    decay the no-click result is flagged as not normalized.
+    The ``_no_click_kernel`` scalars act on the qubit amplitudes x and the
+    photon amplitude p directly, with s = g.x: x <- dark*x + qubit*g*s +
+    edge*g*p and p <- edge*s + photon*p, which is U applied without
+    building it.  The index-0 (zero-excitation) amplitude is spliced through
+    unchanged; under decay the no-click result is flagged as not normalized.
     """
     if state.m != config.m:
         raise ValueError(f"state is for M={state.m} qubits, config for M={config.m}")
-    kernel = _no_click_kernel(config.omega**2, config.gamma_decay, config.kappa, t)
+    g = config.couplings
+    dark, qubit, edge, photon = _no_click_kernel(
+        config.omega**2, config.gamma_decay, config.kappa, t
+    )
     amps = np.array(state.amplitudes)
-    _apply_kernel(amps, config.couplings, *kernel)
-    lossless = not (config.gamma_decay or config.kappa)
-    return StateVector(amplitudes=amps, normalized=state.normalized and lossless)
-
-
-def _apply_kernel(amps, g, dark, qubit, edge, photon) -> None:
-    """Apply the no-click propagator to amplitude vectors in place, in O(M).
-
-    ``amps[..., 1:-1]`` are the qubit amplitudes x and ``amps[..., -1]`` the
-    photon amplitude p; with s = g.x, x <- dark*x + qubit*g*s + edge*g*p and
-    p <- edge*s + photon*p.  ``amps`` and the couplings ``g`` may carry
-    leading axes, one register per row, with the kernel scalars as (..., 1)
-    columns; a register zero-padded in g and x stays exactly zero there.
-    """
-    x, p = amps[..., 1:-1], amps[..., -1:]
-    s = np.matmul(g[..., None, :], x[..., :, None])[..., 0]  # bit-identical to g @ x
+    x, p = amps[1:-1], amps[-1]
+    s = g @ x
     # qubit*(g*s) keeps the product order of U[j, k] = qubit*(g_j*g_k), so the
     # excited-input column is bit-identical to closed_form_propagator's
-    amps[..., 1:-1] = dark * x + qubit * (g * s) + edge * (g * p)
-    amps[..., -1:] = edge * s + photon * p
+    amps[1:-1] = dark * x + qubit * (g * s) + edge * (g * p)
+    amps[-1] = edge * s + photon * p
+    lossless = not (config.gamma_decay or config.kappa)
+    return StateVector(amplitudes=amps, normalized=state.normalized and lossless)
 
 
 def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:
@@ -322,6 +325,9 @@ def rk4_propagate_many(
     """
     if len(generators) != len(amplitude_vectors):
         raise ValueError("generators and amplitude vectors must pair up")
+    times = np.asarray(times, dtype=float)
+    if times.shape != (len(generators),):
+        raise ValueError(f"need one time per generator, got {times.size} for {len(generators)}")
     if len(generators) == 0:
         return []
     dims = [g.shape[0] for g in generators]
@@ -331,7 +337,7 @@ def rk4_propagate_many(
     for i, (gen, vec) in enumerate(zip(generators, amplitude_vectors)):
         g[i, : dims[i], : dims[i]] = gen
         psi[i, : dims[i]] = vec
-    out = rk4_propagate(g, psi, np.asarray(times, dtype=float), dt)
+    out = rk4_propagate(g, psi, times, dt)
     return [out[i, : dims[i]] for i in range(len(generators))]
 
 

@@ -16,10 +16,11 @@ Both cost O(M): ``evolve`` applies the closed form's rank-two structure to
 the input without building the (M+1)^2 propagator, and one vectorised
 ``reduced_qubit_density`` call reduces every qubit, so the large registers
 where the paper places its robustness claims are reachable (M = 10^5 in
-about a tenth of a second).  ``anticlone_fidelities`` runs the same
-arithmetic batched, on zero-padded blocks of many registers at once, for
-the pipeline check of ``qcm anticlone``; ``run_anticlone``, the
-one-register route, is the reference it is tested against.
+about a tenth of a second).  The pipeline check of ``qcm anticlone`` runs
+the same arithmetic batched in ``anticlone_fidelities``, in O(1) per
+register: the M-1 partners couple alike, so a star register holds only
+three distinct amplitudes.  ``run_anticlone``, the one-register route, is
+the reference it is tested against.
 
 A scan/optimizer utility recovers the special coupling ratios numerically:
 |a1| = |a| at r = sqrt(M) +/- 1, and a1 = 0 (full transfer out of the input
@@ -38,14 +39,15 @@ from .model import (
     StateVector,
     _star_omega_squared,
     check_count,
+    check_finite,
     check_positive,
     initial_state,
     star_config,
 )
 from .propagator import (
     _COLUMNS,
-    _apply_kernel,
     _kernel_terms,
+    _star_column,
     _trap_time,
     evolve,
     trapping_time,
@@ -174,6 +176,8 @@ def classify_trapped_state(a1: float, a: float) -> str:
     all M amplitudes share a magnitude, with qubit 1 carrying the same or
     the opposite sign; anything else is generic.
     """
+    check_finite("a1", a1)
+    check_finite("a", a)
     if abs(a1) < CLASSIFY_TOL:
         return "separable_W"
     if abs(a1 - a) < CLASSIFY_TOL:
@@ -263,6 +267,8 @@ def equatorial_qubit_density(u_j1: float, alpha: float) -> np.ndarray:
 
     Used as the independent cross-check of ``reduced_qubit_density``.
     """
+    check_finite("u_j1", u_j1)
+    check_finite("alpha", alpha)
     phase = np.exp(1j * alpha)
     return 0.5 * np.array(
         [
@@ -279,6 +285,9 @@ def transfer_fidelity_formula(u_j1: float, alpha: float, mu: float) -> float:
     F = (1 + u_j1 * cos(alpha - mu)) / 2, given the real transfer amplitude
     u_j1 from the input qubit.
     """
+    check_finite("u_j1", u_j1)
+    check_finite("alpha", alpha)
+    check_finite("mu", mu)
     return 0.5 * (1.0 + u_j1 * np.cos(alpha - mu))
 
 
@@ -289,6 +298,7 @@ def copy_fidelity(config, j: int, t: float, alpha: float, mu: float) -> float:
     and projects onto the equatorial state with phase mu.  Agrees with
     ``transfer_fidelity_formula`` evaluated at U_j1(t) to 1e-12.
     """
+    check_finite("mu", mu)
     state = evolve(initial_state(np.pi / 2.0, alpha, config), config, t)
     rho = reduced_qubit_density(state, j)
     target = np.array([1.0, np.exp(1j * mu)]) / np.sqrt(2.0)
@@ -354,67 +364,40 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
     )
 
 
-#: padded amplitudes per block of ``anticlone_fidelities`` (64 KB of
-#: complex): a block's temporaries stay under 1 MB whatever the counts, and
-#: small enough for malloc to reuse them, where blocks of 2**13 or 2**14
-#: amplitudes page-faulted afresh about 1000 to 2000 times a sweep
-_BLOCK_AMPLITUDES = 2**12
-
-
-def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0):
-    """``run_anticlone``'s per-qubit fidelities for many star registers, block by block.
+def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+    """``run_anticlone``'s (partner, input qubit) fidelities for many star registers.
 
     Row i is the register of m[i] >= 2 qubits (an integer column of checked
-    counts) with coupling ratio r[i].  Yields consecutive rows, in order, as
-    (rows, max m) float64 blocks of at most ``_BLOCK_AMPLITUDES`` padded
-    amplitudes (or of one larger row); row i's qubits fill its first m[i]
-    entries, and the rest is padding.  The couplings are zero-padded, the
-    kernel scalars come as columns, and ``_apply_kernel``,
-    ``_qubit_densities`` and ``_complement_fidelities`` do the arithmetic of
-    ``run_anticlone``; only omega^2 is r^2 + M - 1 here, so entries agree
-    with ``run_anticlone`` to about 1e-16, not bit for bit.
+    counts) with coupling ratio r[i]; the (rows, 2) float64 result holds the
+    fidelity of its partners and of qubit 1, in ``fidelity_curve``'s order.
+    The M-1 partners couple alike, so they share one amplitude and one
+    fidelity, and each row takes its three distinct amplitudes from the
+    propagator's first column (``_star_column``) in O(1).  omega^2 is
+    r^2 + M - 1 here and the products are ordered otherwise than in
+    ``evolve``, so entries agree with ``run_anticlone`` to about 1e-16, not
+    bit for bit.
 
     alpha is checked once, up front.  A row that fails any other check
     ``run_anticlone`` makes (the ratio, omega^2, the time, finite amplitudes
     of unit norm, fidelities in [0, 1]) comes back NaN; ``run_anticlone``
     raises that check's error on it.
     """
-    state = initial_state(np.pi / 2.0, alpha, star_config(1, 1.0))
-    ground, excited = state.amplitudes[:2]
-    start, widest = 0, 0
-    for i, count in enumerate(m.tolist()):
-        widest = max(widest, count)
-        if i > start and (i + 1 - start) * (widest + 2) > _BLOCK_AMPLITUDES:
-            yield _anticlone_block(m[start:i], r[start:i], ground, excited, alpha)
-            start, widest = i, count
-    if start < m.size:
-        yield _anticlone_block(m[start:], r[start:], ground, excited, alpha)
-
-
-def _anticlone_block(m, r, ground, excited, alpha):
-    """Padded per-qubit fidelities of the rows (m[i], r[i]); failing rows NaN."""
-    rows, width = m.size, int(m.max())
+    ground, excited = initial_state(np.pi / 2.0, alpha, star_config(1, 1.0)).amplitudes[:2]
     # a row that fails its checks may overflow on the way, as it would not
     # have got that far in run_anticlone
     with np.errstate(all="ignore"):
         omega2 = r * r + (m - 1.0)  # as _star_omega_squared
         tau = _trap_time(omega2, 0.0, 0.0, 1, _COLUMNS)
-        dark, qubit, damped_sinc, photon = _kernel_terms(omega2, 0.0, 0.0, tau, _COLUMNS)
-        g = np.zeros((rows, width))
-        g[:, 0] = r
-        g[:, 1:] = np.arange(2, width + 1) <= m[:, None]
-        amps = np.zeros((rows, width + 2), dtype=complex)
-        amps[:, 0], amps[:, 1] = ground, excited
-        kernel = (dark, qubit, -1j * damped_sinc, photon)
-        _apply_kernel(amps, g, *(column[:, None] for column in kernel))
-        n2 = np.sum(np.abs(amps) ** 2, axis=-1)  # as StateVector
-        rho = _qubit_densities(ground, amps[:, 1:-1], n2[:, None])
+        dark, qubit, damped_sinc, _ = _kernel_terms(omega2, 0.0, 0.0, tau, _COLUMNS)
+        x1, x, photon = (excited * b for b in _star_column(r, dark, qubit, -1j * damped_sinc))
+        n2 = abs(ground) ** 2 + abs(x1) ** 2 + (m - 1.0) * abs(x) ** 2 + abs(photon) ** 2
+        rho = _qubit_densities(ground, np.stack([x, x1], axis=-1), n2[:, None])
         fidelities = _complement_fidelities(rho, alpha)
         ok = (
             (r > 0.0) & (r < math.inf)
             & (omega2 > 0.0) & (omega2 < math.inf)
             & (tau >= 0.0) & (tau < math.inf)
-            & np.isfinite(amps).all(axis=-1)
+            & np.isfinite(x1) & np.isfinite(x) & np.isfinite(photon)
             & (abs(n2 - 1.0) <= 1e-12) & (n2 > 1e-300)
             & _in_unit_interval(fidelities).all(axis=-1)
         )

@@ -23,6 +23,7 @@ from qcm.protocols import (
     W_PLUS,
     W_PRIME,
     CouplingScheme,
+    fidelity_curve,
     run_anticlone,
     trapped_amplitudes,
 )
@@ -258,23 +259,22 @@ class TestAnticloneCommand:
         _, expected, _ = run_cli(capsys, ["anticlone", "--m-range", "2:150"])
         batched, flagged, replayed = cli.anticlone_fidelities, [], []
 
-        def one_nan_row_per_block(m, r, alpha):
-            start = 0
-            for block in batched(m, r, alpha):
-                block[len(block) // 2] = np.nan
-                flagged.append((int(m[start + len(block) // 2]), (start + len(block) // 2) % 4))
-                start += len(block)
-                yield block
+        def some_nan_rows(m, r, alpha):
+            fidelities = batched(m, r, alpha)
+            rows = [7, 50, 51, 301, m.size - 1]
+            fidelities[rows] = np.nan
+            flagged.extend((int(m[i]), i % 4) for i in rows)
+            return fidelities
 
         def recorded(m, scheme, alpha):
             replayed.append((m, cli.ANTICLONE_SCHEMES.index(scheme)))
             return run_anticlone(m, scheme, alpha)
 
-        monkeypatch.setattr(cli, "anticlone_fidelities", one_nan_row_per_block)
+        monkeypatch.setattr(cli, "anticlone_fidelities", some_nan_rows)
         monkeypatch.setattr(cli, "run_anticlone", recorded)
         code, out, err = run_cli(capsys, ["anticlone", "--m-range", "2:150"])
         assert (code, out, err) == (EXIT_OK, expected, "")
-        assert len(flagged) > 1 and replayed == flagged
+        assert replayed == flagged
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -288,9 +288,9 @@ class TestAnticloneCommand:
         assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
 
     def test_peak_memory_stays_bounded(self, capsys):
-        # rows are padded to the widest register of their block, and a block
-        # holds at most a fixed number of amplitudes: unblocked, one complex
-        # temporary of these 5996 rows padded to 1500 qubits would be 144 MB
+        # the batch holds a few numbers per (M, scheme) row, never a register:
+        # one complex temporary of these 5996 rows times 1500 qubits would be
+        # 144 MB
         tracemalloc.start()
         try:
             code = main(["anticlone", "--m-range", "2:1500"])
@@ -300,6 +300,27 @@ class TestAnticloneCommand:
         capsys.readouterr()
         assert code == EXIT_OK
         assert peak < 8e6
+
+    def test_one_count_too_large_to_allocate_runs_in_constant_memory(self, capsys):
+        # this used to exit 2 when 10**15 amplitudes could not be allocated
+        m = 10**15
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["anticlone", "--m", str(m)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (EXIT_OK, "")
+        _, rows = parse_csv(out)
+        f = {scheme.tag: fidelity_curve(m, scheme) for scheme in cli.ANTICLONE_SCHEMES}
+        expected = [
+            m,
+            f["identical"][0], f["w_plus"][0], f["w_prime"][0],
+            f["identical"][1], f["w_plus"][1], f["w_minus"][1], f["w_prime"][1],
+        ]
+        assert list(rows[0].values()) == [cli.format_value(v) for v in expected]
+        assert len(rows) == 1
+        assert peak < 1e6
 
 
 class TestDecoherenceCommand:
@@ -420,6 +441,16 @@ class TestScanCommand:
         code, _, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", "1.0:2.0"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("grid", ["0.5:3:2.5", "0.5:x:3", "0.5:3:", "1.0:2.0"])
+    def test_malformed_grid_names_the_flag_and_the_text(self, capsys, grid):
+        # used to print int()'s or float()'s message, naming neither
+        code, out, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", grid])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (
+            "error: r-grid must be START:STOP:COUNT with numbers START and STOP and "
+            f"an integer COUNT, got {grid!r}\n"
+        )
+
     @pytest.mark.parametrize("grid", ["0.1:inf:3", "nan:1:3", "0.1:nan:3", "inf:1:3"])
     def test_non_finite_grid_ends_rejected(self, capsys, grid):
         # 0.1:inf:3 used to leak numpy's invalid-value warning, then exit 2
@@ -517,6 +548,14 @@ class TestArgumentErrors:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["anticlone", "decoherence"])
+    @pytest.mark.parametrize("text", ["2.5:4", "2:", "2:3:4", "a:b"])
+    def test_malformed_range_names_the_flag_and_the_text(self, capsys, command, text):
+        # used to print int()'s message, naming neither
+        code, out, err = run_cli(capsys, [command, "--m-range", text])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: m-range must be A:B with integers A and B, got {text!r}\n"
+
     @pytest.mark.parametrize("command", ["wstate", "decoherence"])
     def test_both_scheme_and_ratio_rejected(self, capsys, command):
         # --r used to win silently over --scheme
@@ -594,7 +633,7 @@ class TestArgumentErrors:
             # 10**15 float64 couplings are 8 PB, past any user address space,
             # so each allocation fails at once; never try a count that could fit
             ["wstate", "--m", str(10**15), "--scheme", "w_plus"],
-            ["anticlone", "--m", str(10**15)],
+            ["anticlone", "--m-range", f"2:{10**15}"],
             ["wstate", "--m-range", f"2:{10**15}", "--scheme", "w_plus"],
         ],
     )

@@ -270,6 +270,15 @@ class TestRk4Oracle:
             single = rk4_propagate(gen, block, t, dt=1e-3)
             np.testing.assert_allclose(out, single, atol=1e-12)
 
+    @pytest.mark.parametrize("times", [[0.5], [0.5, 0.5, 0.5]])
+    def test_batched_needs_one_time_per_generator(self, times):
+        # one time used to be broadcast to both instances; three ended in a
+        # numpy broadcast error
+        g = build_hamiltonian(SystemConfig((1.0, 2.0))).matrix
+        v = np.array([1.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match=f"got {len(times)} for 2"):
+            rk4_propagate_many([g, g], [v, v], times)
+
     def test_unstable_step_is_reported(self):
         # RK4 blows up when omega*dt is far outside its stability region
         config = SystemConfig((40.0, 40.0, 40.0))

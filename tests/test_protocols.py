@@ -4,7 +4,6 @@ import pytest
 from qcm.model import ConfigurationError, StateVector, initial_state, star_config
 from qcm.propagator import closed_form_propagator, evolve, trapping_time
 from qcm.protocols import (
-    _BLOCK_AMPLITUDES,
     CouplingScheme,
     IDENTICAL,
     ProtocolReport,
@@ -108,6 +107,26 @@ class TestClassification:
         assert classify_trapped_state(0.5, -0.5) == "antisymmetric_W"
         assert classify_trapped_state(0.0, -0.7) == "separable_W"
         assert classify_trapped_state(0.3, -0.6) == "generic"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: copy_fidelity(star_config(3, 1.2), 2, 0.5, 0.3, bad),
+        lambda bad: transfer_fidelity_formula(bad, 0.1, 0.2),
+        lambda bad: transfer_fidelity_formula(0.5, bad, 0.2),
+        lambda bad: transfer_fidelity_formula(0.5, 0.1, bad),
+        lambda bad: equatorial_qubit_density(bad, 0.1),
+        lambda bad: equatorial_qubit_density(0.5, bad),
+        lambda bad: classify_trapped_state(bad, 0.1),
+        lambda bad: classify_trapped_state(0.1, bad),
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_form_helpers_reject_non_finite_inputs(call, bad):
+    # these returned nan, a NaN matrix (with a numpy warning) or "generic"
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        call(bad)
 
 
 class TestGenerateWState:
@@ -393,42 +412,25 @@ def star_rows(counts, schemes):
     return m, r
 
 
-def batched_rows(m, r, alpha):
-    """The rows of every block of ``anticlone_fidelities``, each cut to its qubits."""
-    rows = [row for block in anticlone_fidelities(m, r, alpha) for row in block]
-    assert len(rows) == m.size
-    return [row[:count] for row, count in zip(rows, m.tolist())]
-
-
 class TestAnticloneFidelities:
     @pytest.mark.parametrize("alpha", [0.0, 1.1, 4.32])
     def test_agrees_with_run_anticlone(self, alpha):
         m, r = star_rows(range(2, 301), ALL_SCHEMES)
-        batched = batched_rows(m, r, alpha)
-        for i, got in enumerate(batched):
+        batched = anticlone_fidelities(m, r, alpha)
+        assert batched.shape == (m.size, 2)
+        for i, (target, input_qubit) in enumerate(batched):
             reference = run_anticlone(int(m[i]), ALL_SCHEMES[i % 4], alpha).fidelities
-            np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-15)
-
-    def test_blocks_are_bounded_and_cover_the_rows_in_order(self):
-        # a register wider than a block gets a block of its own
-        counts = list(range(2, 200)) + [3 * _BLOCK_AMPLITUDES, 5]
-        m, r = star_rows(counts, (W_PLUS, W_PRIME))
-        start = 0
-        for block in anticlone_fidelities(m, r, 0.3):
-            rows = m[start : start + len(block)]
-            assert block.shape == (len(block), rows.max())
-            assert len(block) == 1 or block.size + 2 * len(block) <= _BLOCK_AMPLITUDES
-            assert np.all(np.isfinite(block))
-            start += len(block)
-        assert start == m.size
+            # the batch scores one partner; every partner of the row must match it
+            np.testing.assert_allclose(reference[1:], target, rtol=0.0, atol=1e-15)
+            assert abs(input_qubit - reference[0]) <= 1e-15
 
     def test_rows_failing_a_check_come_back_nan(self):
         # omega^2 = inf, and 4*omega^2 = inf with omega^2 finite, amid good rows
         bad = (CouplingScheme.custom(1e200), CouplingScheme.custom(1e154))
         m, r = star_rows([4], (W_PLUS,) + bad + (W_PRIME,))
-        rows = batched_rows(m, r, 0.5)
-        assert [bool(np.all(np.isnan(row))) for row in rows] == [False, True, True, False]
-        assert all(np.all(np.isfinite(row)) for row in (rows[0], rows[3]))
+        rows = anticlone_fidelities(m, r, 0.5)
+        assert np.isnan(rows).all(axis=1).tolist() == [False, True, True, False]
+        assert np.isfinite(rows[[0, 3]]).all()
         # the one-register route raises each failed check's own error
         with pytest.raises(ConfigurationError, match="omega\\^2"):
             run_anticlone(4, bad[0])
@@ -439,7 +441,7 @@ class TestAnticloneFidelities:
     def test_non_finite_alpha_rejected(self, alpha):
         m, r = star_rows([3], ALL_SCHEMES)
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
-            next(anticlone_fidelities(m, r, alpha))
+            anticlone_fidelities(m, r, alpha)
 
 
 class TestProtocolReport:
