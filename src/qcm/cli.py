@@ -7,7 +7,7 @@ Commands:
     wstate       trapped-state amplitudes and classification per qubit count
     anticlone    anti-cloning fidelity curves versus qubit count
     decoherence  no-click fidelity and survival probability versus qubit count
-    scan         coupling-ratio sweep at fixed M plus located optima
+    scan         coupling-ratio sweep at fixed M plus the special ratios
 
 Identical invocations (including --seed) produce byte-identical output:
 floats are emitted with 17 significant digits, rows in a fixed sorted
@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -50,9 +49,7 @@ from .protocols import (
     anticlone_fidelities,
     fidelity_curve,
     generate_w_state,
-    optimize_coupling_ratio,
     run_anticlone,
-    trapped_amplitudes,
 )
 
 EXIT_OK = 0
@@ -91,7 +88,11 @@ def qubit_counts(args: argparse.Namespace, default: tuple[int, int] | None = Non
         lo, hi = default
     else:
         raise ConfigurationError("a qubit count is required (--m or --m-range)")
-    return list(range(lo, hi + 1))
+    try:
+        return list(range(lo, hi + 1))
+    except MemoryError:
+        count = f"--m-range {args.m_range!r} spans {hi - lo + 1} qubit counts"
+        raise ConfigurationError(f"{count}, too many to list in memory") from None
 
 
 def resolve_scheme(args: argparse.Namespace) -> CouplingScheme:
@@ -117,16 +118,19 @@ def format_value(value) -> str:
     return str(value)
 
 
-def format_column(column):
-    """The CSV cells of one column, lazily; a float or integer array is
-    formatted in one typed pass, like ``format_value`` without its per-cell
-    dispatch."""
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-    if kind == "f":
-        return map(format, column.tolist(), repeat(".17g"))
-    if kind in ("i", "u"):
-        return map(str, column.tolist())
-    return map(format_value, column.tolist() if kind else column)
+def _typed_cells(column) -> tuple[str, list]:
+    """The %-conversion and cells of one CSV column, each cell as ``format_value``
+    gives it; a column other than a typed array or a tuple of str goes cell by cell."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind in "fiu":
+            return ("%.17g" if kind == "f" else "%d"), column.tolist()
+        if kind == "b":
+            return "%s", np.where(column, "true", "false").tolist()
+        column = column.tolist()
+    elif isinstance(column, tuple) and set(map(type, column)) <= {str}:
+        return "%s", column
+    return "%s", list(map(format_value, column))
 
 
 def write_table(headers: list[str], columns: list, args: argparse.Namespace):
@@ -137,8 +141,10 @@ def write_table(headers: list[str], columns: list, args: argparse.Namespace):
         payload = [dict(zip(headers, row)) for row in zip(*cells)]
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        specs, cells = zip(*map(_typed_cells, columns))
+        template = ",".join(specs)
         lines = [",".join(headers)]
-        lines += map(",".join, zip(*map(format_column, columns)))
+        lines += map(template.__mod__, zip(*cells))
         text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -321,17 +327,9 @@ def cmd_anticlone(args: argparse.Namespace) -> int:
     for i in np.flatnonzero(~(defect <= 1e-12)):
         _check_anticlone_row(int(m[i]), ANTICLONE_SCHEMES[i % n], args.alpha)
     f = {scheme.tag: closed[j::n] for j, scheme in enumerate(ANTICLONE_SCHEMES)}
-    columns = [
-        counts,
-        f["identical"][:, 0],
-        f["w_plus"][:, 0],
-        f["w_prime"][:, 0],
-        f["identical"][:, 1],
-        f["w_plus"][:, 1],
-        f["w_minus"][:, 1],
-        f["w_prime"][:, 1],
-    ]
-    write_table(headers, columns, args)
+    targets = [f[tag][:, 0] for tag in ("identical", "w_plus", "w_prime")]
+    inputs = [f[tag][:, 1] for tag in ("identical", "w_plus", "w_minus", "w_prime")]
+    write_table(headers, [count_column, *targets, *inputs], args)
     return EXIT_OK
 
 
@@ -390,24 +388,21 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigurationError("scan needs a single --m")
     m = check_count("m", args.m, 2)  # before the default grid takes sqrt(m)
     grid = _parse_r_grid(args.r_grid, m)
+    # the special ratios follow the grid, in their closed forms
+    special = ("w_symmetry_low", "w_symmetry_high", "separable_transfer", "target_fidelity")
+    r = np.append(grid, [scheme.ratio(m) for scheme in (W_MINUS, W_PLUS, W_PRIME, W_PRIME)])
+    # fidelity_curve's operations as columns; a row failing its checks may overflow
+    with np.errstate(all="ignore"):
+        omega2 = r * r + (m - 1.0)
+        a1 = (m - 1.0 - r * r) / omega2
+        a = -2.0 * r / omega2
+    ok = (r > 0.0) & (r < math.inf) & (omega2 > 0.0) & (omega2 < math.inf)
+    # the first failing row raises its own error through the row route
+    for i in np.flatnonzero(~ok):
+        fidelity_curve(m, CouplingScheme.custom(float(r[i])))
+    kinds = ("grid",) * grid.size + special
     headers = ["kind", "r", "a1", "a", "f_target", "f_input"]
-    rows = []
-    for r in grid:
-        a1, a = trapped_amplitudes(m, float(r))
-        f_target, f_input = fidelity_curve(m, CouplingScheme.custom(float(r)))
-        rows.append(["grid", float(r), a1, a, f_target, f_input])
-    low, high = optimize_coupling_ratio(m, "w_symmetry")
-    optima = [
-        ("w_symmetry_low", low),
-        ("w_symmetry_high", high),
-        ("separable_transfer", optimize_coupling_ratio(m, "separable_transfer")),
-        ("target_fidelity", optimize_coupling_ratio(m, "target_fidelity")),
-    ]
-    for kind, r in optima:
-        a1, a = trapped_amplitudes(m, r)
-        f_target, f_input = fidelity_curve(m, CouplingScheme.custom(r))
-        rows.append([kind, r, a1, a, f_target, f_input])
-    write_table(headers, list(zip(*rows)), args)
+    write_table(headers, [kinds, r, a1, a, 0.5 * (1.0 - a), 0.5 * (1.0 - a1)], args)
     return EXIT_OK
 
 
@@ -462,7 +457,7 @@ COMMANDS = {
         "no-click fidelity and survival probability",
         ("--m", "--m-range", "--scheme", "--r", "--gamma-decay", "--kappa", "--m-odd"),
     ),
-    "scan": (cmd_scan, "coupling-ratio sweep with located optima", ("--m", "--r-grid")),
+    "scan": (cmd_scan, "coupling-ratio sweep with the special ratios", ("--m", "--r-grid")),
 }
 
 

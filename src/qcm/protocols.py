@@ -22,9 +22,10 @@ register: the M-1 partners couple alike, so a star register holds only
 three distinct amplitudes.  ``run_anticlone``, the one-register route, is
 the reference it is tested against.
 
-A scan/optimizer utility recovers the special coupling ratios numerically:
+The special coupling ratios have closed forms, which ``qcm scan`` prints:
 |a1| = |a| at r = sqrt(M) +/- 1, and a1 = 0 (full transfer out of the input
 qubit, which also maximizes the target fidelity) at r = sqrt(M-1).
+``optimize_coupling_ratio`` finds them by a numerical search, as a cross-check.
 """
 
 from __future__ import annotations
@@ -409,13 +410,14 @@ OPTIMIZER_OBJECTIVES = ("w_symmetry", "target_fidelity", "separable_transfer")
 
 
 def _golden_section_argmin(f, lo: float, hi: float) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi], to 1e-8."""
+    """Golden-section argmin of a unimodal function on [lo, hi], to 1e-8 or adjacent floats."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b, width = lo, hi, math.inf
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > 1e-8:
+    while width > b - a > 1e-8:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -430,17 +432,20 @@ def _golden_section_argmin(f, lo: float, hi: float) -> float:
 def optimize_coupling_ratio(m: int, objective: str):
     """Numerically locate the special coupling ratios for M qubits.
 
-    Scans r over (0, 4*sqrt(M)] on a log grid, then refines each candidate
-    by golden section to an interval below 1e-8.  Objectives:
+    A numerical cross-check of the closed forms ``W_MINUS``, ``W_PLUS`` and
+    ``W_PRIME``: scans r over (0, 4*sqrt(M)] on a 512-point log grid, then
+    refines each candidate by golden section to 1e-8.  Objectives:
 
         w_symmetry         : |a1| = |a|; returns both branches (low, high)
         target_fidelity    : argmax of the target-qubit fidelity
         separable_transfer : a1 = 0
 
     The roots recover sqrt(M) -/+ 1 and sqrt(M-1) to better than 1e-6.
-    ``target_fidelity`` recovers sqrt(M-1) to 1e-6 *relative* only: near a
-    smooth maximum the fidelity moves by O(dr^2), so in floating point its
-    argmax is fixed to about sqrt(eps) relative (1.1e-6 absolute at M=256).
+    ``w_symmetry`` finds both for every M from 2 to 7507; past that both may
+    fall in one grid interval, which raises, and from M = 133750 on they do.
+    ``target_fidelity`` recovers sqrt(M-1) to 1e-6 *relative* only, up to M
+    of about 10^7: near a smooth maximum the fidelity moves by O(dr^2), so
+    its argmax is fixed to about sqrt(eps * sqrt(M)) relative.
     """
     m = check_count("m", m, 2)
     if objective not in OPTIMIZER_OBJECTIVES:

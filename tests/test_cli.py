@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import tracemalloc
@@ -412,17 +413,21 @@ class TestDecoherenceCommand:
         assert out.splitlines()[1:] == expected
 
 
+#: the kinds of the special-ratio rows `scan` appends to its grid
+SCAN_OPTIMA = ("w_symmetry_low", "w_symmetry_high", "separable_transfer", "target_fidelity")
+
+
 class TestScanCommand:
     def test_optimizer_rows_locate_m4_pair(self, capsys):
         code, out, _ = run_cli(capsys, ["scan", "--m", "4"])
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         by_kind = {row["kind"]: row for row in rows if row["kind"] != "grid"}
-        assert float(by_kind["w_symmetry_low"]["r"]) == pytest.approx(1.0, abs=1e-6)
-        assert float(by_kind["w_symmetry_high"]["r"]) == pytest.approx(3.0, abs=1e-6)
-        assert float(by_kind["separable_transfer"]["r"]) == pytest.approx(
-            np.sqrt(3.0), abs=1e-6
-        )
+        # the closed forms sqrt(M) -/+ 1 and sqrt(M - 1), exactly
+        assert float(by_kind["w_symmetry_low"]["r"]) == 1.0
+        assert float(by_kind["w_symmetry_high"]["r"]) == 3.0
+        assert float(by_kind["separable_transfer"]["r"]) == math.sqrt(3.0)
+        assert float(by_kind["target_fidelity"]["r"]) == math.sqrt(3.0)
 
     def test_m3_transfer_optimum(self, capsys):
         _, out, _ = run_cli(capsys, ["scan", "--m", "3"])
@@ -461,6 +466,44 @@ class TestScanCommand:
         assert code == EXIT_CONFIG and out == ""
         assert "r-grid START and STOP must be finite" in err
 
+    @pytest.mark.parametrize("m", [2, 4, 256, 10**6, 2**53])
+    def test_cells_match_the_row_route(self, capsys, m):
+        # the columns repeat trapped_amplitudes' and fidelity_curve's IEEE
+        # operations, so every cell is bit-identical to the one-row route
+        code, out, _ = run_cli(capsys, ["scan", "--m", str(m), "--r-grid", "0.1:20:2000"])
+        assert code == EXIT_OK
+        rows = [("grid", r) for r in np.linspace(0.1, 20.0, 2000).tolist()]
+        optima = [W_MINUS, W_PLUS, W_PRIME, W_PRIME]
+        rows += [(kind, scheme.ratio(m)) for kind, scheme in zip(SCAN_OPTIMA, optima)]
+        expected = []
+        for kind, r in rows:
+            a1, a = trapped_amplitudes(m, r)
+            f_target, f_input = fidelity_curve(m, CouplingScheme.custom(r))
+            cells = [format(v, ".17g") for v in (r, a1, a, f_target, f_input)]
+            expected.append(",".join([kind, *cells]))
+        assert out.splitlines()[1:] == expected
+
+    @pytest.mark.parametrize("m", [7508, 133750, 10**6])
+    def test_special_ratios_at_large_m(self, capsys, m):
+        # the numerical search saw both symmetry roots in one grid interval
+        # here, and the command exited 2 with "expected two symmetry ratios
+        # for m=..., found []"
+        code, out, err = run_cli(capsys, ["scan", "--m", str(m), "--r-grid", "1:2:2"])
+        assert (code, err) == (EXIT_OK, "")
+        _, rows = parse_csv(out)
+        assert [row["kind"] for row in rows] == ["grid", "grid", *SCAN_OPTIMA]
+        root = math.sqrt(m - 1.0)
+        expected = [math.sqrt(m) - 1.0, math.sqrt(m) + 1.0, root, root]
+        assert [float(row["r"]) for row in rows[2:]] == expected
+
+    def test_first_overflowing_row_is_named(self, capsys):
+        # 1e200 squared overflows omega^2; the row route names the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", "1:1e200:3"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: omega^2 = r^2 + M - 1 must be finite and > 0, got inf\n"
+
     def test_grid_count_past_exact_float_range_rejected(self, capsys):
         # used to reach numpy's "Maximum allowed size exceeded"
         code, _, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", f"0.1:1:{10**20}"])
@@ -495,6 +538,66 @@ class TestOutputModes:
             ["wstate", "--m", "4", "--scheme", "w_plus", "--out", str(tmp_path / "no" / "x.csv")],
         )
         assert code == EXIT_CONFIG
+
+
+#: float64 cells whose 17-digit forms are the awkward ones
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1.0 / 3.0, -2.5, 0.1]
+
+
+def reference_csv(headers, columns):
+    """The CSV text of ``columns`` formatted cell by cell with format_value."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lines = [",".join(headers)]
+    lines += [",".join(map(cli.format_value, row)) for row in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
+def table_text(capsys, headers, columns, format="csv", out=None):
+    cli.write_table(headers, columns, argparse.Namespace(format=format, out=out))
+    return capsys.readouterr().out
+
+
+class TestWriteTable:
+    n = len(SPECIAL_FLOATS)
+    columns = [
+        np.array(SPECIAL_FLOATS),
+        (np.arange(n, dtype=np.int64) - 4) * 10**15,
+        np.arange(n, dtype=np.uint8),
+        np.arange(n) % 3 == 0,
+        tuple(f"s{i}%d" for i in range(n)),
+        [1, "x", 0.1, True, None, -0.0, math.nan, False, "%s", 10**20],
+        (1, "x", 0.1, True, None, -0.0, math.nan, False, "%s", 10**20),
+        np.array(SPECIAL_FLOATS) + 1j,
+    ]
+    headers = [f"c{j}" for j in range(len(columns))]
+
+    def test_columns_match_the_per_cell_reference(self, capsys):
+        # one %-template per table formats every cell as format_value does
+        assert table_text(capsys, self.headers, self.columns) == reference_csv(
+            self.headers, self.columns
+        )
+
+    @pytest.mark.parametrize("j", range(len(columns)))
+    def test_each_column_alone(self, capsys, j):
+        column = self.columns[j]
+        assert table_text(capsys, ["c"], [column]) == reference_csv(["c"], [column])
+
+    def test_empty_columns_give_the_header_alone(self, capsys):
+        columns = [np.array([]), np.array([], dtype=np.int64), (), []]
+        assert table_text(capsys, list("abcd"), columns) == "a,b,c,d\n"
+
+    def test_out_file_holds_the_stdout_text(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        assert table_text(capsys, self.headers, self.columns, out=str(path)) == ""
+        assert path.read_text() == reference_csv(self.headers, self.columns)
+
+    def test_json_rows_are_the_plain_cells(self, capsys):
+        columns = [np.array([0.1, -2.5]), np.array([-3, 4]), np.array([True, False]), ("a", "b")]
+        text = table_text(capsys, list("wxyz"), columns, format="json")
+        assert json.loads(text) == [
+            {"w": 0.1, "x": -3, "y": True, "z": "a"},
+            {"w": -2.5, "x": 4, "y": False, "z": "b"},
+        ]
 
 
 class TestConfigFile:
@@ -635,11 +738,18 @@ class TestArgumentErrors:
             ["wstate", "--m", str(10**15), "--scheme", "w_plus"],
             ["anticlone", "--m-range", f"2:{10**15}"],
             ["wstate", "--m-range", f"2:{10**15}", "--scheme", "w_plus"],
+            ["decoherence", "--m-range", f"2:{10**15}"],
         ],
     )
     def test_counts_too_large_to_allocate_are_config_errors(self, capsys, argv):
-        # numpy's _ArrayMemoryError has a message; list(range(...))'s MemoryError has none
+        # numpy's _ArrayMemoryError has a message; a range too long to list
+        # used to end in a bare "not enough memory"
         code, _, err = run_cli(capsys, argv)
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and err[len("error: "):].strip()
         assert "Traceback" not in err
+        if "--m-range" in argv:
+            assert err == (
+                f"error: --m-range '2:{10**15}' spans {10**15 - 1} qubit counts, "
+                "too many to list in memory\n"
+            )

@@ -494,6 +494,26 @@ class TestOptimizeCouplingRatio:
         f_exact = fidelity_curve(m, CouplingScheme.custom(exact))[0]
         assert f_best == pytest.approx(f_exact, abs=1e-12)
 
+    def test_iterates_are_pinned_at_m4(self):
+        # stopping once the bracket stops shrinking leaves every search that
+        # reached 1e-8 on the same iterates
+        assert optimize_coupling_ratio(4, "w_symmetry") == (
+            0.99999999817063001,
+            2.9999999997329567,
+        )
+        assert optimize_coupling_ratio(4, "separable_transfer") == 1.7320508073594252
+        assert optimize_coupling_ratio(4, "target_fidelity") == 1.7320508502339875
+
+    @pytest.mark.parametrize(
+        "m, objective, tol",
+        [(2**52, "target_fidelity", 1e-3), (2**53, "separable_transfer", 1e-15)],
+    )
+    def test_search_ends_where_floats_are_coarser_than_1e_8(self, m, objective, tol):
+        # near sqrt(M) ~ 7e7 adjacent floats lie 1.5e-8 apart, so the bracket
+        # could never shrink below 1e-8 and these calls never returned
+        exact = np.sqrt(m - 1.0)
+        assert abs(optimize_coupling_ratio(m, objective) - exact) / exact < tol
+
     def test_validation(self):
         with pytest.raises(ValueError):
             optimize_coupling_ratio(4, "fastest")
