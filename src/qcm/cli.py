@@ -32,14 +32,20 @@ from .decoherence import (
 )
 from .model import (
     ConfigurationError,
-    SystemConfig,
-    build_dissipative_hamiltonian,
-    build_hamiltonian,
+    _check_generators,
+    _check_registers,
+    _generators,
     check_count,
     check_odd_index,
-    star_config,
 )
-from .propagator import closed_form_propagator, expm_hermitian, rk4_propagate_many
+from .propagator import (
+    _COLUMNS,
+    _check_propagators,
+    _no_click_kernel,
+    _propagators,
+    expm_hermitian,
+    rk4_propagate_many,
+)
 from .protocols import (
     CouplingScheme,
     IDENTICAL,
@@ -157,87 +163,101 @@ def write_table(headers: list[str], columns: list, args: argparse.Namespace):
 # check: randomized oracle-equivalence suites
 
 
-def _sample_config(rng) -> SystemConfig:
-    m = int(rng.integers(1, 17))
-    return SystemConfig(rng.uniform(0.25, 2.0, size=m))
-
-
-def _closed_matrix(config: SystemConfig, t: float, inject_fault: str | None) -> np.ndarray:
-    u = np.array(closed_form_propagator(config, t).matrix)
+def _closed_stacks(m: np.ndarray, g: np.ndarray, t: np.ndarray, inject_fault: str | None):
+    """Every trial's checked generator (trials, 17, 17) and closed-form propagators
+    (n, trials, 17, 17) at its times t (trials, n), with the injected fault if any.
+    Row g[i] ends with trial i's m[i] couplings, so a trial's block is the last
+    m[i] + 1 rows and columns: its qubits, then the photon."""
+    h = _generators(g)
+    _check_generators(h, "hermitian")
+    omega = _check_registers([row[16 - count :] for row, count in zip(g, m.tolist())])
+    omega2 = np.repeat([w**2 for w in omega], t.shape[1])  # libm pow, as config.omega**2
+    kernel = _no_click_kernel(omega2, 0.0, 0.0, t.reshape(-1), _COLUMNS)
+    kernel = [np.reshape(column, t.shape).T for column in kernel]
+    u = _propagators(np.broadcast_to(g, (t.shape[1], *g.shape)), *kernel)
+    _check_propagators(u)
     if inject_fault == "unitarity_sign":
-        m = config.m
-        block = u[:m, :m]
-        flipped = np.diag(np.diag(block)) - (block - np.diag(np.diag(block)))
-        u[:m, :m] = flipped
-    return u
+        u[..., :16, :16] *= 2.0 * np.eye(16) - 1.0  # flip the off-diagonal qubit block
+    return h, u
+
+
+def _rk4_blocks(h: np.ndarray, states: np.ndarray, m: np.ndarray, t, dt: float) -> np.ndarray:
+    """RK4 of each trial's block of h on its m[i] + 1 first states, in trial order."""
+    counts = m.tolist()
+    blocks = [matrix[-c - 1 :, -c - 1 :] for matrix, c in zip(h, counts)]
+    vectors = [row[: c + 1] for row, c in zip(states, counts)]
+    return np.concatenate(rk4_propagate_many(blocks, vectors, t, dt=dt))
 
 
 def _matrix_suites(trials: int, rng, inject_fault: str | None) -> dict[str, float]:
     """Unitarity, closed-vs-eigendecomposition and group-property defects."""
+    m, g, t = np.zeros(trials, np.int64), np.zeros((trials, 16)), np.zeros((trials, 3))
+    for i in range(trials):
+        m[i] = count = rng.integers(1, 17)
+        g[i, 16 - count :] = rng.uniform(0.25, 2.0, size=count)
+        t[i, :2] = rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)
+    t[:, 2] = t[:, 0] + t[:, 1]
+    h, u = _closed_stacks(m, g, t, inject_fault)
     worst = {"unitarity": 0.0, "closed_vs_expm": 0.0, "group_property": 0.0}
-    for _ in range(trials):
-        config = _sample_config(rng)
-        t1 = rng.uniform(0.0, 10.0)
-        t2 = rng.uniform(0.0, 10.0)
-        u1 = _closed_matrix(config, t1, inject_fault)
-        u2 = _closed_matrix(config, t2, inject_fault)
-        u12 = _closed_matrix(config, t1 + t2, inject_fault)
-        eye = np.eye(config.m + 1)
-        worst["unitarity"] = max(
-            worst["unitarity"], float(np.max(np.abs(u1.conj().T @ u1 - eye)))
-        )
-        exact = expm_hermitian(build_hamiltonian(config).matrix, t1)
-        worst["closed_vs_expm"] = max(
-            worst["closed_vs_expm"], float(np.max(np.abs(u1 - exact)))
-        )
-        worst["group_property"] = max(
-            worst["group_property"], float(np.max(np.abs(u1 @ u2 - u12)))
-        )
+    # matrix products and eigh on same-shape stacks only: zero-padding would
+    # change their summation order, hence their bits
+    for count in np.unique(m).tolist():
+        idx, block = np.flatnonzero(m == count), slice(-count - 1, None)
+        u1, u2, u12 = u[:, idx, block, block]
+        defects = {
+            "unitarity": np.swapaxes(u1.conj(), -1, -2) @ u1 - np.eye(count + 1),
+            "closed_vs_expm": u1 - expm_hermitian(h[idx, block, block], t[idx, 0]),
+            "group_property": u1 @ u2 - u12,
+        }
+        for suite, defect in defects.items():
+            worst[suite] = max(worst[suite], float(np.max(np.abs(defect))))
     return worst
 
 
 def _rk4_suite(trials: int, rng, inject_fault: str | None) -> float:
     """Closed-form propagation vs RK4 integration on random block states."""
-    generators, states, times, closed = [], [], [], []
-    for _ in range(trials):
-        config = _sample_config(rng)
-        t = rng.uniform(0.0, 1.0)
-        raw = rng.normal(size=config.m + 1) + 1j * rng.normal(size=config.m + 1)
-        block = raw / np.linalg.norm(raw)
-        generators.append(build_hamiltonian(config).matrix)
-        states.append(block)
-        times.append(t)
-        closed.append(_closed_matrix(config, t, inject_fault) @ block)
-    integrated = rk4_propagate_many(generators, states, np.array(times), dt=RK4_DT)
-    worst = 0.0
-    for ref, got in zip(closed, integrated):
-        worst = max(worst, float(np.max(np.abs(ref - got))))
-    return worst
+    m, g, t = np.zeros(trials, np.int64), np.zeros((trials, 16)), np.zeros(trials)
+    states, closed = np.zeros((2, trials, 17), dtype=complex)
+    for i in range(trials):
+        m[i] = count = rng.integers(1, 17)
+        g[i, 16 - count :] = rng.uniform(0.25, 2.0, size=count)
+        t[i] = rng.uniform(0.0, 1.0)
+        states.real[i, : count + 1] = rng.normal(size=count + 1)
+        states.imag[i, : count + 1] = rng.normal(size=count + 1)
+    h, (u,) = _closed_stacks(m, g, t[:, None], inject_fault)
+    for state, count in zip(states, m.tolist()):
+        state[: count + 1] /= np.linalg.norm(state[: count + 1])
+    for count in np.unique(m).tolist():
+        idx, block = np.flatnonzero(m == count), slice(-count - 1, None)
+        closed[idx, : count + 1] = (u[idx, block, block] @ states[idx, : count + 1, None])[..., 0]
+    integrated = _rk4_blocks(h, states, m, t, RK4_DT)
+    return float(np.max(np.abs(closed[np.arange(17) <= m[:, None]] - integrated)))
 
 
 def _conditional_suite(trials: int, rng) -> float:
     """Closed-form conditional amplitudes vs RK4 under the dissipative generator."""
-    generators, states, times, params = [], [], [], []
-    for _ in range(trials):
-        m = int(rng.integers(2, 13))
-        r = rng.uniform(0.05, 6.0)
-        gamma_decay = rng.uniform(0.0, 0.1)
-        kappa = rng.uniform(0.0, 0.1)
-        tau_c = renormalized_trapping_time(m, r, gamma_decay, kappa)
-        t = rng.uniform(0.0, 3.0 * tau_c)
-        config = star_config(m, r, gamma_decay=gamma_decay, kappa=kappa)
-        block = np.zeros(m + 1, dtype=complex)
-        block[0] = 1.0
-        generators.append(build_dissipative_hamiltonian(config).matrix)
-        states.append(block)
-        times.append(t)
-        params.append((m, r, gamma_decay, kappa, t))
-    integrated = rk4_propagate_many(generators, states, np.array(times), dt=CONDITIONAL_DT)
-    worst = 0.0
-    for (m, r, gamma_decay, kappa, t), got in zip(params, integrated):
-        predicted = conditional_amplitudes(m, r, gamma_decay, kappa, t).to_state_vector()
-        worst = max(worst, float(np.max(np.abs(predicted.amplitudes[1:] - got))))
-    return worst
+    m, (r, gamma_decay, kappa, share) = np.zeros(trials, np.int64), np.zeros((4, trials))
+    for i in range(trials):
+        m[i] = rng.integers(2, 13)
+        r[i] = rng.uniform(0.05, 6.0)
+        gamma_decay[i] = rng.uniform(0.0, 0.1)
+        kappa[i] = rng.uniform(0.0, 0.1)
+        # rng.uniform(0.0, 3.0 * tau_c) is 0.0 + 3.0 * tau_c * rng.random()
+        share[i] = rng.random()
+    params = list(zip(m.tolist(), r.tolist(), gamma_decay.tolist(), kappa.tolist()))
+    t = 3.0 * np.array([renormalized_trapping_time(*p) for p in params]) * share
+    # star registers (r, 1, ..., 1), zero-padded in front to 12 qubits
+    star = (np.arange(12) >= 12 - m[:, None]).astype(float)
+    star[np.arange(trials), 12 - m] = r
+    _check_registers([row[12 - count :] for row, count in zip(star, m.tolist())])
+    h = _generators(star, np.where(np.arange(13) < 12, gamma_decay[:, None], kappa[:, None]))
+    _check_generators(h, "dissipative")
+    excited = np.eye(1, 13, dtype=complex).repeat(trials, axis=0)  # the input qubit
+    integrated = _rk4_blocks(h, excited, m, t, CONDITIONAL_DT)
+    amplitudes = map(conditional_amplitudes, *zip(*params), t.tolist())
+    # each trial's block in trial order: b1, b on the M - 1 partners, the photon
+    predicted = [[a.b1, *[a.b] * (a.m - 1), a.b_photon] for a in amplitudes]
+    return float(np.max(np.abs(np.concatenate(predicted) - integrated)))
 
 
 def run_check_suites(
@@ -248,9 +268,12 @@ def run_check_suites(
     rng = np.random.default_rng(seed)
     rows = []
     if trials > 0:
-        worst = _matrix_suites(trials, rng, inject_fault)
-        worst["closed_vs_rk4"] = _rk4_suite(trials, rng, inject_fault)
-        worst["conditional_vs_rk4"] = _conditional_suite(trials, rng)
+        try:  # each suite allocates its draws first, so a count too large fails at once
+            worst = _matrix_suites(trials, rng, inject_fault)
+            worst["closed_vs_rk4"] = _rk4_suite(trials, rng, inject_fault)
+            worst["conditional_vs_rk4"] = _conditional_suite(trials, rng)
+        except MemoryError:
+            raise ConfigurationError(f"--trials {trials} is too many to allocate") from None
         for suite, tolerance in CHECK_TOLERANCES.items():
             rows.append(
                 {

@@ -116,13 +116,7 @@ class SystemConfig:
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "gamma_decay", float(self.gamma_decay))
         object.__setattr__(self, "kappa", float(self.kappa))
-        ok = (couplings > 0.0) & (couplings < math.inf)
-        # argmin finds the first coupling that is not finite and > 0, else the first one
-        check_positive("coupling", couplings[ok.argmin()])
-        # couplings of 1e200 or 1e-200 pass, but their squares leave the float range
-        with np.errstate(over="ignore"):
-            omega = float(np.sqrt(np.sum(np.square(couplings))))
-            check_positive("omega^2 = sum of squared couplings", omega**2)
+        (omega,) = _check_registers([couplings])
         object.__setattr__(self, "omega", omega)
         check_non_negative("gamma_decay", self.gamma_decay)
         check_non_negative("kappa", self.kappa)
@@ -131,6 +125,21 @@ class SystemConfig:
     def m(self) -> int:
         """Number of qubits M."""
         return len(self.couplings)
+
+
+def _check_registers(registers) -> list[float]:
+    """omega of each register, a 1-D float64 coupling array, after ``SystemConfig``'s
+    checks; each bit-identical to the register's own config's."""
+    couplings = registers[0] if len(registers) == 1 else np.concatenate(registers)
+    ok = (couplings > 0.0) & (couplings < math.inf)
+    # argmin finds the first coupling that is not finite and > 0, else the first one
+    check_positive("coupling", couplings[ok.argmin()])
+    # couplings of 1e200 or 1e-200 pass, but their squares leave the float range
+    with np.errstate(over="ignore"):
+        omega = np.sqrt([np.add.reduce(np.square(g)) for g in registers]).tolist()
+    for w in omega:
+        check_positive("omega^2 = sum of squared couplings", w**2)
+    return omega
 
 
 def star_config(
@@ -215,51 +224,60 @@ class GeneratorMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
             raise ValueError(f"generator must be square of dimension >= 2, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("generator must have finite entries")
+        _check_generators(mat, self.kind)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        if self.kind == "hermitian":
-            defect = np.max(np.abs(mat - mat.conj().T))
-            if defect > 1e-14:
-                raise ValueError(f"hermitian generator has defect {defect:.3e}")
-        elif self.kind == "dissipative":
-            anti = (mat - mat.conj().T) / 2.0
-            off = anti - np.diag(np.diag(anti))
-            if np.max(np.abs(off)) > 0.0 or np.max(np.diag(anti).imag) > 0.0:
-                raise ValueError(
-                    "dissipative generator must have anti-Hermitian part "
-                    "-i*diag with non-negative rates"
-                )
-        else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0] - 1
 
 
+def _check_generators(matrix: np.ndarray, kind: str) -> None:
+    """``GeneratorMatrix``'s checks on one generator or a stack (..., d, d)."""
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("generator must have finite entries")
+    difference = matrix - np.swapaxes(matrix, -1, -2).conj()
+    if kind == "hermitian":
+        defect = np.max(np.abs(difference))
+        if defect > 1e-14:
+            raise ValueError(f"hermitian generator has defect {defect:.3e}")
+    elif kind == "dissipative":
+        anti = difference / 2.0
+        off_diagonal = ~np.eye(matrix.shape[-1], dtype=bool)
+        if np.any(anti[..., off_diagonal]) or np.any(np.diagonal(anti, 0, -2, -1).imag > 0.0):
+            raise ValueError(
+                "dissipative generator must have anti-Hermitian part "
+                "-i*diag with non-negative rates"
+            )
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def _generators(couplings: np.ndarray, rates: np.ndarray | None = None) -> np.ndarray:
+    """Unchecked generators of registers (..., M), less i*diag(rates (..., M+1))."""
+    m = couplings.shape[-1]
+    h = np.zeros(couplings.shape[:-1] + (m + 1, m + 1), dtype=complex)
+    h[..., :m, m] = h[..., m, :m] = couplings
+    if rates is not None:
+        h.reshape(*h.shape[:-2], -1)[..., :: m + 2] -= 1j * rates  # the diagonal
+    return h
+
+
 def build_hamiltonian(config: SystemConfig) -> GeneratorMatrix:
     """Hermitian generator on the one-excitation block.
 
-    The only couplings are qubit <-> photon: H[j, M+1] = H[M+1, j] = gamma_j.
+    The only couplings are qubit <-> photon: H[j, M] = H[M, j] = gamma_j.
     Row/column index k < M corresponds to basis state k+1 (qubit k+1 excited),
     index M to the one-photon state.
     """
-    m = config.m
-    h = np.zeros((m + 1, m + 1), dtype=complex)
-    h[:m, m] = config.couplings
-    h[m, :m] = config.couplings
-    return GeneratorMatrix(matrix=h, kind="hermitian")
+    return GeneratorMatrix(matrix=_generators(config.couplings), kind="hermitian")
 
 
 def build_dissipative_hamiltonian(config: SystemConfig) -> GeneratorMatrix:
     """No-click conditional generator: H - i*diag(Gamma, ..., Gamma, kappa)."""
-    m = config.m
-    rates = np.full(m + 1, config.gamma_decay)
-    rates[m] = config.kappa
-    mat = build_hamiltonian(config).matrix - 1j * np.diag(rates)
-    return GeneratorMatrix(matrix=mat, kind="dissipative")
+    rates = np.append(np.full(config.m, config.gamma_decay), config.kappa)
+    return GeneratorMatrix(matrix=_generators(config.couplings, rates), kind="dissipative")
 
 
 def initial_state(theta: float, alpha: float, config: SystemConfig) -> StateVector:

@@ -50,10 +50,15 @@ class PropagatorMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
             raise ValueError(f"propagator must be square of dimension >= 2, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("propagator has non-finite entries")
+        _check_propagators(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+
+
+def _check_propagators(u: np.ndarray) -> None:
+    """``PropagatorMatrix``'s check on one propagator or each of a stack."""
+    if not np.all(np.isfinite(u)):
+        raise ValueError("propagator has non-finite entries")
 
 
 class OverdampedRegimeError(ConfigurationError):
@@ -128,7 +133,7 @@ def _trap_time(omega2, gamma_decay: float, kappa: float, m_odd, libm=_FLOATS):
     return 2.0 * m_odd * math.pi / libm.sqrt(disc)
 
 
-def _no_click_kernel(omega2: float, gamma_decay: float, kappa: float, t: float) -> tuple:
+def _no_click_kernel(omega2, gamma_decay: float, kappa: float, t, libm=_FLOATS) -> tuple:
     """(dark, qubit, edge, photon) of the no-click propagator at time t.
 
     Qubit vectors orthogonal to the couplings only decay, as dark =
@@ -139,11 +144,13 @@ def _no_click_kernel(omega2: float, gamma_decay: float, kappa: float, t: float) 
 
         qubit = E*((C - 1) + d*S - expm1(d*t))/omega^2,  edge = -i*E*S,
         photon = E*(C - d*S)
+
+    ``libm=_COLUMNS`` takes columns of times and of omega^2, as ``_kernel_terms``.
     """
     check_non_negative("gamma_decay", gamma_decay)
     check_non_negative("kappa", kappa)
-    check_non_negative("time", t)
-    dark, qubit, damped_sinc, photon = _kernel_terms(omega2, gamma_decay, kappa, t)
+    check_non_negative("time", t[((t >= 0.0) & (t < math.inf)).argmin()] if libm.columns else t)
+    dark, qubit, damped_sinc, photon = _kernel_terms(omega2, gamma_decay, kappa, t, libm)
     return dark, qubit, -1j * damped_sinc, photon
 
 
@@ -203,16 +210,20 @@ def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
     Without decay qubit = -2*sin^2(omega*t/2)/omega^2; any sign asymmetry
     in the symmetric qubit block would break unitarity.
     """
-    m, g = config.m, config.couplings
-    dark, qubit, edge, photon = _no_click_kernel(
-        config.omega**2, config.gamma_decay, config.kappa, t
-    )
-    u = np.zeros((m + 1, m + 1), dtype=complex)
-    u[:m, :m] = qubit * np.outer(g, g)
-    u.reshape(-1)[: m * (m + 2) : m + 2] += dark  # the first M diagonal entries
-    u[:m, m] = u[m, :m] = edge * g
-    u[m, m] = photon
-    return PropagatorMatrix(matrix=u)
+    kernel = _no_click_kernel(config.omega**2, config.gamma_decay, config.kappa, t)
+    return PropagatorMatrix(matrix=_propagators(config.couplings, *kernel))
+
+
+def _propagators(g: np.ndarray, dark, qubit, edge, photon) -> np.ndarray:
+    """Unchecked U for couplings g (M,), or a stack (..., M) with kernel scalars (...,)."""
+    m = g.shape[-1]
+    u = np.zeros(g.shape[:-1] + (m + 1, m + 1), dtype=complex)
+    u[..., :m, :m] = np.asarray(qubit)[..., None, None] * (g[..., :, None] * g[..., None, :])
+    # the first M diagonal entries
+    u.reshape(*u.shape[:-2], -1)[..., : m * (m + 2) : m + 2] += np.asarray(dark)[..., None]
+    u[..., :m, m] = u[..., m, :m] = np.asarray(edge)[..., None] * g
+    u[..., m, m] = photon
+    return u
 
 
 def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
@@ -241,11 +252,14 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     return StateVector(amplitudes=amps, normalized=state.normalized and lossless)
 
 
-def expm_hermitian(matrix: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*matrix*t) for Hermitian ``matrix`` via eigendecomposition."""
-    check_non_negative("time", t)
+def expm_hermitian(matrix: np.ndarray, t) -> np.ndarray:
+    """exp(-i*matrix*t) for Hermitian ``matrix`` (or a stack, t (...,)) via eigh."""
+    t = np.asarray(t, dtype=float)
+    for time in t.reshape(-1).tolist():
+        check_non_negative("time", time)
     eigvals, vecs = np.linalg.eigh(matrix)
-    return (vecs * np.exp(-1j * eigvals * t)) @ vecs.conj().T
+    phases = np.exp(-1j * eigvals * t[..., None])[..., None, :]
+    return (vecs * phases) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def evolve_oracle_expm(generator: GeneratorMatrix, state: StateVector, t: float) -> StateVector:
