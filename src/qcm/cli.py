@@ -37,6 +37,7 @@ from .model import (
     _generators,
     check_count,
     check_odd_index,
+    replay_flagged,
 )
 from .propagator import (
     _COLUMNS,
@@ -52,10 +53,12 @@ from .protocols import (
     W_MINUS,
     W_PLUS,
     W_PRIME,
+    _scheme_rows,
     anticlone_fidelities,
     fidelity_curve,
     generate_w_state,
     run_anticlone,
+    w_state_columns,
 )
 
 EXIT_OK = 0
@@ -82,20 +85,20 @@ class CheckFailure(Exception):
     """A cross-validation or internal consistency assertion failed."""
 
 
-def qubit_counts(args: argparse.Namespace, default: tuple[int, int] | None = None) -> list[int]:
-    """The qubit counts of --m or --m-range, else of ``default``."""
+def qubit_counts(args: argparse.Namespace, default: tuple[int, int] | None = None) -> np.ndarray:
+    """The checked qubit counts of --m or --m-range, else of ``default``, as an int64 column."""
     if args.m is not None and args.m_range is not None:
         raise ConfigurationError("give either --m or --m-range, not both")
     if args.m is not None:
-        return [args.m]
-    if args.m_range is not None:
+        lo = hi = check_count("m", args.m, 2)
+    elif args.m_range is not None:
         lo, hi = _parse_m_range(args.m_range)
     elif default is not None:
         lo, hi = default
     else:
         raise ConfigurationError("a qubit count is required (--m or --m-range)")
     try:
-        return list(range(lo, hi + 1))
+        return np.arange(lo, hi + 1, dtype=np.int64)
     except MemoryError:
         count = f"--m-range {args.m_range!r} spans {hi - lo + 1} qubit counts"
         raise ConfigurationError(f"{count}, too many to list in memory") from None
@@ -305,16 +308,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_wstate(args: argparse.Namespace) -> int:
     scheme = resolve_scheme(args)
     m_odd = check_odd_index(args.m_odd)
+    m, r = _scheme_rows(qubit_counts(args), [scheme])
+    # tau is the m_odd'th instant itself, as `decoherence` reports it without decay
+    tau, a1, a, kinds, ok = w_state_columns(m, r, m_odd)
+    replay_flagged(ok, lambda i: renormalized_trapping_time(
+        int(m[i]), generate_w_state(int(m[i]), scheme)[1].r, 0.0, 0.0, m_odd
+    ))
     headers = ["m", "scheme", "r", "tau_star", "a1", "a", "classification"]
-    rows = []
-    for m in qubit_counts(args):
-        _, report = generate_w_state(m, scheme)
-        # the m_odd'th instant itself, as `decoherence` reports it without decay
-        tau = renormalized_trapping_time(m, report.r, 0.0, 0.0, m_odd)
-        rows.append(
-            [m, report.scheme, report.r, tau, report.a1, report.a, report.classification]
-        )
-    write_table(headers, list(zip(*rows)), args)
+    write_table(headers, [m, (scheme.tag,) * m.size, r, tau, a1, a, kinds], args)
     return EXIT_OK
 
 
@@ -335,24 +336,20 @@ def cmd_anticlone(args: argparse.Namespace) -> int:
     ]
     counts = qubit_counts(args, default=(2, 30))
     n = len(ANTICLONE_SCHEMES)
-    # (target, input) closed forms of each (M, scheme) row, M ascending, then
-    # scheme; fidelity_curve checks each count on its first row
-    closed = np.array([fidelity_curve(m, scheme) for m in counts for scheme in ANTICLONE_SCHEMES])
-    count_column = np.array(counts, dtype=np.int64)
-    m = np.repeat(count_column, n)
-    r = np.empty((len(counts), n))
+    # (target, input) closed forms of each (M, scheme) row, M ascending, then scheme
+    closed = np.empty((counts.size, n, 2))
     for j, scheme in enumerate(ANTICLONE_SCHEMES):
-        r[:, j] = scheme.ratio(count_column.astype(float))
-    pipeline = anticlone_fidelities(m, r.reshape(-1), args.alpha)  # (target, input), as closed
-    defect = np.max(abs(pipeline - closed), axis=1)  # NaN where the pipeline failed a check
-    # each flagged row is checked again, in order, through the one-register
-    # route, which raises its own error for the first row that fails there
-    for i in np.flatnonzero(~(defect <= 1e-12)):
-        _check_anticlone_row(int(m[i]), ANTICLONE_SCHEMES[i % n], args.alpha)
-    f = {scheme.tag: closed[j::n] for j, scheme in enumerate(ANTICLONE_SCHEMES)}
+        closed[:, j, 0], closed[:, j, 1] = fidelity_curve(counts.astype(float), scheme)
+    m, r = _scheme_rows(counts, ANTICLONE_SCHEMES)
+    pipeline, ok = anticlone_fidelities(m, r, args.alpha)  # (target, input), as closed
+    ok &= np.max(abs(pipeline - closed.reshape(-1, 2)), axis=1) <= 1e-12
+    replay_flagged(
+        ok, lambda i: _check_anticlone_row(int(m[i]), ANTICLONE_SCHEMES[i % n], args.alpha)
+    )
+    f = {scheme.tag: closed[:, j] for j, scheme in enumerate(ANTICLONE_SCHEMES)}
     targets = [f[tag][:, 0] for tag in ("identical", "w_plus", "w_prime")]
     inputs = [f[tag][:, 1] for tag in ("identical", "w_plus", "w_minus", "w_prime")]
-    write_table(headers, [count_column, *targets, *inputs], args)
+    write_table(headers, [counts, *targets, *inputs], args)
     return EXIT_OK
 
 
@@ -406,6 +403,16 @@ def _parse_r_grid(text: str, m: int) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _scan_columns(m: int, r: np.ndarray) -> tuple:
+    """``trapped_amplitudes``' (a1, a) at M qubits for each ratio of r, and the
+    ``ok`` column of ``fidelity_curve``'s checks: its IEEE operations as columns."""
+    with np.errstate(all="ignore"):  # a row failing its checks may overflow
+        omega2 = r * r + (m - 1.0)
+        a1 = (m - 1.0 - r * r) / omega2
+        a = -2.0 * r / omega2
+    return a1, a, (r > 0.0) & (r < math.inf) & (omega2 > 0.0) & (omega2 < math.inf)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.m is None:
         raise ConfigurationError("scan needs a single --m")
@@ -414,15 +421,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # the special ratios follow the grid, in their closed forms
     special = ("w_symmetry_low", "w_symmetry_high", "separable_transfer", "target_fidelity")
     r = np.append(grid, [scheme.ratio(m) for scheme in (W_MINUS, W_PLUS, W_PRIME, W_PRIME)])
-    # fidelity_curve's operations as columns; a row failing its checks may overflow
-    with np.errstate(all="ignore"):
-        omega2 = r * r + (m - 1.0)
-        a1 = (m - 1.0 - r * r) / omega2
-        a = -2.0 * r / omega2
-    ok = (r > 0.0) & (r < math.inf) & (omega2 > 0.0) & (omega2 < math.inf)
-    # the first failing row raises its own error through the row route
-    for i in np.flatnonzero(~ok):
-        fidelity_curve(m, CouplingScheme.custom(float(r[i])))
+    a1, a, ok = _scan_columns(m, r)
+    replay_flagged(ok, lambda i: fidelity_curve(m, CouplingScheme.custom(float(r[i]))))
     kinds = ("grid",) * grid.size + special
     headers = ["kind", "r", "a1", "a", "f_target", "f_input"]
     write_table(headers, [kinds, r, a1, a, 0.5 * (1.0 - a), 0.5 * (1.0 - a1)], args)

@@ -25,22 +25,21 @@ is the one-row case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StateVector, _star_omega_squared, check_count, check_positive
+from .model import StateVector, _star_omega_squared, check_count, check_positive, replay_flagged
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     _COLUMNS,
     _FLOATS,
     OverdampedRegimeError,
-    _kernel_terms,
     _no_click_kernel,
     _star_column,
+    _star_columns,
     _trap_time,
 )
-from .protocols import W_PLUS, W_PRIME, _in_unit_interval
+from .protocols import W_PLUS, W_PRIME, _in_unit_interval, _scheme_rows
 
 
 @dataclass(frozen=True)
@@ -161,44 +160,44 @@ class DecoherenceTable:
 
 
 def _decay_columns(m: np.ndarray, r: np.ndarray, gamma_decay: float, kappa: float, m_odd):
-    """(tau*_c, fidelity, p_no_click) columns of the rows (m[i], r[i]).
+    """(tau*_c, fidelity, p_no_click, ok) columns of the rows (m[i], r[i]).
 
     ``m`` holds checked qubit counts and ``r`` positive ratios, as float64
     columns of one length.  Each entry is bit-identical to the row's scalar
     closed form (``renormalized_trapping_time`` and
-    ``conditional_amplitudes``).  The rates and m_odd are checked once; the
-    checks the scalar route makes on every row run over whole columns, and
-    the first failing row raises the error that route raises for it.
+    ``conditional_amplitudes``).  The rates and m_odd are checked once;
+    ``ok`` is False on a row that fails a check the scalar route makes on
+    every row, and ``_raise_for_row`` raises that check's error on it.
     """
     if m.size:
         _star_omega_squared(int(m[0]), float(r[0]))  # checked before the rates, as row by row
-    # a row that fails its checks may overflow or divide by zero on the way,
-    # which Python floats did silently or never reached
     with np.errstate(all="ignore"):
-        omega2 = r * r + (m - 1.0)  # as _star_omega_squared
-        tau = _trap_time(omega2, gamma_decay, kappa, m_odd, _COLUMNS)
-        # the row-by-row route raises at the first row with no finite omega^2
-        # or trapping instant, so only the n rows before it are evaluated
-        trapped = np.isfinite(omega2) & np.isfinite(tau)
-        n = m.size if trapped.all() else int(trapped.argmin())
-        mn, rn, omega2n = m[:n], r[:n], omega2[:n]
-        dark, qubit, damped_sinc, _ = _kernel_terms(omega2n, gamma_decay, kappa, tau[:n], _COLUMNS)
+        omega2, tau, (b1, b, photon) = _star_columns(m, r, gamma_decay, kappa, m_odd)
         # conditional_amplitudes' column, with |b_photon| = |r*E*S|
-        b1, b, photon = _star_column(rn, dark, qubit, damped_sinc)
-        p = _branch_norm_squared(mn, abs(b1), abs(b), abs(photon), _COLUMNS)
-        a1 = (mn - 1.0 - rn * rn) / omega2n  # as trapped_amplitudes
-        a = -2.0 * rn / omega2n
-        fidelity = np.minimum(abs(a1 * b1 + (mn - 1.0) * a * b) / np.sqrt(p), 1.0)
+        p = _branch_norm_squared(m, abs(b1), abs(b), abs(photon), _COLUMNS)
+        a1 = (m - 1.0 - r * r) / omega2  # as trapped_amplitudes
+        a = -2.0 * r / omega2
+        fidelity = np.minimum(abs(a1 * b1 + (m - 1.0) * a * b) / np.sqrt(p), 1.0)
+    # a row with no trapping instant has p = NaN, which fails every comparison
     ok = (p > 1e-300) & _in_unit_interval(fidelity) & _in_unit_interval(p)
-    first = n if ok.all() else int(ok.argmin())
-    if first < m.size:
-        found = (float(fidelity[first]), float(p[first])) if first < n else ()
-        _raise_for_row(int(m[first]), float(r[first]), gamma_decay, kappa, m_odd, *found)
-    return tau, fidelity, p
+    return tau, fidelity, p, ok
 
 
-def _raise_for_row(m, r, gamma_decay, kappa, m_odd, fidelity=math.nan, p=math.nan):
-    """Raise the error the scalar route finds first on one table row.
+def _decay_table(m, scheme, r, gamma_decay, kappa, m_odd) -> DecoherenceTable:
+    """The table of the rows (m[i], scheme[i], r[i]), m an int64 column of
+    checked counts.  ``_decay_columns`` evaluates it in one pass, and each
+    row that pass flags is replayed, in row order, through ``_raise_for_row``."""
+    tau, fidelity, p, ok = _decay_columns(m.astype(float), r, gamma_decay, kappa, m_odd)
+    replay_flagged(ok, lambda i: _raise_for_row(
+        int(m[i]), float(r[i]), gamma_decay, kappa, m_odd, float(fidelity[i]), float(p[i])
+    ))
+    for column in (m, r, tau, fidelity, p):
+        column.flags.writeable = False
+    return DecoherenceTable(m, scheme, r, tau_star_c=tau, fidelity=fidelity, p_no_click=p)
+
+
+def _raise_for_row(m, r, gamma_decay, kappa, m_odd, fidelity, p):
+    """Raise the error the scalar route finds first on one table row, if any.
 
     The order is the route's: omega^2, m_odd and the rates, overdamping, a
     time that is not finite, a zero norm, then the [0, 1] ranges of the
@@ -230,17 +229,8 @@ def decohered_fidelity(
     """
     m = check_count("m", m, 2)
     check_positive("coupling ratio", r)
-    tau, fidelity, p = _decay_columns(
-        np.array([m], dtype=float), np.array([r], dtype=float), gamma_decay, kappa, m_odd
-    )
-    return DecoherenceReport(
-        m=m,
-        r=float(r),
-        tau_star_c=float(tau[0]),
-        fidelity=float(fidelity[0]),
-        p_no_click=float(p[0]),
-        scheme=scheme,
-    )
+    r = np.array([r], dtype=float)
+    return _decay_table(np.array([m]), (scheme,), r, gamma_decay, kappa, m_odd)[0]
 
 
 def decay_robustness_scan(
@@ -261,18 +251,6 @@ def decay_robustness_scan(
     """
     counts = np.array(sorted({check_count("m", m, 2) for m in m_values}), dtype=np.int64)
     schemes = sorted(schemes, key=lambda scheme: scheme.tag)
-    r = np.empty((counts.size, len(schemes)))
-    for j, scheme in enumerate(schemes):
-        r[:, j] = scheme.ratio(counts.astype(float))
-    m, r = np.repeat(counts, len(schemes)), r.reshape(-1)
-    tau, fidelity, p = _decay_columns(m.astype(float), r, gamma_decay, kappa, m_odd)
-    for column in (m, r, tau, fidelity, p):
-        column.flags.writeable = False
-    return DecoherenceTable(
-        m=m,
-        scheme=tuple(scheme.tag for scheme in schemes) * counts.size,
-        r=r,
-        tau_star_c=tau,
-        fidelity=fidelity,
-        p_no_click=p,
-    )
+    m, r = _scheme_rows(counts, schemes)
+    tags = tuple(scheme.tag for scheme in schemes) * counts.size
+    return _decay_table(m, tags, r, gamma_decay, kappa, m_odd)

@@ -79,6 +79,17 @@ def check_odd_index(m_odd) -> int:
     return index
 
 
+def replay_flagged(ok: np.ndarray, route) -> None:
+    """Call ``route(i)`` on every row i that ``ok`` does not pass, in row order.
+
+    A column pass evaluates a whole table at once and flags each row that
+    fails one of its checks; ``route`` replays the row through its one-row
+    computation, which raises that row's own error.
+    """
+    for i in np.flatnonzero(~ok).tolist():
+        route(i)
+
+
 @dataclass(frozen=True, eq=False)
 class SystemConfig:
     """Physical definition of the machine.

@@ -107,10 +107,9 @@ def _trap_time(omega2, gamma_decay: float, kappa: float, m_odd, libm=_FLOATS):
 
     The discriminant must be finite: past about omega^2 = 4.5e307 it
     overflows to inf (or to inf - inf = NaN), where the time would come back
-    0 or NaN.  With ``libm=_COLUMNS`` omega2 is a float64 column; a row with
-    no trapping instant or a non-finite discriminant then comes back NaN or
-    infinite instead of raising, so that the caller can check its rows in
-    order.
+    0 or NaN.  With ``libm=_COLUMNS`` omega2 is a float64 column; a row whose
+    discriminant is not finite and > 0 then comes back NaN instead of
+    raising, so that the caller can check its rows in order.
     """
     m_odd = check_odd_index(m_odd)
     check_non_negative("gamma_decay", gamma_decay)
@@ -118,7 +117,7 @@ def _trap_time(omega2, gamma_decay: float, kappa: float, m_odd, libm=_FLOATS):
     detuning = kappa - gamma_decay
     disc = 4.0 * omega2 - detuning * detuning
     if libm.columns:
-        disc = np.where(disc < math.inf, disc, math.nan)
+        disc = np.where((disc > 0.0) & (disc < math.inf), disc, math.nan)
     elif not 0.0 < disc < math.inf:
         if disc <= 0.0:
             raise OverdampedRegimeError(
@@ -195,6 +194,22 @@ def _star_column(r, dark, qubit, edge) -> tuple:
     """
     b = r * qubit
     return dark + r * b, b, r * edge
+
+
+def _star_columns(m, r, gamma_decay: float, kappa: float, m_odd) -> tuple:
+    """(omega^2, tau, (b1, b, r*E*S)) of the star registers (m[i], r[i]).
+
+    m and r are columns of counts and ratios; omega^2 = r^2 + M - 1 as
+    ``_star_omega_squared`` forms it, tau is the m_odd'th trapping instant
+    (NaN where none exists) and (b1, b, r*E*S) the excited input's
+    propagator column there (``_star_column``; the photon amplitude is
+    -i*r*E*S).  Rows are unchecked, and the caller runs this under
+    ``np.errstate``: a row that fails its checks may overflow on the way.
+    """
+    omega2 = r * r + (m - 1.0)
+    tau = _trap_time(omega2, gamma_decay, kappa, m_odd, _COLUMNS)
+    dark, qubit, damped_sinc, _ = _kernel_terms(omega2, gamma_decay, kappa, tau, _COLUMNS)
+    return omega2, tau, _star_column(r, dark, qubit, damped_sinc)
 
 
 def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:

@@ -16,11 +16,12 @@ Both cost O(M): ``evolve`` applies the closed form's rank-two structure to
 the input without building the (M+1)^2 propagator, and one vectorised
 ``reduced_qubit_density`` call reduces every qubit, so the large registers
 where the paper places its robustness claims are reachable (M = 10^5 in
-about a tenth of a second).  The pipeline check of ``qcm anticlone`` runs
-the same arithmetic batched in ``anticlone_fidelities``, in O(1) per
-register: the M-1 partners couple alike, so a star register holds only
-three distinct amplitudes.  ``run_anticlone``, the one-register route, is
-the reference it is tested against.
+about a tenth of a second).  ``qcm wstate`` and the pipeline check of
+``qcm anticlone`` run the same arithmetic batched, in ``w_state_columns``
+and ``anticlone_fidelities``, in O(1) per register: the M-1 partners couple
+alike, so a star register holds only three distinct amplitudes.
+``generate_w_state`` and ``run_anticlone``, the one-register routes, are
+the references they are tested against.
 
 The special coupling ratios have closed forms, which ``qcm scan`` prints:
 |a1| = |a| at r = sqrt(M) +/- 1, and a1 = 0 (full transfer out of the input
@@ -45,20 +46,21 @@ from .model import (
     initial_state,
     star_config,
 )
-from .propagator import (
-    _COLUMNS,
-    _kernel_terms,
-    _star_column,
-    _trap_time,
-    evolve,
-    trapping_time,
-)
+from .propagator import _COLUMNS, _star_columns, _trap_time, evolve, trapping_time
 
 SCHEME_TAGS = ("identical", "w_plus", "w_minus", "w_prime", "custom")
 
 #: amplitudes closer in magnitude than this are treated as equal when
 #: classifying trapped states (oracle noise floor)
 CLASSIFY_TOL = 1e-10
+
+
+def _counts_and_sqrt(m, minimum: int) -> tuple:
+    """(m, sqrt) for a closed form in M: a count checked here with ``math.sqrt``,
+    or a float64 column of counts the caller has checked with ``np.sqrt``."""
+    if isinstance(m, np.ndarray):
+        return m, np.sqrt
+    return check_count("m", m, minimum), math.sqrt
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,7 @@ class CouplingScheme:
         column whose entries are bit-identical to the one-count ratios, as
         numpy's sqrt and libm's are both correctly rounded.
         """
-        if isinstance(m, np.ndarray):
-            sqrt = np.sqrt
-        else:
-            m = check_count("m", m, 2 if self.tag in ("w_minus", "w_prime") else 1)
-            sqrt = math.sqrt
+        m, sqrt = _counts_and_sqrt(m, 2 if self.tag in ("w_minus", "w_prime") else 1)
         if self.tag == "identical":
             return 1.0
         if self.tag == "w_plus":
@@ -119,6 +117,15 @@ IDENTICAL = CouplingScheme("identical")
 W_PLUS = CouplingScheme("w_plus")
 W_MINUS = CouplingScheme("w_minus")
 W_PRIME = CouplingScheme("w_prime")
+
+
+def _scheme_rows(counts: np.ndarray, schemes) -> tuple[np.ndarray, np.ndarray]:
+    """(m, r) columns of the rows (M, scheme): M from ``counts``, an int64
+    column of checked counts, then each scheme in the order given."""
+    m, r = counts.astype(float), np.empty((counts.size, len(schemes)))
+    for j, scheme in enumerate(schemes):
+        r[:, j] = scheme.ratio(m)
+    return np.repeat(counts, len(schemes)), r.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +221,33 @@ def generate_w_state(m: int, scheme: CouplingScheme) -> tuple[StateVector, Proto
     return state, report
 
 
+def w_state_columns(m: np.ndarray, r: np.ndarray, m_odd: int = 1) -> tuple:
+    """``generate_w_state``'s (a1, a, classification) for many star registers.
+
+    Row i is the register of m[i] >= 2 qubits (an integer column of checked
+    counts) with coupling ratio r[i].  Returns the columns (tau_star, a1, a,
+    classification, ok): tau_star is the m_odd'th trapping instant,
+    bit-identical to ``renormalized_trapping_time`` without decay.  Without
+    decay the excited input's propagator column (``_star_columns``) is
+    real, and a1 and a are its b1 and b at the first instant.  omega^2 is
+    r^2 + M - 1 here, so they agree with ``generate_w_state`` to about
+    4e-16, not bit for bit.  ``ok`` is False on a row that fails a check of
+    ``generate_w_state`` (the ratio, the time, finite amplitudes of unit
+    norm); that route raises the check's error on it.
+    """
+    with np.errstate(all="ignore"):
+        omega2, _, (a1, a, photon) = _star_columns(m, r, 0.0, 0.0, 1)
+        tau_star = _trap_time(omega2, 0.0, 0.0, m_odd, _COLUMNS)
+        n2 = a1 * a1 + (m - 1.0) * a * a + photon * photon
+        # a NaN fails every comparison, so the norm test also rejects a row
+        # with no trapping instant or with amplitudes that are not finite
+        ok = (r > 0.0) & (abs(n2 - 1.0) <= 1e-12)
+        # classify_trapped_state's tests, in its order
+        patterns = [abs(a1) < CLASSIFY_TOL, abs(a1 - a) < CLASSIFY_TOL, abs(a1 + a) < CLASSIFY_TOL]
+    kinds = np.select(patterns, ["separable_W", "symmetric_W", "antisymmetric_W"], "generic")
+    return tau_star, a1, a, kinds, ok
+
+
 def reduced_qubit_density(state: StateVector, j: int | np.ndarray) -> np.ndarray:
     """Reduced 2x2 density matrix of qubit j, tracing out the rest.
 
@@ -268,7 +302,7 @@ def equatorial_qubit_density(u_j1: float, alpha: float) -> np.ndarray:
 
     Used as the independent cross-check of ``reduced_qubit_density``.
     """
-    check_finite("u_j1", u_j1)
+    _check_transfer_amplitude(u_j1)
     check_finite("alpha", alpha)
     phase = np.exp(1j * alpha)
     return 0.5 * np.array(
@@ -286,10 +320,17 @@ def transfer_fidelity_formula(u_j1: float, alpha: float, mu: float) -> float:
     F = (1 + u_j1 * cos(alpha - mu)) / 2, given the real transfer amplitude
     u_j1 from the input qubit.
     """
-    check_finite("u_j1", u_j1)
+    _check_transfer_amplitude(u_j1)
     check_finite("alpha", alpha)
     check_finite("mu", mu)
     return 0.5 * (1.0 + u_j1 * np.cos(alpha - mu))
+
+
+def _check_transfer_amplitude(u_j1: float) -> None:
+    """A transfer amplitude is a column entry of a propagator: finite, |u_j1| <= 1."""
+    check_finite("u_j1", u_j1)
+    if abs(u_j1) > 1.0 + 1e-12:
+        raise ConfigurationError(f"need |u_j1| <= 1, got {u_j1}")
 
 
 def copy_fidelity(config, j: int, t: float, alpha: float, mu: float) -> float:
@@ -306,7 +347,7 @@ def copy_fidelity(config, j: int, t: float, alpha: float, mu: float) -> float:
     return float(np.real(target.conj() @ rho @ target))
 
 
-def fidelity_curve(m: int, scheme: CouplingScheme) -> tuple[float, float]:
+def fidelity_curve(m, scheme: CouplingScheme) -> tuple:
     """Analytic anti-cloning fidelities (targets, input qubit) at trapping.
 
     Both fidelities are taken against the orthogonal complement of the
@@ -321,17 +362,21 @@ def fidelity_curve(m: int, scheme: CouplingScheme) -> tuple[float, float]:
     target fidelity.  w_prime at M = 2 is the degenerate single-output
     case (perfect equatorial complementing, F = 1); M >= 3 gives genuine
     one-to-many anti-cloning over the M-1 partners.
+
+    For a named scheme ``m`` may also be a float64 column of checked
+    counts; each entry is then bit-identical to the one-count value, as in
+    ``CouplingScheme.ratio``.
     """
-    m = check_count("m", m, 2)
+    m, sqrt = _counts_and_sqrt(m, 2)
     if scheme.tag == "identical":
         return 0.5 * (1.0 + 2.0 / m), 1.0 / m
     if scheme.tag == "w_plus":
-        f = 0.5 * (1.0 + 1.0 / math.sqrt(m))
+        f = 0.5 * (1.0 + 1.0 / sqrt(m))
         return f, f
     if scheme.tag == "w_minus":
-        return 0.5 * (1.0 + 1.0 / math.sqrt(m)), 0.5 * (1.0 - 1.0 / math.sqrt(m))
+        return 0.5 * (1.0 + 1.0 / sqrt(m)), 0.5 * (1.0 - 1.0 / sqrt(m))
     if scheme.tag == "w_prime":
-        return 0.5 * (1.0 + 1.0 / math.sqrt(m - 1.0)), 0.5
+        return 0.5 * (1.0 + 1.0 / sqrt(m - 1.0)), 0.5
     a1, a = trapped_amplitudes(m, scheme.ratio(m))
     return 0.5 * (1.0 - a), 0.5 * (1.0 - a1)
 
@@ -365,45 +410,36 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
     )
 
 
-def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> tuple:
     """``run_anticlone``'s (partner, input qubit) fidelities for many star registers.
 
     Row i is the register of m[i] >= 2 qubits (an integer column of checked
-    counts) with coupling ratio r[i]; the (rows, 2) float64 result holds the
-    fidelity of its partners and of qubit 1, in ``fidelity_curve``'s order.
-    The M-1 partners couple alike, so they share one amplitude and one
-    fidelity, and each row takes its three distinct amplitudes from the
-    propagator's first column (``_star_column``) in O(1).  omega^2 is
-    r^2 + M - 1 here and the products are ordered otherwise than in
-    ``evolve``, so entries agree with ``run_anticlone`` to about 1e-16, not
-    bit for bit.
+    counts) with coupling ratio r[i].  Returns the (rows, 2) float64
+    fidelities of its partners and of qubit 1, in ``fidelity_curve``'s
+    order, and the ``ok`` column.  The M-1 partners couple alike, so they
+    share one amplitude and one fidelity, and each row takes its three
+    distinct amplitudes from the propagator's first column
+    (``_star_columns``) in O(1).  omega^2 is r^2 + M - 1 here and the
+    products are ordered otherwise than in ``evolve``, so entries agree
+    with ``run_anticlone`` to about 1e-16, not bit for bit.
 
-    alpha is checked once, up front.  A row that fails any other check
-    ``run_anticlone`` makes (the ratio, omega^2, the time, finite amplitudes
-    of unit norm, fidelities in [0, 1]) comes back NaN; ``run_anticlone``
-    raises that check's error on it.
+    alpha is checked once, up front.  ``ok`` is False, and the fidelities
+    NaN, on a row that fails any other check ``run_anticlone`` makes (the
+    ratio, the time, finite amplitudes of unit norm, fidelities in [0, 1]);
+    ``run_anticlone`` raises that check's error on it.
     """
     ground, excited = initial_state(np.pi / 2.0, alpha, star_config(1, 1.0)).amplitudes[:2]
-    # a row that fails its checks may overflow on the way, as it would not
-    # have got that far in run_anticlone
     with np.errstate(all="ignore"):
-        omega2 = r * r + (m - 1.0)  # as _star_omega_squared
-        tau = _trap_time(omega2, 0.0, 0.0, 1, _COLUMNS)
-        dark, qubit, damped_sinc, _ = _kernel_terms(omega2, 0.0, 0.0, tau, _COLUMNS)
-        x1, x, photon = (excited * b for b in _star_column(r, dark, qubit, -1j * damped_sinc))
+        column = _star_columns(m, r, 0.0, 0.0, 1)[2]
+        x1, x, photon = (excited * b for b in column)
         n2 = abs(ground) ** 2 + abs(x1) ** 2 + (m - 1.0) * abs(x) ** 2 + abs(photon) ** 2
         rho = _qubit_densities(ground, np.stack([x, x1], axis=-1), n2[:, None])
         fidelities = _complement_fidelities(rho, alpha)
-        ok = (
-            (r > 0.0) & (r < math.inf)
-            & (omega2 > 0.0) & (omega2 < math.inf)
-            & (tau >= 0.0) & (tau < math.inf)
-            & np.isfinite(x1) & np.isfinite(x) & np.isfinite(photon)
-            & (abs(n2 - 1.0) <= 1e-12) & (n2 > 1e-300)
-            & _in_unit_interval(fidelities).all(axis=-1)
-        )
+        # a NaN fails every comparison, so the norm test also rejects a row
+        # with no trapping instant or with amplitudes that are not finite
+        ok = (r > 0.0) & (abs(n2 - 1.0) <= 1e-12) & _in_unit_interval(fidelities).all(axis=-1)
     fidelities[~ok] = np.nan
-    return fidelities
+    return fidelities, ok
 
 
 OPTIMIZER_OBJECTIVES = ("w_symmetry", "target_fidelity", "separable_transfer")
@@ -441,8 +477,6 @@ def optimize_coupling_ratio(m: int, objective: str):
         separable_transfer : a1 = 0
 
     The roots recover sqrt(M) -/+ 1 and sqrt(M-1) to better than 1e-6.
-    ``w_symmetry`` finds both for every M from 2 to 7507; past that both may
-    fall in one grid interval, which raises, and from M = 133750 on they do.
     ``target_fidelity`` recovers sqrt(M-1) to 1e-6 *relative* only, up to M
     of about 10^7: near a smooth maximum the fidelity moves by O(dr^2), so
     its argmax is fixed to about sqrt(eps * sqrt(M)) relative.
@@ -474,6 +508,13 @@ def optimize_coupling_ratio(m: int, objective: str):
             return trapped_amplitudes(m, r)[0]
 
     values = np.array([f(r) for r in grid])
+    if objective == "w_symmetry":
+        # past M ~ 7500 both roots can share one grid interval; |a1| - |a|
+        # dips below 0 only between them, so its minimum splits them
+        i = min(max(int(np.argmin(values)), 1), len(grid) - 2)
+        dip = _golden_section_argmin(f, grid[i - 1], grid[i + 1])
+        k = int(np.searchsorted(grid, dip))
+        grid, values = np.insert(grid, k, dip), np.insert(values, k, f(dip))
     roots = []
     for i in range(len(grid) - 1):
         if values[i] == 0.0:

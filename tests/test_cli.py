@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qcm.cli as cli
+import qcm.decoherence as decoherence
 from qcm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -197,8 +198,37 @@ class TestWstateCommand:
             capsys, ["decoherence", *m_flags, "--gamma-decay", "0", "--kappa", "0"]
         )
         _, wstate = parse_csv(out_w)
-        _, decoherence = parse_csv(out_d)
-        assert [row["tau_star"] for row in wstate] == [row["tau_star_c"] for row in decoherence]
+        _, decay = parse_csv(out_d)
+        assert [row["tau_star"] for row in wstate] == [row["tau_star_c"] for row in decay]
+
+    @pytest.mark.parametrize("counts", [["--m", "2"], ["--m-range", "2:9"]])
+    def test_overflowing_ratio_names_the_row_route_check(self, capsys, counts):
+        # the first flagged row replays through generate_w_state, whose config check fires
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["wstate", *counts, "--r", "1e200"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: omega^2 = sum of squared couplings must be finite and > 0, got inf\n"
+
+    def test_one_count_too_large_to_allocate_runs_in_constant_memory(self, capsys):
+        # this used to exit 2 when 10**15 couplings could not be allocated
+        m = 10**15
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["wstate", "--m", str(m), "--scheme", "w_plus"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (EXIT_OK, "")
+        _, rows = parse_csv(out)
+        r = W_PLUS.ratio(m)
+        expected = [m, "w_plus", r, renormalized_trapping_time(m, r, 0.0, 0.0)]
+        assert list(rows[0].values())[:4] == [cli.format_value(v) for v in expected]
+        assert rows[0]["classification"] == "symmetric_W"
+        for amplitude in (rows[0]["a1"], rows[0]["a"]):
+            assert float(amplitude) == pytest.approx(-1.0 / math.sqrt(m), rel=1e-7)
+        assert len(rows) == 1
+        assert peak < 1e6
 
 
 class TestAnticloneCommand:
@@ -243,8 +273,10 @@ class TestAnticloneCommand:
         exact = cli.fidelity_curve
 
         def moved(m, scheme):
+            # m is one count on a replayed row, a column of counts in the table
             f_target, f_input = exact(m, scheme)
-            return (f_target + 1e-9 if (m, scheme.tag) in shifted else f_target), f_input
+            counts = [count for count, tag in shifted if tag == scheme.tag]
+            return f_target + np.where(np.isin(m, counts), 1e-9, 0.0), f_input
 
         monkeypatch.setattr(cli, "fidelity_curve", moved)
         code, out, err = run_cli(capsys, ["anticlone", "--m-range", "2:12", "--alpha", "0.6"])
@@ -261,11 +293,11 @@ class TestAnticloneCommand:
         batched, flagged, replayed = cli.anticlone_fidelities, [], []
 
         def some_nan_rows(m, r, alpha):
-            fidelities = batched(m, r, alpha)
+            fidelities, ok = batched(m, r, alpha)
             rows = [7, 50, 51, 301, m.size - 1]
-            fidelities[rows] = np.nan
+            fidelities[rows], ok[rows] = np.nan, False
             flagged.extend((int(m[i]), i % 4) for i in rows)
-            return fidelities
+            return fidelities, ok
 
         def recorded(m, scheme, alpha):
             replayed.append((m, cli.ANTICLONE_SCHEMES.index(scheme)))
@@ -322,6 +354,76 @@ class TestAnticloneCommand:
         assert list(rows[0].values()) == [cli.format_value(v) for v in expected]
         assert len(rows) == 1
         assert peak < 1e6
+
+
+#: per command: argv, the column pass (module, name) and the rows it is made
+#: to flag, the row route (module, name) and what it is called with on them
+REPLAYS = {
+    "wstate": (
+        ["wstate", "--m-range", "2:20", "--scheme", "w_minus"],
+        (cli, "w_state_columns"), [3, 11],
+        (cli, "generate_w_state"), lambda m, scheme: (m, scheme.tag),
+        [(5, "w_minus"), (13, "w_minus")],
+    ),
+    "anticlone": (
+        ["anticlone", "--m-range", "2:20"],
+        (cli, "anticlone_fidelities"), [5, 14],
+        (cli, "run_anticlone"), lambda m, scheme, alpha: (m, scheme.tag),
+        [(3, "w_plus"), (5, "w_minus")],
+    ),
+    "decoherence": (
+        ["decoherence", "--m-range", "2:20"],
+        (decoherence, "_decay_columns"), [5, 14],
+        (decoherence, "_raise_for_row"), lambda m, r, *rest: (m, r),
+        [(4, W_PRIME.ratio(4)), (9, W_PLUS.ratio(9))],
+    ),
+    "scan": (
+        ["scan", "--m", "4", "--r-grid", "1:2:5"],
+        (cli, "_scan_columns"), [1, 6],
+        (cli, "fidelity_curve"), lambda m, scheme: (m, scheme.custom_ratio),
+        [(4, 1.25), (4, 3.0)],
+    ),
+}
+
+
+class TestFlaggedRowReplay:
+    @pytest.mark.parametrize("command", sorted(REPLAYS))
+    def test_every_flagged_row_is_replayed_in_row_order(self, capsys, monkeypatch, command):
+        argv, (pass_module, pass_name), rows, (route_module, route_name), key, calls = (
+            REPLAYS[command]
+        )
+        _, expected, _ = run_cli(capsys, argv)
+        column_pass, route = getattr(pass_module, pass_name), getattr(route_module, route_name)
+        replayed = []
+
+        def flagging(*args):
+            *values, ok = column_pass(*args)
+            ok = ok.copy()
+            ok[rows] = False
+            return (*values, ok)
+
+        def recorded(*args, **kwargs):
+            replayed.append(key(*args, **kwargs))
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(pass_module, pass_name, flagging)
+        monkeypatch.setattr(route_module, route_name, recorded)
+        # the row route passes these rows, so the table is unchanged
+        assert run_cli(capsys, argv) == (EXIT_OK, expected, "")
+        assert replayed == calls
+
+    def test_decoherence_raises_for_a_later_flagged_row(self, capsys, monkeypatch):
+        # only the first flagged row used to be replayed, so a later one could pass
+        column_pass = decoherence._decay_columns
+
+        def flagging(m, r, gamma_decay, kappa, m_odd):
+            tau, fidelity, p, ok = column_pass(m, r, gamma_decay, kappa, m_odd)
+            fidelity[9], ok[[4, 9]] = 1.5, False
+            return tau, fidelity, p, ok
+
+        monkeypatch.setattr(decoherence, "_decay_columns", flagging)
+        code, out, err = run_cli(capsys, ["decoherence", "--m-range", "2:20"])
+        assert (code, out, err) == (EXIT_CONFIG, "", "error: fidelity outside [0, 1]: 1.5\n")
 
 
 class TestDecoherenceCommand:
@@ -733,9 +835,8 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            # 10**15 float64 couplings are 8 PB, past any user address space,
+            # a list of 10**15 counts is 8 PB, past any user address space,
             # so each allocation fails at once; never try a count that could fit
-            ["wstate", "--m", str(10**15), "--scheme", "w_plus"],
             ["anticlone", "--m-range", f"2:{10**15}"],
             ["wstate", "--m-range", f"2:{10**15}", "--scheme", "w_plus"],
             ["decoherence", "--m-range", f"2:{10**15}"],

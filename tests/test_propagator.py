@@ -11,7 +11,9 @@ from qcm.model import (
     star_config,
 )
 from qcm.propagator import (
+    _COLUMNS,
     PropagatorMatrix,
+    _trap_time,
     closed_form_propagator,
     evolve,
     evolve_oracle_expm,
@@ -483,6 +485,17 @@ class TestTrappingTime:
         # the overdamped regime keeps its own error
         with pytest.raises(OverdampedRegimeError):
             trapping_time(star_config(2, 1.0, kappa=1e155))
+
+    def test_column_rows_without_a_trapping_instant_are_nan(self):
+        # critical (4*omega^2 = kappa^2 = 16, whose time came back inf),
+        # overdamped, underdamped, and a discriminant of inf and of inf - inf
+        omega2 = np.array([4.0, 3.0, 5.0, 1e308, 1e308])
+        kappa = 4.0
+        taus = _trap_time(omega2[:3], 0.0, kappa, 1, _COLUMNS)
+        assert np.isnan(taus[:2]).all() and taus[2] == renormalized_trapping_time(2, 2.0, 0.0, kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_trap_time(omega2[3:], 0.0, 0.0, 1, _COLUMNS)).all()
+            assert np.isnan(_trap_time(omega2[3:], 0.0, 1e155, 1, _COLUMNS)).all()
 
     def test_w_plus_traps_faster_than_w_prime(self):
         for m in range(3, 12):

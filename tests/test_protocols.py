@@ -1,6 +1,11 @@
+import functools
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
+from qcm.decoherence import renormalized_trapping_time
 from qcm.model import ConfigurationError, StateVector, initial_state, star_config
 from qcm.propagator import closed_form_propagator, evolve, trapping_time
 from qcm.protocols import (
@@ -21,11 +26,16 @@ from qcm.protocols import (
     run_anticlone,
     transfer_fidelity_formula,
     trapped_amplitudes,
+    w_state_columns,
 )
 
 from conftest import brute_force_reduced_density
 
 ALL_SCHEMES = (IDENTICAL, W_PLUS, W_MINUS, W_PRIME)
+
+
+def scheme_id(scheme):
+    return scheme.tag if scheme.tag != "custom" else f"r={scheme.custom_ratio}"
 
 
 def check_density(rho, tol=1e-12):
@@ -127,6 +137,26 @@ def test_closed_form_helpers_reject_non_finite_inputs(call, bad):
     # these returned nan, a NaN matrix (with a numpy warning) or "generic"
     with pytest.raises(ConfigurationError, match="must be finite"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda u: transfer_fidelity_formula(u, 0.0, 0.0), lambda u: equatorial_qubit_density(u, 0.0)],
+)
+class TestTransferAmplitudeBound:
+    @pytest.mark.parametrize("u", [1.0, -1.0, 1.0 + 1e-13])
+    def test_unit_amplitudes_pass(self, call, u):
+        call(u)
+
+    @pytest.mark.parametrize("u", [1.0 + 1e-9, -1.0 - 1e-9, 2.0, -2.0])
+    def test_amplitudes_past_one_rejected(self, call, u):
+        # u = 2 used to give a fidelity of 1.5 and a population of -1
+        with pytest.raises(ConfigurationError, match=f"need \\|u_j1\\| <= 1, got {u}"):
+            call(u)
+
+    def test_nan_rejected(self, call):
+        with pytest.raises(ConfigurationError, match="u_j1 must be finite"):
+            call(math.nan)
 
 
 class TestGenerateWState:
@@ -354,6 +384,13 @@ class TestFidelityCurve:
         # the degenerate single-output point: both reduce to full transfer
         assert fidelity_curve(2, W_PRIME)[0] == fidelity_curve(2, IDENTICAL)[0] == 1.0
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=scheme_id)
+    def test_count_column_is_bit_identical_to_each_count(self, scheme):
+        counts = [*range(2, 3001), 10**6, 10**15, 2**53 - 1, 2**53]
+        f_target, f_input = np.broadcast_arrays(*fidelity_curve(np.array(counts, float), scheme))
+        expected = [fidelity_curve(m, scheme) for m in counts]
+        assert list(zip(f_target.tolist(), f_input.tolist())) == expected
+
     def test_custom_ratio_formula(self):
         f_target, f_input = fidelity_curve(5, CouplingScheme.custom(2.0))
         a1, a = trapped_amplitudes(5, 2.0)
@@ -416,8 +453,8 @@ class TestAnticloneFidelities:
     @pytest.mark.parametrize("alpha", [0.0, 1.1, 4.32])
     def test_agrees_with_run_anticlone(self, alpha):
         m, r = star_rows(range(2, 301), ALL_SCHEMES)
-        batched = anticlone_fidelities(m, r, alpha)
-        assert batched.shape == (m.size, 2)
+        batched, ok = anticlone_fidelities(m, r, alpha)
+        assert batched.shape == (m.size, 2) and ok.all()
         for i, (target, input_qubit) in enumerate(batched):
             reference = run_anticlone(int(m[i]), ALL_SCHEMES[i % 4], alpha).fidelities
             # the batch scores one partner; every partner of the row must match it
@@ -428,8 +465,9 @@ class TestAnticloneFidelities:
         # omega^2 = inf, and 4*omega^2 = inf with omega^2 finite, amid good rows
         bad = (CouplingScheme.custom(1e200), CouplingScheme.custom(1e154))
         m, r = star_rows([4], (W_PLUS,) + bad + (W_PRIME,))
-        rows = anticlone_fidelities(m, r, 0.5)
+        rows, ok = anticlone_fidelities(m, r, 0.5)
         assert np.isnan(rows).all(axis=1).tolist() == [False, True, True, False]
+        assert ok.tolist() == [True, False, False, True]
         assert np.isfinite(rows[[0, 3]]).all()
         # the one-register route raises each failed check's own error
         with pytest.raises(ConfigurationError, match="omega\\^2"):
@@ -442,6 +480,79 @@ class TestAnticloneFidelities:
         m, r = star_rows([3], ALL_SCHEMES)
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
             anticlone_fidelities(m, r, alpha)
+
+
+NAMED_AND_CUSTOM = ALL_SCHEMES + tuple(CouplingScheme.custom(r) for r in (0.3, 1.0, 7.5))
+W_COUNTS = np.arange(2, 2001, dtype=np.int64)
+
+
+@functools.cache
+def w_state_routes(scheme):
+    """(r, column route, row-route reports) of one scheme over M = 2..2000."""
+    m, r = star_rows(W_COUNTS.tolist(), (scheme,))
+    return r, w_state_columns(m, r), [generate_w_state(int(k), scheme)[1] for k in m]
+
+
+def exact_errors(m, r, values, column):
+    """|value - exact| of a1 (column 0) or a (column 1) at the float ratio r, to 50 digits."""
+    errors = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for count, ratio, value in zip(m.tolist(), r.tolist(), values.tolist()):
+            ratio = Decimal(ratio)
+            denom = ratio * ratio + (count - 1)
+            exact = (count - 1 - ratio * ratio) / denom if column == 0 else -2 * ratio / denom
+            errors.append(float(abs(Decimal(value) - exact)))
+    return np.array(errors)
+
+
+class TestWStateColumns:
+    @pytest.mark.parametrize("scheme", NAMED_AND_CUSTOM, ids=scheme_id)
+    def test_agrees_with_generate_w_state(self, scheme):
+        r, (_, a1, a, kinds, ok), reports = w_state_routes(scheme)
+        assert ok.all()
+        assert r.tolist() == [report.r for report in reports]
+        # omega^2 is r^2 + M - 1 here, a numpy sum of the couplings there
+        assert np.max(abs(a1 - [report.a1 for report in reports])) <= 5e-16
+        assert np.max(abs(a - [report.a for report in reports])) <= 5e-16
+        assert kinds.tolist() == [report.classification for report in reports]
+
+    @pytest.mark.parametrize("scheme", NAMED_AND_CUSTOM, ids=scheme_id)
+    @pytest.mark.parametrize("m_odd", [1, 3, 101])
+    def test_tau_star_is_the_renormalized_trapping_time(self, scheme, m_odd):
+        m, r = star_rows(W_COUNTS.tolist(), (scheme,))
+        tau = w_state_columns(m, r, m_odd)[0]
+        expected = [renormalized_trapping_time(int(k), x, 0.0, 0.0, m_odd) for k, x in zip(m, r)]
+        assert tau.tolist() == expected
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=scheme_id)
+    def test_no_less_accurate_than_the_row_route(self, scheme):
+        r, (_, a1, a, _, _), reports = w_state_routes(scheme)
+        for column, (batched, rows) in enumerate(
+            [(a1, [report.a1 for report in reports]), (a, [report.a for report in reports])]
+        ):
+            batch_errors = exact_errors(W_COUNTS, r, batched, column)
+            row_errors = exact_errors(W_COUNTS, r, np.array(rows), column)
+            assert batch_errors.max() <= row_errors.max()
+            assert batch_errors.mean() <= row_errors.mean()
+
+    def test_rows_failing_a_check_are_flagged(self):
+        # omega^2 = inf, 4*omega^2 = inf with omega^2 finite, and a ratio <= 0
+        m = np.array([4, 4, 4, 4, 4])
+        r = np.array([3.0, 1e200, 1e154, -1.0, 1.0])
+        with np.errstate(all="raise"):
+            ok = w_state_columns(m, r)[-1]
+        assert ok.tolist() == [True, False, False, False, True]
+
+    def test_one_register_past_any_allocation(self):
+        m = 10**15
+        r = W_PLUS.ratio(m)
+        tau, a1, a, kinds, ok = w_state_columns(np.array([m]), np.array([r]))
+        assert ok.tolist() == [True] and kinds.tolist() == ["symmetric_W"]
+        assert tau.tolist() == [renormalized_trapping_time(m, r, 0.0, 0.0)]
+        # a1 = 1 + r*a cancels to about 3e-8 here, so it holds about 8 digits
+        assert exact_errors(np.array([m]), np.array([r]), a1, 0)[0] <= 5e-16
+        assert exact_errors(np.array([m]), np.array([r]), a, 1)[0] <= 5e-16
 
 
 class TestProtocolReport:
@@ -493,6 +604,16 @@ class TestOptimizeCouplingRatio:
         f_best = fidelity_curve(m, CouplingScheme.custom(best))[0]
         f_exact = fidelity_curve(m, CouplingScheme.custom(exact))[0]
         assert f_best == pytest.approx(f_exact, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "m", [2, 3, 4, 16, 7507, 7508, 133749, 133750, 10**6, 10**9, 2**40, 2**53]
+    )
+    def test_symmetry_roots_at_every_scale(self, m):
+        # from M = 7508 on both roots could share one grid interval, and from
+        # M = 133750 on they always did: "expected two symmetry ratios, found []"
+        low, high = optimize_coupling_ratio(m, "w_symmetry")
+        assert abs(low - (math.sqrt(m) - 1.0)) / (math.sqrt(m) - 1.0) <= 2e-9
+        assert abs(high - (math.sqrt(m) + 1.0)) / (math.sqrt(m) + 1.0) <= 2e-9
 
     def test_iterates_are_pinned_at_m4(self):
         # stopping once the bracket stops shrinking leaves every search that
