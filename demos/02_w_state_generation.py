@@ -14,7 +14,14 @@ Identical couplings only work at M = 4, where sqrt(M) - 1 happens to be 1.
 
 import numpy as np
 
-from qcm import W_MINUS, W_PLUS, W_PRIME, generate_w_state, optimize_coupling_ratio
+from qcm import (
+    W_MINUS,
+    W_PLUS,
+    W_PRIME,
+    generate_w_state,
+    optimize_coupling_ratio,
+    trapped_amplitudes,
+)
 
 print("M=4, the special case where identical couplings give a W state")
 for scheme in (W_PLUS, W_MINUS):
@@ -40,8 +47,10 @@ for m in (2, 4, 8, 16):
     print(f"  {m:2d}   {report.r:12.6f}   {defect:.2e}")
 print()
 
-print("a blind numerical scan rediscovers the special ratios (M = 9):")
+print("the special ratios in closed form, and the trapped amplitudes there (M = 9):")
 low, high = optimize_coupling_ratio(9, "w_symmetry")
 transfer = optimize_coupling_ratio(9, "separable_transfer")
-print(f"  |a1| = |a| branches : r = {low:.8f}, {high:.8f}   (sqrt(9) -/+ 1)")
-print(f"  a1 = 0 transfer     : r = {transfer:.8f}            (sqrt(8))")
+for label, r in (("sqrt(9) - 1", low), ("sqrt(9) + 1", high), ("sqrt(8)    ", transfer)):
+    a1, a = trapped_amplitudes(9, r)
+    print(f"  r = {label} = {r:.8f}   a1 = {a1:+.8f}   a = {a:+.8f}")
+print("  |a1| = |a| on both symmetry branches; a1 = 0 at full transfer")

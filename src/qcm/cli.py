@@ -36,6 +36,7 @@ from .model import (
     _check_registers,
     _generators,
     check_count,
+    check_integer,
     check_odd_index,
     replay_flagged,
 )
@@ -57,6 +58,7 @@ from .protocols import (
     anticlone_fidelities,
     fidelity_curve,
     generate_w_state,
+    optimize_coupling_ratio,
     run_anticlone,
     w_state_columns,
 )
@@ -268,7 +270,7 @@ def run_check_suites(
 ) -> list[dict]:
     """Run every cross-validation suite; one result row per suite."""
     trials = check_count("trials", trials, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer("seed", seed, 0))  # no cap: numpy takes any size
     rows = []
     if trials > 0:
         try:  # each suite allocates its draws first, so a count too large fails at once
@@ -397,8 +399,10 @@ def _parse_r_grid(text: str, m: int) -> np.ndarray:
         ) from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigurationError(f"r-grid START and STOP must be finite, got {text!r}")
+    if start <= 0.0:
+        raise ConfigurationError(f"r-grid START must be > 0, a coupling ratio, got {text!r}")
     count = check_count("r-grid COUNT", count, 0)
-    if count < 1 or stop < start or start <= 0.0:
+    if count < 1 or stop < start:
         raise ConfigurationError("empty r-grid")
     return np.linspace(start, stop, count)
 
@@ -420,7 +424,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     grid = _parse_r_grid(args.r_grid, m)
     # the special ratios follow the grid, in their closed forms
     special = ("w_symmetry_low", "w_symmetry_high", "separable_transfer", "target_fidelity")
-    r = np.append(grid, [scheme.ratio(m) for scheme in (W_MINUS, W_PLUS, W_PRIME, W_PRIME)])
+    optima = [*optimize_coupling_ratio(m, "w_symmetry")]
+    optima += [optimize_coupling_ratio(m, objective) for objective in special[2:]]
+    r = np.append(grid, optima)
     a1, a, ok = _scan_columns(m, r)
     replay_flagged(ok, lambda i: fidelity_curve(m, CouplingScheme.custom(float(r[i]))))
     kinds = ("grid",) * grid.size + special

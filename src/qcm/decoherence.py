@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StateVector, _star_omega_squared, check_count, check_positive, replay_flagged
+from .model import StateVector, _star_omega_squared, check_count, check_count_column
+from .model import check_positive, replay_flagged
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     _COLUMNS,
     _FLOATS,
@@ -246,10 +247,15 @@ def decay_robustness_scan(
     schemes by tag: the shifted trapping time, the fidelity against the
     decay-free trapped state, and the no-click probability.  Default rates
     are kappa = 0.02 and Gamma = 0.001 in coupling units, with both
-    protocol schemes.  The counts are checked once, in the order given, and
-    the table is built as float64 columns in one pass (``_decay_columns``).
+    protocol schemes.  The counts are checked once, in the order given (an
+    integer column in one pass), and the table is built as float64 columns
+    in one pass (``_decay_columns``).
     """
-    counts = np.array(sorted({check_count("m", m, 2) for m in m_values}), dtype=np.int64)
+    if isinstance(m_values, np.ndarray) and m_values.dtype.kind in "iu" and m_values.ndim == 1:
+        counts = check_count_column("m", m_values, 2)
+    else:
+        counts = [check_count("m", m, 2) for m in m_values]
+    counts = np.unique(np.asarray(counts, dtype=np.int64))
     schemes = sorted(schemes, key=lambda scheme: scheme.tag)
     m, r = _scheme_rows(counts, schemes)
     tags = tuple(scheme.tag for scheme in schemes) * counts.size

@@ -23,10 +23,11 @@ alike, so a star register holds only three distinct amplitudes.
 ``generate_w_state`` and ``run_anticlone``, the one-register routes, are
 the references they are tested against.
 
-The special coupling ratios have closed forms, which ``qcm scan`` prints:
-|a1| = |a| at r = sqrt(M) +/- 1, and a1 = 0 (full transfer out of the input
-qubit, which also maximizes the target fidelity) at r = sqrt(M-1).
-``optimize_coupling_ratio`` finds them by a numerical search, as a cross-check.
+The special coupling ratios have closed forms: |a1| = |a| at
+r = sqrt(M) +/- 1, and a1 = 0 (full transfer out of the input qubit, which
+also maximizes the target fidelity) at r = sqrt(M-1).
+``optimize_coupling_ratio`` maps each objective to its closed form, and
+``qcm scan`` prints its special rows through it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .model import (
     StateVector,
     _star_omega_squared,
     check_count,
+    check_count_column,
     check_finite,
     check_positive,
     initial_state,
@@ -56,10 +58,10 @@ CLASSIFY_TOL = 1e-10
 
 
 def _counts_and_sqrt(m, minimum: int) -> tuple:
-    """(m, sqrt) for a closed form in M: a count checked here with ``math.sqrt``,
-    or a float64 column of counts the caller has checked with ``np.sqrt``."""
+    """(m, sqrt) for a closed form in M: a count with ``math.sqrt``, or a
+    column of counts with ``np.sqrt``, each checked here (at least ``minimum``)."""
     if isinstance(m, np.ndarray):
-        return m, np.sqrt
+        return check_count_column("m", m, minimum), np.sqrt
     return check_count("m", m, minimum), math.sqrt
 
 
@@ -96,10 +98,10 @@ class CouplingScheme:
         """Resolve the coupling ratio for M qubits.
 
         w_minus and w_prime need M >= 2, where their ratios are positive.
-        ``m`` may also be a float64 column of counts the caller has checked
-        (each at least 2); a ratio that depends on M then comes back as a
-        column whose entries are bit-identical to the one-count ratios, as
-        numpy's sqrt and libm's are both correctly rounded.
+        ``m`` may also be a float64 column of counts, checked in one pass; a
+        ratio that depends on M then comes back as a column whose entries
+        are bit-identical to the one-count ratios, as numpy's sqrt and
+        libm's are both correctly rounded.
         """
         m, sqrt = _counts_and_sqrt(m, 2 if self.tag in ("w_minus", "w_prime") else 1)
         if self.tag == "identical":
@@ -363,9 +365,9 @@ def fidelity_curve(m, scheme: CouplingScheme) -> tuple:
     case (perfect equatorial complementing, F = 1); M >= 3 gives genuine
     one-to-many anti-cloning over the M-1 partners.
 
-    For a named scheme ``m`` may also be a float64 column of checked
-    counts; each entry is then bit-identical to the one-count value, as in
-    ``CouplingScheme.ratio``.
+    For a named scheme ``m`` may also be a float64 column of counts,
+    checked in one pass; each entry is then bit-identical to the one-count
+    value, as in ``CouplingScheme.ratio``.
     """
     m, sqrt = _counts_and_sqrt(m, 2)
     if scheme.tag == "identical":
@@ -445,91 +447,14 @@ def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> tu
 OPTIMIZER_OBJECTIVES = ("w_symmetry", "target_fidelity", "separable_transfer")
 
 
-def _golden_section_argmin(f, lo: float, hi: float) -> float:
-    """Golden-section argmin of a unimodal function on [lo, hi], to 1e-8 or adjacent floats."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b, width = lo, hi, math.inf
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while width > b - a > 1e-8:
-        width = b - a
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimize_coupling_ratio(m: int, objective: str):
-    """Numerically locate the special coupling ratios for M qubits.
-
-    A numerical cross-check of the closed forms ``W_MINUS``, ``W_PLUS`` and
-    ``W_PRIME``: scans r over (0, 4*sqrt(M)] on a 512-point log grid, then
-    refines each candidate by golden section to 1e-8.  Objectives:
-
-        w_symmetry         : |a1| = |a|; returns both branches (low, high)
-        target_fidelity    : argmax of the target-qubit fidelity
-        separable_transfer : a1 = 0
-
-    The roots recover sqrt(M) -/+ 1 and sqrt(M-1) to better than 1e-6.
-    ``target_fidelity`` recovers sqrt(M-1) to 1e-6 *relative* only, up to M
-    of about 10^7: near a smooth maximum the fidelity moves by O(dr^2), so
-    its argmax is fixed to about sqrt(eps * sqrt(M)) relative.
+    """The special coupling ratio of an objective for M qubits, in closed form:
+    w_symmetry, |a1| = |a|, at both ``W_MINUS`` and ``W_PLUS``; separable_transfer,
+    a1 = 0, and target_fidelity, where -a = 2r/(M - 1 + r^2) peaks, at ``W_PRIME``.
     """
     m = check_count("m", m, 2)
     if objective not in OPTIMIZER_OBJECTIVES:
         raise ConfigurationError(f"unknown objective {objective!r}, expected one of {OPTIMIZER_OBJECTIVES}")
-    grid = np.geomspace(1e-3, 4.0 * np.sqrt(m), 512)
-
-    if objective == "target_fidelity":
-        values = np.array([fidelity_curve(m, CouplingScheme.custom(r))[0] for r in grid])
-        i = int(np.argmax(values))
-        i = min(max(i, 1), len(grid) - 2)
-        return _golden_section_argmin(
-            lambda r: -fidelity_curve(m, CouplingScheme.custom(r))[0],
-            grid[i - 1],
-            grid[i + 1],
-        )
-
     if objective == "w_symmetry":
-
-        def f(r):
-            a1, a = trapped_amplitudes(m, r)
-            return abs(a1) - abs(a)
-
-    else:  # separable_transfer
-
-        def f(r):
-            return trapped_amplitudes(m, r)[0]
-
-    values = np.array([f(r) for r in grid])
-    if objective == "w_symmetry":
-        # past M ~ 7500 both roots can share one grid interval; |a1| - |a|
-        # dips below 0 only between them, so its minimum splits them
-        i = min(max(int(np.argmin(values)), 1), len(grid) - 2)
-        dip = _golden_section_argmin(f, grid[i - 1], grid[i + 1])
-        k = int(np.searchsorted(grid, dip))
-        grid, values = np.insert(grid, k, dip), np.insert(values, k, f(dip))
-    roots = []
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(
-                _golden_section_argmin(lambda r: abs(f(r)), grid[i], grid[i + 1])
-            )
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-
-    if objective == "w_symmetry":
-        if len(roots) != 2:
-            raise ValueError(f"expected two symmetry ratios for m={m}, found {roots}")
-        return tuple(sorted(roots))
-    if len(roots) != 1:
-        raise ValueError(f"expected one transfer ratio for m={m}, found {roots}")
-    return roots[0]
+        return W_MINUS.ratio(m), W_PLUS.ratio(m)
+    return W_PRIME.ratio(m)

@@ -145,6 +145,22 @@ class TestCheckCommand:
         with pytest.raises(ConfigurationError):
             run_check_suites(trials, 1)
 
+    @pytest.mark.parametrize(
+        "seed, message", [(-1, "need seed >= 0, got -1"), (2.5, "seed must be an integer, got 2.5")]
+    )
+    def test_seed_must_be_a_non_negative_integer(self, capsys, seed, message):
+        # used to raise numpy's "expected non-negative integer" or a bare TypeError
+        with pytest.raises(ConfigurationError) as caught:
+            run_check_suites(1, seed)
+        assert str(caught.value) == message
+        if isinstance(seed, int):
+            code, out, err = run_cli(capsys, ["check", "--seed", str(seed)])
+            assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+    def test_seed_past_exact_float_range_accepted(self):
+        # a seed is not a count: numpy takes one of any size
+        assert run_check_suites(1, 2**64 + 1) == run_check_suites(1, 2**64 + 1)
+
     def test_suite_rows_carry_tolerances(self):
         rows = run_check_suites(5, 11)
         for row in rows:
@@ -539,10 +555,17 @@ class TestScanCommand:
             1.414214, abs=1e-6
         )
 
-    def test_empty_grid_rejected(self, capsys):
-        code, _, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", "2.0:1.0:5"])
-        assert code == EXIT_CONFIG
-        assert "empty r-grid" in err
+    @pytest.mark.parametrize("grid", ["2.0:1.0:5", "1:2:0"])
+    def test_empty_grid_rejected(self, capsys, grid):
+        code, _, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", grid])
+        assert (code, err) == (EXIT_CONFIG, "error: empty r-grid\n")
+
+    @pytest.mark.parametrize("grid", ["0:1:3", "-1:1:3", "-0.0:2:0"])
+    def test_non_positive_grid_start_named(self, capsys, grid):
+        # 0:1:3 used to say "empty r-grid", although the grid has three ratios
+        code, out, err = run_cli(capsys, ["scan", "--m", "4", f"--r-grid={grid}"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: r-grid START must be > 0, a coupling ratio, got {grid!r}\n"
 
     def test_grid_must_be_well_formed(self, capsys):
         code, _, err = run_cli(capsys, ["scan", "--m", "4", "--r-grid", "1.0:2.0"])

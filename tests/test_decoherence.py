@@ -486,6 +486,20 @@ class TestDecayTable:
             assert len(column) == 6
         assert table.m.dtype == np.int64 and table.fidelity.dtype == np.float64
 
+    @pytest.mark.parametrize(
+        "counts", [[5, 2, 5, 3], list(range(2, 300)), [4, 1, 3], [3, 2**53 + 1], [], [2**53]]
+    )
+    def test_integer_column_checked_as_the_list(self, counts):
+        # the column is checked in one vectorised pass, the list count by count
+        results = []
+        for m_values in (counts, np.array(counts, dtype=np.int64)):
+            try:
+                table = decay_robustness_scan(m_values)
+                results.append([c.tolist() for c in (table.m, table.r, table.fidelity)])
+            except ConfigurationError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+
     def test_counts_and_schemes_sorted_and_distinct(self):
         table = decay_robustness_scan([5, 2, 5, 3], schemes=[W_PRIME, W_PLUS])
         assert [(rep.m, rep.scheme) for rep in table] == [

@@ -12,6 +12,7 @@ from qcm.model import (
     build_dissipative_hamiltonian,
     build_hamiltonian,
     check_count,
+    check_count_column,
     initial_state,
     star_config,
 )
@@ -101,6 +102,27 @@ class TestCheckCount:
             check_count("m", 2**53 + 1, 1)
         with pytest.raises(ConfigurationError):
             check_count("m", 10**400, 1)
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ([2, 3, 1, 0], "need m >= 2, got 1"),
+            ([2.0, 2.5, 1.0], "m must be an integer, got 2.5"),
+            ([2.0, -1.0], "need m >= 2, got -1"),
+            ([2.0, np.nan], "m must be an integer, got nan"),
+            ([2.0, np.inf], "m must be an integer, got inf"),
+            ([2**53, 2**53 + 2], "need m <= 2**53, got 9007199254740994"),
+        ],
+    )
+    def test_column_names_its_first_bad_entry(self, column, message):
+        column = np.array(column)
+        with pytest.raises(ConfigurationError) as caught:
+            check_count_column("m", column, 2)
+        assert str(caught.value) == message
+
+    def test_column_of_counts_passes_unchanged(self):
+        for column in (np.arange(2, 100), np.arange(2.0, 100.0), np.array([2**53], np.uint64)):
+            assert check_count_column("m", column, 2) is column
 
 
 class TestStateVector:

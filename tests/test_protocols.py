@@ -76,6 +76,13 @@ class TestCouplingScheme:
         with pytest.raises(ConfigurationError):
             CouplingScheme.custom(np.nan)
 
+    def test_count_column_checked(self):
+        # a column of counts used to pass unchecked: W_MINUS gave the ratio 0.0
+        with pytest.raises(ConfigurationError, match="need m >= 2, got 1"):
+            W_MINUS.ratio(np.array([2.0, 1.0]))
+        with pytest.raises(ConfigurationError, match="m must be an integer, got 2.5"):
+            W_PLUS.ratio(np.array([2.5]))
+
 
 class TestTrappedAmplitudes:
     def test_m4_symmetric_pair(self):
@@ -391,6 +398,17 @@ class TestFidelityCurve:
         expected = [fidelity_curve(m, scheme) for m in counts]
         assert list(zip(f_target.tolist(), f_input.tolist())) == expected
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [([2.5], "m must be an integer, got 2.5"), ([3.0, -1.0], "need m >= 2, got -1")],
+    )
+    def test_count_column_checked(self, counts, message):
+        # these returned a value, or NaN with numpy's invalid-value warning
+        for scheme in ALL_SCHEMES:
+            with pytest.raises(ConfigurationError) as caught:
+                fidelity_curve(np.array(counts), scheme)
+            assert str(caught.value) == message
+
     def test_custom_ratio_formula(self):
         f_target, f_input = fidelity_curve(5, CouplingScheme.custom(2.0))
         a1, a = trapped_amplitudes(5, 2.0)
@@ -571,74 +589,16 @@ class TestProtocolReport:
 
 
 class TestOptimizeCouplingRatio:
-    def test_m4_symmetry_pair(self):
-        low, high = optimize_coupling_ratio(4, "w_symmetry")
-        assert low == pytest.approx(1.0, abs=1e-6)
-        assert high == pytest.approx(3.0, abs=1e-6)
-
-    def test_m3_separable_transfer(self):
-        r = optimize_coupling_ratio(3, "separable_transfer")
-        assert r == pytest.approx(np.sqrt(2.0), abs=1e-6)
-
-    def test_m9_upper_branch(self):
-        _, high = optimize_coupling_ratio(9, "w_symmetry")
-        assert high == pytest.approx(4.0, abs=1e-6)
-
-    def test_recovers_analytic_optima(self):
-        for m in (2, 3, 4, 9, 16):
-            low, high = optimize_coupling_ratio(m, "w_symmetry")
-            assert low == pytest.approx(np.sqrt(m) - 1.0, abs=1e-6)
-            assert high == pytest.approx(np.sqrt(m) + 1.0, abs=1e-6)
-            transfer = optimize_coupling_ratio(m, "separable_transfer")
-            assert transfer == pytest.approx(np.sqrt(m - 1.0), abs=1e-6)
-            best = optimize_coupling_ratio(m, "target_fidelity")
-            assert best == pytest.approx(np.sqrt(m - 1.0), abs=1e-6)
-
-    def test_target_fidelity_relative_accuracy_at_large_m(self):
-        # the argmax of a smooth maximum is fixed only to ~sqrt(eps) relative,
-        # so at M=256 the optimum lands about 1.1e-6 from sqrt(255)
-        m = 256
-        best = optimize_coupling_ratio(m, "target_fidelity")
-        exact = np.sqrt(m - 1.0)
-        assert abs(best - exact) / exact < 1e-6
-        f_best = fidelity_curve(m, CouplingScheme.custom(best))[0]
-        f_exact = fidelity_curve(m, CouplingScheme.custom(exact))[0]
-        assert f_best == pytest.approx(f_exact, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "m", [2, 3, 4, 16, 7507, 7508, 133749, 133750, 10**6, 10**9, 2**40, 2**53]
-    )
-    def test_symmetry_roots_at_every_scale(self, m):
-        # from M = 7508 on both roots could share one grid interval, and from
-        # M = 133750 on they always did: "expected two symmetry ratios, found []"
-        low, high = optimize_coupling_ratio(m, "w_symmetry")
-        assert abs(low - (math.sqrt(m) - 1.0)) / (math.sqrt(m) - 1.0) <= 2e-9
-        assert abs(high - (math.sqrt(m) + 1.0)) / (math.sqrt(m) + 1.0) <= 2e-9
-
-    def test_iterates_are_pinned_at_m4(self):
-        # stopping once the bracket stops shrinking leaves every search that
-        # reached 1e-8 on the same iterates
-        assert optimize_coupling_ratio(4, "w_symmetry") == (
-            0.99999999817063001,
-            2.9999999997329567,
-        )
-        assert optimize_coupling_ratio(4, "separable_transfer") == 1.7320508073594252
-        assert optimize_coupling_ratio(4, "target_fidelity") == 1.7320508502339875
-
-    @pytest.mark.parametrize(
-        "m, objective, tol",
-        [(2**52, "target_fidelity", 1e-3), (2**53, "separable_transfer", 1e-15)],
-    )
-    def test_search_ends_where_floats_are_coarser_than_1e_8(self, m, objective, tol):
-        # near sqrt(M) ~ 7e7 adjacent floats lie 1.5e-8 apart, so the bracket
-        # could never shrink below 1e-8 and these calls never returned
-        exact = np.sqrt(m - 1.0)
-        assert abs(optimize_coupling_ratio(m, objective) - exact) / exact < tol
+    def test_answers_from_the_scheme_ratios(self):
+        for m in [*range(2, 3001), 10**6, 2**53 - 1, 2**53]:
+            assert optimize_coupling_ratio(m, "w_symmetry") == (W_MINUS.ratio(m), W_PLUS.ratio(m))
+            assert optimize_coupling_ratio(m, "separable_transfer") == W_PRIME.ratio(m)
+            assert optimize_coupling_ratio(m, "target_fidelity") == W_PRIME.ratio(m)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="unknown objective 'fastest', expected one of"):
             optimize_coupling_ratio(4, "fastest")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="need m >= 2, got 1"):
             optimize_coupling_ratio(1, "w_symmetry")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="m must be an integer, got 4.0"):
             optimize_coupling_ratio(4.0, "w_symmetry")
