@@ -41,7 +41,6 @@ from .model import (
     replay_flagged,
 )
 from .propagator import (
-    _COLUMNS,
     _check_propagators,
     _no_click_kernel,
     _propagators,
@@ -55,6 +54,7 @@ from .protocols import (
     W_PLUS,
     W_PRIME,
     _scheme_rows,
+    _trapped_amplitudes,
     anticlone_fidelities,
     fidelity_curve,
     generate_w_state,
@@ -177,7 +177,7 @@ def _closed_stacks(m: np.ndarray, g: np.ndarray, t: np.ndarray, inject_fault: st
     _check_generators(h, "hermitian")
     omega = _check_registers([row[16 - count :] for row, count in zip(g, m.tolist())])
     omega2 = np.repeat([w**2 for w in omega], t.shape[1])  # libm pow, as config.omega**2
-    kernel = _no_click_kernel(omega2, 0.0, 0.0, t.reshape(-1), _COLUMNS)
+    kernel = _no_click_kernel(omega2, 0.0, 0.0, t.reshape(-1))
     kernel = [np.reshape(column, t.shape).T for column in kernel]
     u = _propagators(np.broadcast_to(g, (t.shape[1], *g.shape)), *kernel)
     _check_propagators(u)
@@ -412,8 +412,7 @@ def _scan_columns(m: int, r: np.ndarray) -> tuple:
     ``ok`` column of ``fidelity_curve``'s checks: its IEEE operations as columns."""
     with np.errstate(all="ignore"):  # a row failing its checks may overflow
         omega2 = r * r + (m - 1.0)
-        a1 = (m - 1.0 - r * r) / omega2
-        a = -2.0 * r / omega2
+        a1, a = _trapped_amplitudes(m, r, omega2)
     return a1, a, (r > 0.0) & (r < math.inf) & (omega2 > 0.0) & (omega2 < math.inf)
 
 

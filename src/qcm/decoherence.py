@@ -16,11 +16,13 @@ loses while waiting.
 ``decay_robustness_scan`` builds the decay-robustness table (the output of
 ``qcm decoherence``) as float64 columns in one pass: the counts, the rates
 and m_odd are checked once, and every row goes through the same kernel
-formulas as one float would.  numpy does the IEEE arithmetic and the
-correctly rounded sqrt; exp, expm1, sin, cos and pow go through ``math``
-entry by entry, since numpy's versions may round differently.  Every entry
-is therefore bit-identical to the scalar route, and ``decohered_fidelity``
-is the one-row case.
+formulas as one float would.  The kernel's routines follow the input: on a
+column numpy does the IEEE arithmetic and the correctly rounded sqrt, and
+exp, expm1, sin, cos and pow go through ``math`` entry by entry, since
+numpy's versions may round differently.  Every entry is therefore
+bit-identical to the scalar route, and ``decohered_fidelity`` is the
+one-row case.  The table's fidelity is taken against the trapped
+amplitudes a1 and a of ``qcm.protocols``, from the same expression.
 """
 
 from __future__ import annotations
@@ -32,15 +34,14 @@ import numpy as np
 from .model import StateVector, _star_omega_squared, check_count, check_count_column
 from .model import check_positive, replay_flagged
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
-    _COLUMNS,
-    _FLOATS,
     OverdampedRegimeError,
+    _libm,
     _no_click_kernel,
     _star_column,
     _star_columns,
     _trap_time,
 )
-from .protocols import W_PLUS, W_PRIME, _in_unit_interval, _scheme_rows
+from .protocols import W_PLUS, W_PRIME, _in_unit_interval, _scheme_rows, _trapped_amplitudes
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,10 @@ class ConditionalAmplitudes:
         return StateVector(amplitudes=amps, normalized=False)
 
 
-def _branch_norm_squared(m, b1, b, photon, libm=_FLOATS):
+def _branch_norm_squared(m, b1, b, photon):
     """|b1|^2 + (M-1)*|b|^2 + |photon|^2 from the magnitudes, as floats or columns."""
-    return libm.square(b1) + (m - 1) * libm.square(b) + libm.square(photon)
+    square = _libm(b1).square
+    return square(b1) + (m - 1) * square(b) + square(photon)
 
 
 def conditional_amplitudes(
@@ -175,9 +177,8 @@ def _decay_columns(m: np.ndarray, r: np.ndarray, gamma_decay: float, kappa: floa
     with np.errstate(all="ignore"):
         omega2, tau, (b1, b, photon) = _star_columns(m, r, gamma_decay, kappa, m_odd)
         # conditional_amplitudes' column, with |b_photon| = |r*E*S|
-        p = _branch_norm_squared(m, abs(b1), abs(b), abs(photon), _COLUMNS)
-        a1 = (m - 1.0 - r * r) / omega2  # as trapped_amplitudes
-        a = -2.0 * r / omega2
+        p = _branch_norm_squared(m, abs(b1), abs(b), abs(photon))
+        a1, a = _trapped_amplitudes(m, r, omega2)
         fidelity = np.minimum(abs(a1 * b1 + (m - 1.0) * a * b) / np.sqrt(p), 1.0)
     # a row with no trapping instant has p = NaN, which fails every comparison
     ok = (p > 1e-300) & _in_unit_interval(fidelity) & _in_unit_interval(p)
@@ -248,10 +249,10 @@ def decay_robustness_scan(
     decay-free trapped state, and the no-click probability.  Default rates
     are kappa = 0.02 and Gamma = 0.001 in coupling units, with both
     protocol schemes.  The counts are checked once, in the order given (an
-    integer column in one pass), and the table is built as float64 columns
-    in one pass (``_decay_columns``).
+    integer or float column in one pass, as ``fidelity_curve`` checks it),
+    and the table is built as float64 columns in one pass (``_decay_columns``).
     """
-    if isinstance(m_values, np.ndarray) and m_values.dtype.kind in "iu" and m_values.ndim == 1:
+    if isinstance(m_values, np.ndarray) and m_values.dtype.kind in "iuf" and m_values.ndim == 1:
         counts = check_count_column("m", m_values, 2)
     else:
         counts = [check_count("m", m, 2) for m in m_values]

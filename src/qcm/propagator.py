@@ -19,9 +19,9 @@ expected agreement is 1e-10 (eigendecomposition) and 1e-8 (RK4).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,18 +66,6 @@ class OverdampedRegimeError(ConfigurationError):
     amplitude then never returns to zero.  Amplitudes work in every regime."""
 
 
-#: the kernel's libm routines on Python floats
-_FLOATS = SimpleNamespace(
-    columns=False,
-    exp=math.exp,
-    expm1=math.expm1,
-    cos=math.cos,
-    sin=math.sin,
-    sqrt=math.sqrt,
-    square=lambda x: x ** 2,  # libm pow, as every `** 2` on a float
-)
-
-
 def _per_entry(routine):
     """``routine`` applied to each entry of a float64 column.
 
@@ -88,35 +76,44 @@ def _per_entry(routine):
     return lambda column: np.fromiter(map(routine, column.tolist()), float, column.size)
 
 
-#: the same routines on float64 columns; IEEE arithmetic and the correctly
-#: rounded sqrt run in numpy, every other libm call entry by entry
-_COLUMNS = SimpleNamespace(
-    columns=True,
-    exp=_per_entry(math.exp),
-    expm1=_per_entry(math.expm1),
-    cos=_per_entry(math.cos),
-    sin=_per_entry(math.sin),
-    sqrt=np.sqrt,
-    # libm pow(x, 2) entry by entry, as `x ** 2` on a float (numpy squares)
-    square=lambda column: np.fromiter(map(pow, column.tolist(), repeat(2)), float, column.size),
+_Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt square")
+
+#: the kernel's libm routines on Python floats; square is libm pow(x, 2), as
+#: every `x ** 2` on a float
+_FLOAT_LIBM = _Libm(math.exp, math.expm1, math.cos, math.sin, math.sqrt, lambda x: x ** 2)
+
+#: the same routines on float64 columns: IEEE arithmetic and the correctly
+#: rounded sqrt run in numpy, every other libm call entry by entry (numpy squares)
+_COLUMN_LIBM = _Libm(
+    *map(_per_entry, _FLOAT_LIBM[:4]),
+    np.sqrt,
+    lambda column: np.fromiter(map(pow, column.tolist(), repeat(2)), float, column.size),
 )
 
 
-def _trap_time(omega2, gamma_decay: float, kappa: float, m_odd, libm=_FLOATS):
+def _libm(x) -> _Libm:
+    """The kernel's routines for x: ``_COLUMN_LIBM`` on a float64 column, else
+    ``_FLOAT_LIBM`` (also on a numpy scalar or a 0-d array, which ``math``
+    takes).  A closed form that takes either chooses once per call."""
+    return _COLUMN_LIBM if isinstance(x, np.ndarray) and x.ndim else _FLOAT_LIBM
+
+
+def _trap_time(omega2, gamma_decay: float, kappa: float, m_odd):
     """The m_odd'th trapping instant 2*m_odd*pi/sqrt(4*omega^2 - (kappa - Gamma)^2).
 
     The discriminant must be finite: past about omega^2 = 4.5e307 it
     overflows to inf (or to inf - inf = NaN), where the time would come back
-    0 or NaN.  With ``libm=_COLUMNS`` omega2 is a float64 column; a row whose
-    discriminant is not finite and > 0 then comes back NaN instead of
-    raising, so that the caller can check its rows in order.
+    0 or NaN.  omega2 may be a float64 column; a row whose discriminant is
+    not finite and > 0 then comes back NaN instead of raising, so that the
+    caller can check its rows in order.
     """
     m_odd = check_odd_index(m_odd)
     check_non_negative("gamma_decay", gamma_decay)
     check_non_negative("kappa", kappa)
+    libm = _libm(omega2)
     detuning = kappa - gamma_decay
     disc = 4.0 * omega2 - detuning * detuning
-    if libm.columns:
+    if libm is _COLUMN_LIBM:
         disc = np.where((disc > 0.0) & (disc < math.inf), disc, math.nan)
     elif not 0.0 < disc < math.inf:
         if disc <= 0.0:
@@ -132,7 +129,7 @@ def _trap_time(omega2, gamma_decay: float, kappa: float, m_odd, libm=_FLOATS):
     return 2.0 * m_odd * math.pi / libm.sqrt(disc)
 
 
-def _no_click_kernel(omega2, gamma_decay: float, kappa: float, t, libm=_FLOATS) -> tuple:
+def _no_click_kernel(omega2, gamma_decay: float, kappa: float, t) -> tuple:
     """(dark, qubit, edge, photon) of the no-click propagator at time t.
 
     Qubit vectors orthogonal to the couplings only decay, as dark =
@@ -144,31 +141,33 @@ def _no_click_kernel(omega2, gamma_decay: float, kappa: float, t, libm=_FLOATS) 
         qubit = E*((C - 1) + d*S - expm1(d*t))/omega^2,  edge = -i*E*S,
         photon = E*(C - d*S)
 
-    ``libm=_COLUMNS`` takes columns of times and of omega^2, as ``_kernel_terms``.
+    omega2 and t may also be float64 columns, as in ``_kernel_terms``.
     """
     check_non_negative("gamma_decay", gamma_decay)
     check_non_negative("kappa", kappa)
-    check_non_negative("time", t[((t >= 0.0) & (t < math.inf)).argmin()] if libm.columns else t)
-    dark, qubit, damped_sinc, photon = _kernel_terms(omega2, gamma_decay, kappa, t, libm)
+    columns = _libm(t) is _COLUMN_LIBM  # a column checks its first time that fails, if any
+    check_non_negative("time", t[((t >= 0.0) & (t < math.inf)).argmin()] if columns else t)
+    dark, qubit, damped_sinc, photon = _kernel_terms(omega2, gamma_decay, kappa, t)
     return dark, qubit, -1j * damped_sinc, photon
 
 
-def _kernel_terms(omega2, gamma_decay: float, kappa: float, t, libm=_FLOATS) -> tuple:
+def _kernel_terms(omega2, gamma_decay: float, kappa: float, t) -> tuple:
     """(dark, qubit, E*S, photon) of ``_no_click_kernel``, unchecked.
 
-    With ``libm=_COLUMNS`` omega2 and t are float64 columns whose rows the
-    caller has checked to be underdamped (4*nu^2 is their trapping
-    discriminant, so every row with a trapping instant is), and each entry
-    is bit-identical to the float result.
+    omega2 and t may also be float64 columns whose rows the caller has
+    checked to be underdamped (4*nu^2 is their trapping discriminant, so
+    every row with a trapping instant is); each entry is then bit-identical
+    to the float result.
     """
+    exp, expm1, cos, sin, sqrt, square = libm = _libm(t)
     d = (kappa - gamma_decay) / 2.0
     nu2 = omega2 - d * d
-    dark = libm.exp(-gamma_decay * t)
-    joint = decay = libm.exp(-(gamma_decay + kappa) / 2.0 * t)
-    if libm.columns or nu2 > 0.0:
-        nu = libm.sqrt(nu2)
-        c, sinc = libm.cos(nu * t), libm.sin(nu * t) / nu
-        c_minus_1 = -2.0 * libm.square(libm.sin(nu * t / 2.0))
+    dark = exp(-gamma_decay * t)
+    joint = decay = exp(-(gamma_decay + kappa) / 2.0 * t)
+    if libm is _COLUMN_LIBM or nu2 > 0.0:
+        nu = sqrt(nu2)
+        c, sinc = cos(nu * t), sin(nu * t) / nu
+        c_minus_1 = -2.0 * square(sin(nu * t / 2.0))
     elif nu2 == 0.0:
         c, sinc, c_minus_1 = 1.0, t, 0.0
     else:
@@ -180,7 +179,7 @@ def _kernel_terms(omega2, gamma_decay: float, kappa: float, t, libm=_FLOATS) -> 
         sinc = -math.expm1(-2.0 * mu * t) / (2.0 * mu)
         c_minus_1 = math.expm1(-mu * t) ** 2 / 2.0
     # E*expm1(d*t) = dark - E, in the form that cannot overflow
-    shift = joint * libm.expm1(d * t) if d <= 0.0 else -dark * libm.expm1(-d * t)
+    shift = joint * expm1(d * t) if d <= 0.0 else -dark * expm1(-d * t)
     qubit = (decay * (c_minus_1 + d * sinc) - shift) / omega2
     return dark, qubit, decay * sinc, decay * (c - d * sinc)
 
@@ -207,8 +206,8 @@ def _star_columns(m, r, gamma_decay: float, kappa: float, m_odd) -> tuple:
     ``np.errstate``: a row that fails its checks may overflow on the way.
     """
     omega2 = r * r + (m - 1.0)
-    tau = _trap_time(omega2, gamma_decay, kappa, m_odd, _COLUMNS)
-    dark, qubit, damped_sinc, _ = _kernel_terms(omega2, gamma_decay, kappa, tau, _COLUMNS)
+    tau = _trap_time(omega2, gamma_decay, kappa, m_odd)
+    dark, qubit, damped_sinc, _ = _kernel_terms(omega2, gamma_decay, kappa, tau)
     return omega2, tau, _star_column(r, dark, qubit, damped_sinc)
 
 

@@ -32,7 +32,6 @@ also maximizes the target fidelity) at r = sqrt(M-1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ from .model import (
     initial_state,
     star_config,
 )
-from .propagator import _COLUMNS, _star_columns, _trap_time, evolve, trapping_time
+from .propagator import _libm, _star_columns, _trap_time, evolve, trapping_time
 
 SCHEME_TAGS = ("identical", "w_plus", "w_minus", "w_prime", "custom")
 
@@ -58,11 +57,11 @@ CLASSIFY_TOL = 1e-10
 
 
 def _counts_and_sqrt(m, minimum: int) -> tuple:
-    """(m, sqrt) for a closed form in M: a count with ``math.sqrt``, or a
-    column of counts with ``np.sqrt``, each checked here (at least ``minimum``)."""
-    if isinstance(m, np.ndarray):
-        return check_count_column("m", m, minimum), np.sqrt
-    return check_count("m", m, minimum), math.sqrt
+    """(m, sqrt) for a closed form in M: a count, or a column of counts checked
+    in one pass, each at least ``minimum``, with the kernel's sqrt for that
+    input (``math.sqrt``, or numpy's on a column)."""
+    check = check_count_column if isinstance(m, np.ndarray) else check_count
+    return check("m", m, minimum), _libm(m).sqrt
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,12 @@ def trapped_amplitudes(m: int, r: float) -> tuple[float, float]:
 
     satisfying a1^2 + (M-1)*a^2 = 1; needs at least one partner qubit.
     """
-    denom = _star_omega_squared(m, r)
-    return (m - 1.0 - r * r) / denom, -2.0 * r / denom
+    return _trapped_amplitudes(m, r, _star_omega_squared(m, r))
+
+
+def _trapped_amplitudes(m, r, omega2) -> tuple:
+    """``trapped_amplitudes`` at omega2 = M - 1 + r^2, unchecked; floats or columns."""
+    return (m - 1.0 - r * r) / omega2, -2.0 * r / omega2
 
 
 def classify_trapped_state(a1: float, a: float) -> str:
@@ -197,6 +200,27 @@ def classify_trapped_state(a1: float, a: float) -> str:
     return "generic"
 
 
+def _trapped_step(m: int, scheme: CouplingScheme, theta: float, alpha: float) -> tuple:
+    """The machine's one step, shared by both protocols.
+
+    Evolves ``initial_state(theta, alpha)`` of the star register of M qubits
+    under ``scheme`` to its first trapping instant.  Returns the report's
+    leading fields (m, scheme tag, r, trapping time) and the evolved state.
+    """
+    m = check_count("m", m, 2)
+    r = scheme.ratio(m)
+    config = star_config(m, r)
+    tau = trapping_time(config)
+    return (m, scheme.tag, r, tau), evolve(initial_state(theta, alpha, config), config, tau)
+
+
+def _report(head: tuple, a1: complex, a: complex, fidelities=None) -> ProtocolReport:
+    """The report of a step's ``head``, with the real parts of the trapped
+    amplitudes a1 and a and their classification."""
+    a1, a = float(a1.real), float(a.real)
+    return ProtocolReport(*head, a1, a, classify_trapped_state(a1, a), fidelities)
+
+
 def generate_w_state(m: int, scheme: CouplingScheme) -> tuple[StateVector, ProtocolReport]:
     """Evolve the excited input qubit to the first trapping time.
 
@@ -204,23 +228,29 @@ def generate_w_state(m: int, scheme: CouplingScheme) -> tuple[StateVector, Proto
     trapping instant) and a report with the measured branch amplitudes and
     their classification.
     """
-    m = check_count("m", m, 2)
-    r = scheme.ratio(m)
-    config = star_config(m, r)
-    tau = trapping_time(config)
-    state = evolve(initial_state(0.0, 0.0, config), config, tau)
-    a1 = float(state.amplitudes[1].real)
-    a = float(state.amplitudes[2].real)
-    report = ProtocolReport(
-        m=m,
-        scheme=scheme.tag,
-        r=r,
-        trapping_time=tau,
-        a1=a1,
-        a=a,
-        classification=classify_trapped_state(a1, a),
-    )
-    return state, report
+    head, state = _trapped_step(m, scheme, 0.0, 0.0)
+    return state, _report(head, state.amplitudes[1], state.amplitudes[2])
+
+
+def _star_step(m: np.ndarray, r: np.ndarray, theta: float, alpha: float) -> tuple:
+    """``_trapped_step`` for many star registers, in O(1) each.
+
+    Row i is the register of m[i] >= 2 qubits (an integer column of checked
+    counts) with coupling ratio r[i].  Returns omega^2, the input's ground
+    amplitude, its trapped amplitudes (x1, x, photon) on qubit 1, on each
+    partner and on the cavity, their squared norm n2, and ``ok``: False on
+    a row whose ratio is not > 0 or whose norm is not 1 to 1e-12.  A NaN
+    fails every comparison, so ``ok`` also rejects a row with no trapping
+    instant or with amplitudes that are not finite.  The M-1 partners
+    couple alike, so the propagator's first column (``_star_columns``)
+    holds every amplitude.  The caller runs this under ``np.errstate``: a
+    row that fails its checks may overflow on the way.
+    """
+    ground, excited = initial_state(theta, alpha, star_config(1, 1.0)).amplitudes[:2]
+    omega2, _, column = _star_columns(m, r, 0.0, 0.0, 1)
+    x1, x, photon = (excited * b for b in column)
+    n2 = abs(ground) ** 2 + abs(x1) ** 2 + (m - 1.0) * abs(x) ** 2 + abs(photon) ** 2
+    return omega2, ground, (x1, x, photon), n2, (r > 0.0) & (abs(n2 - 1.0) <= 1e-12)
 
 
 def w_state_columns(m: np.ndarray, r: np.ndarray, m_odd: int = 1) -> tuple:
@@ -229,21 +259,18 @@ def w_state_columns(m: np.ndarray, r: np.ndarray, m_odd: int = 1) -> tuple:
     Row i is the register of m[i] >= 2 qubits (an integer column of checked
     counts) with coupling ratio r[i].  Returns the columns (tau_star, a1, a,
     classification, ok): tau_star is the m_odd'th trapping instant,
-    bit-identical to ``renormalized_trapping_time`` without decay.  Without
-    decay the excited input's propagator column (``_star_columns``) is
-    real, and a1 and a are its b1 and b at the first instant.  omega^2 is
-    r^2 + M - 1 here, so they agree with ``generate_w_state`` to about
-    4e-16, not bit for bit.  ``ok`` is False on a row that fails a check of
-    ``generate_w_state`` (the ratio, the time, finite amplitudes of unit
-    norm); that route raises the check's error on it.
+    bit-identical to ``renormalized_trapping_time`` without decay, and a1
+    and a come from ``_star_step`` on the excited input, whose trapped
+    amplitudes are real.  omega^2 is r^2 + M - 1 here, so they agree with
+    ``generate_w_state`` to about 4e-16, not bit for bit.  ``ok`` is False
+    on a row that fails a check of ``generate_w_state`` (the ratio, the
+    time, finite amplitudes of unit norm); that route raises the check's
+    error on it.
     """
     with np.errstate(all="ignore"):
-        omega2, _, (a1, a, photon) = _star_columns(m, r, 0.0, 0.0, 1)
-        tau_star = _trap_time(omega2, 0.0, 0.0, m_odd, _COLUMNS)
-        n2 = a1 * a1 + (m - 1.0) * a * a + photon * photon
-        # a NaN fails every comparison, so the norm test also rejects a row
-        # with no trapping instant or with amplitudes that are not finite
-        ok = (r > 0.0) & (abs(n2 - 1.0) <= 1e-12)
+        omega2, _, (x1, x, _), _, ok = _star_step(m, r, 0.0, 0.0)
+        a1, a = x1.real, x.real
+        tau_star = _trap_time(omega2, 0.0, 0.0, m_odd)
         # classify_trapped_state's tests, in its order
         patterns = [abs(a1) < CLASSIFY_TOL, abs(a1 - a) < CLASSIFY_TOL, abs(a1 + a) < CLASSIFY_TOL]
     kinds = np.select(patterns, ["separable_W", "symmetric_W", "antisymmetric_W"], "generic")
@@ -288,8 +315,8 @@ def _qubit_densities(ground, qubits, norm_squared) -> np.ndarray:
 def _complement_fidelities(rho: np.ndarray, alpha: float) -> np.ndarray:
     """Fidelity of each density in ``rho`` (..., 2, 2) with the orthogonal
     complement of the equatorial input, the equatorial state of phase alpha - pi."""
-    mu = alpha - np.pi
-    target = np.array([1.0, np.exp(1j * mu)]) / np.sqrt(2.0)
+    # exp(i*(alpha - pi)) as -exp(i*alpha): alpha - pi would round pi away at large |alpha|
+    target = np.array([1.0, -np.exp(1j * alpha)]) / np.sqrt(2.0)
     return np.einsum("i,...ij,j->...", target.conj(), rho, target).real
 
 
@@ -390,26 +417,12 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
     scores each against the orthogonal complement (phase alpha - pi).  The
     report's fidelities match ``fidelity_curve`` to 1e-12.
     """
-    m = check_count("m", m, 2)
-    r = scheme.ratio(m)
-    config = star_config(m, r)
-    tau = trapping_time(config)
-    state = evolve(initial_state(np.pi / 2.0, alpha, config), config, tau)
-    rho = reduced_qubit_density(state, np.arange(1, m + 1))
+    head, state = _trapped_step(m, scheme, np.pi / 2.0, alpha)
+    rho = reduced_qubit_density(state, np.arange(1, state.m + 1))
     # branch amplitudes with the input superposition factors stripped off
     rescale = np.sqrt(2.0) * np.exp(-1j * alpha)
-    a1 = float((state.amplitudes[1] * rescale).real)
-    a = float((state.amplitudes[2] * rescale).real)
-    return ProtocolReport(
-        m=m,
-        scheme=scheme.tag,
-        r=r,
-        trapping_time=tau,
-        a1=a1,
-        a=a,
-        classification=classify_trapped_state(a1, a),
-        fidelities=_complement_fidelities(rho, alpha),
-    )
+    a1, a = state.amplitudes[1] * rescale, state.amplitudes[2] * rescale
+    return _report(head, a1, a, _complement_fidelities(rho, alpha))
 
 
 def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> tuple:
@@ -418,10 +431,9 @@ def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> tu
     Row i is the register of m[i] >= 2 qubits (an integer column of checked
     counts) with coupling ratio r[i].  Returns the (rows, 2) float64
     fidelities of its partners and of qubit 1, in ``fidelity_curve``'s
-    order, and the ``ok`` column.  The M-1 partners couple alike, so they
-    share one amplitude and one fidelity, and each row takes its three
-    distinct amplitudes from the propagator's first column
-    (``_star_columns``) in O(1).  omega^2 is r^2 + M - 1 here and the
+    order, and the ``ok`` column.  The M-1 partners share one amplitude
+    and one fidelity, and ``_star_step`` gives each row's three distinct
+    amplitudes in O(1).  omega^2 is r^2 + M - 1 here and the
     products are ordered otherwise than in ``evolve``, so entries agree
     with ``run_anticlone`` to about 1e-16, not bit for bit.
 
@@ -430,16 +442,11 @@ def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> tu
     ratio, the time, finite amplitudes of unit norm, fidelities in [0, 1]);
     ``run_anticlone`` raises that check's error on it.
     """
-    ground, excited = initial_state(np.pi / 2.0, alpha, star_config(1, 1.0)).amplitudes[:2]
     with np.errstate(all="ignore"):
-        column = _star_columns(m, r, 0.0, 0.0, 1)[2]
-        x1, x, photon = (excited * b for b in column)
-        n2 = abs(ground) ** 2 + abs(x1) ** 2 + (m - 1.0) * abs(x) ** 2 + abs(photon) ** 2
+        _, ground, (x1, x, _), n2, ok = _star_step(m, r, np.pi / 2.0, alpha)
         rho = _qubit_densities(ground, np.stack([x, x1], axis=-1), n2[:, None])
         fidelities = _complement_fidelities(rho, alpha)
-        # a NaN fails every comparison, so the norm test also rejects a row
-        # with no trapping instant or with amplitudes that are not finite
-        ok = (r > 0.0) & (abs(n2 - 1.0) <= 1e-12) & _in_unit_interval(fidelities).all(axis=-1)
+        ok &= _in_unit_interval(fidelities).all(axis=-1)
     fidelities[~ok] = np.nan
     return fidelities, ok
 

@@ -267,6 +267,14 @@ class TestAnticloneCommand:
             assert by_m[m]["f_plusminus"] == by_m[m + 1]["f_sep"]
 
 
+    @pytest.mark.parametrize("alpha", ["1e12", "1e300", "-1e300"])
+    def test_large_phase_prints_the_zero_phase_table(self, capsys, alpha):
+        # alpha - pi would round pi away here: at 1e12 the pipeline would miss the
+        # closed form by 2e-11, and at 1e300 it would score the input, not its complement
+        _, expected, _ = run_cli(capsys, ["anticlone", "--m-range", "2:30"])
+        code, out, err = run_cli(capsys, ["anticlone", "--m-range", "2:30", f"--alpha={alpha}"])
+        assert (code, out, err) == (EXIT_OK, expected, "")
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_is_config_error(self, capsys, alpha):
         # used to exit 2 with the misleading "amplitudes must be finite"

@@ -27,7 +27,15 @@ from qcm.propagator import (
     rk4_propagate_many,
     trapping_time,
 )
-from qcm.protocols import IDENTICAL, W_MINUS, W_PLUS, W_PRIME, CouplingScheme, trapped_amplitudes
+from qcm.protocols import (
+    IDENTICAL,
+    W_MINUS,
+    W_PLUS,
+    W_PRIME,
+    CouplingScheme,
+    fidelity_curve,
+    trapped_amplitudes,
+)
 
 DEFAULT_GAMMA = 0.001
 DEFAULT_KAPPA = 0.02
@@ -499,6 +507,22 @@ class TestDecayTable:
             except ConfigurationError as exc:
                 results.append(str(exc))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("counts", [[5, 2, 5, 3], list(range(2, 300)), [2**53]])
+    def test_float_column_of_counts_gives_the_integer_table(self, counts):
+        tables = [decay_robustness_scan(np.array(counts, dtype=dtype)) for dtype in (float, np.int64)]
+        columns = [[c.tolist() for c in (t.m, t.r, t.tau_star_c, t.fidelity)] for t in tables]
+        assert columns[0] == columns[1]
+        assert tables[0].m.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, 1.0])
+    def test_float_column_raises_what_fidelity_curve_raises(self, bad):
+        # the same count-column check as CouplingScheme.ratio and fidelity_curve
+        with pytest.raises(ConfigurationError) as expected:
+            fidelity_curve(np.array([bad]), W_PLUS)
+        with pytest.raises(ConfigurationError) as raised:
+            decay_robustness_scan(np.array([bad]))
+        assert str(raised.value) == str(expected.value)
 
     def test_counts_and_schemes_sorted_and_distinct(self):
         table = decay_robustness_scan([5, 2, 5, 3], schemes=[W_PRIME, W_PLUS])

@@ -11,7 +11,6 @@ from qcm.model import (
     star_config,
 )
 from qcm.propagator import (
-    _COLUMNS,
     PropagatorMatrix,
     _trap_time,
     closed_form_propagator,
@@ -424,6 +423,16 @@ class TestEvolve:
             assert out.amplitudes[0] == state.amplitudes[0]
             assert out.normalized == (regime == "lossless")
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.02, 9.0])
+    def test_time_as_numpy_scalar_or_0d_array(self, kappa):
+        # the kernel takes column routines for a 1-D column only: a numpy scalar
+        # or a 0-d array of time is a float, bit for bit
+        config = star_config(3, 1.2, gamma_decay=0.01, kappa=kappa)
+        state = random_block_state(np.random.default_rng(3), 3)
+        expected = evolve(state, config, 2.5).amplitudes.tobytes()
+        for t in (np.float64(2.5), np.array(2.5)):
+            assert evolve(state, config, t).amplitudes.tobytes() == expected
+
 
 class TestTrappingTime:
     def test_single_qubit(self):
@@ -491,11 +500,11 @@ class TestTrappingTime:
         # overdamped, underdamped, and a discriminant of inf and of inf - inf
         omega2 = np.array([4.0, 3.0, 5.0, 1e308, 1e308])
         kappa = 4.0
-        taus = _trap_time(omega2[:3], 0.0, kappa, 1, _COLUMNS)
+        taus = _trap_time(omega2[:3], 0.0, kappa, 1)
         assert np.isnan(taus[:2]).all() and taus[2] == renormalized_trapping_time(2, 2.0, 0.0, kappa)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(_trap_time(omega2[3:], 0.0, 0.0, 1, _COLUMNS)).all()
-            assert np.isnan(_trap_time(omega2[3:], 0.0, 1e155, 1, _COLUMNS)).all()
+            assert np.isnan(_trap_time(omega2[3:], 0.0, 0.0, 1)).all()
+            assert np.isnan(_trap_time(omega2[3:], 0.0, 1e155, 1)).all()
 
     def test_w_plus_traps_faster_than_w_prime(self):
         for m in range(3, 12):

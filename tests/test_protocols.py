@@ -442,7 +442,8 @@ class TestRunAnticlone:
         assert abs(report.a1) < 1e-12
 
     def test_phase_invariance(self):
-        for alpha in (0.0, 0.9, 4.1):
+        # at |alpha| >= 1e12, alpha - pi would round pi away in the complement's phase
+        for alpha in (0.0, 0.9, 4.1, 1e12, 1e300, -1e300):
             report = run_anticlone(4, W_MINUS, alpha=alpha)
             f_target, f_input = fidelity_curve(4, W_MINUS)
             assert report.fidelities[0] == pytest.approx(f_input, abs=1e-12)
@@ -459,6 +460,18 @@ class TestRunAnticlone:
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
             run_anticlone(3, W_PLUS, alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.3, 1e12])
+    def test_reads_the_trapped_state_of_generate_w_state(self, alpha):
+        # both protocols take one machine step; only the input and the readout differ
+        for m in range(2, 65):
+            for scheme in ALL_SCHEMES:
+                w_state = generate_w_state(m, scheme)[1]
+                clone = run_anticlone(m, scheme, alpha)
+                assert (clone.r, clone.trapping_time) == (w_state.r, w_state.trapping_time)
+                assert clone.classification == w_state.classification
+                assert abs(clone.a1 - w_state.a1) <= 1e-15
+                assert abs(clone.a - w_state.a) <= 1e-15
+
 
 def star_rows(counts, schemes):
     """(m, r) columns of the rows (M, scheme), M in ``counts``, then scheme."""
@@ -468,7 +481,7 @@ def star_rows(counts, schemes):
 
 
 class TestAnticloneFidelities:
-    @pytest.mark.parametrize("alpha", [0.0, 1.1, 4.32])
+    @pytest.mark.parametrize("alpha", [0.0, 1.1, 4.32, 1e12, 1e300, -1e300])
     def test_agrees_with_run_anticlone(self, alpha):
         m, r = star_rows(range(2, 301), ALL_SCHEMES)
         batched, ok = anticlone_fidelities(m, r, alpha)
