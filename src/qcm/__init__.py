@@ -23,10 +23,6 @@ from .propagator import (
     closed_form_propagator,
     evolve,
     evolve_oracle_expm,
-    evolve_oracle_rk4,
-    expm_hermitian,
-    rk4_propagate,
-    rk4_propagate_many,
     trapping_time,
 )
 from .protocols import (
@@ -37,14 +33,11 @@ from .protocols import (
     W_PLUS,
     W_PRIME,
     classify_trapped_state,
-    copy_fidelity,
-    equatorial_qubit_density,
     fidelity_curve,
     generate_w_state,
     optimize_coupling_ratio,
     reduced_qubit_density,
     run_anticlone,
-    transfer_fidelity_formula,
     trapped_amplitudes,
 )
 from .decoherence import (

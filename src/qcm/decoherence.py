@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StateVector, _star_omega_squared, check_count, check_count_column
-from .model import check_positive, replay_flagged
+from .model import ConfigurationError, StateVector, _star_omega_squared, check_count
+from .model import check_count_column, check_positive, check_scalar, replay_flagged
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     OverdampedRegimeError,
     _libm,
@@ -56,6 +56,11 @@ class ConditionalAmplitudes:
     b1: complex
     b: complex
     b_photon: complex
+
+    def __post_init__(self):
+        check_count("m", self.m, 2)
+        for name in ("b1", "b", "b_photon"):
+            check_scalar(name, getattr(self, name), "iufc")
 
     @property
     def branch_norm_squared(self) -> float:
@@ -122,10 +127,13 @@ class DecoherenceReport:
     scheme: str = "custom"
 
     def __post_init__(self):
-        if not _in_unit_interval(self.fidelity):
-            raise ValueError(f"fidelity outside [0, 1]: {self.fidelity}")
-        if not _in_unit_interval(self.p_no_click):
-            raise ValueError(f"no-click probability outside [0, 1]: {self.p_no_click}")
+        check_count("m", self.m, 2)
+        check_positive("coupling ratio", self.r)
+        check_positive("tau_star_c", self.tau_star_c)
+        for name, value in (("fidelity", self.fidelity), ("no-click probability", self.p_no_click)):
+            check_scalar(name, value)
+            if not _in_unit_interval(value):
+                raise ConfigurationError(f"{name} outside [0, 1]: {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +260,7 @@ def decay_robustness_scan(
     integer or float column in one pass, as ``fidelity_curve`` checks it),
     and the table is built as float64 columns in one pass (``_decay_columns``).
     """
-    if isinstance(m_values, np.ndarray) and m_values.dtype.kind in "iuf" and m_values.ndim == 1:
+    if isinstance(m_values, np.ndarray):
         counts = check_count_column("m", m_values, 2)
     else:
         counts = [check_count("m", m, 2) for m in m_values]

@@ -33,15 +33,36 @@ class ConfigurationError(ValueError):
 
 # Scalar input checks shared by every module.  Plain-float comparisons and
 # operator.index keep them O(1): the protocol and oracle layers run them on
-# every call.
+# every call.  They share one input rule: a scalar argument is a real scalar,
+# a Python or numpy int or float or a 0-d array of one.  An array with an
+# axis, a bool, a complex value or any other object raises a
+# ConfigurationError that names the argument.
+
+
+def check_scalar(name: str, value, kinds: str = "iuf") -> None:
+    """The input rule: ``value`` is a scalar of a numpy dtype kind in ``kinds``,
+    real by default ("iufc" admits a complex amplitude too).  An int past the
+    float range fails it."""
+    if isinstance(value, float) or (isinstance(value, complex) and "c" in kinds):
+        return  # Python and numpy float64 and complex128 values, without numpy
+    try:
+        array = np.asarray(value)
+        scalar = array.ndim == 0 and array.dtype.kind in kinds
+    except ValueError:  # a ragged sequence
+        scalar = False
+    if not scalar:
+        number = "complex" if "c" in kinds else "real"
+        raise ConfigurationError(f"{name} must be a {number} scalar, got {value!r}")
 
 
 def check_integer(name: str, value, minimum: int) -> int:
-    """Return ``value`` as an int >= ``minimum``; floats are rejected."""
+    """Return ``value`` as an int >= ``minimum``; floats and bools are rejected."""
     try:
-        count = operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        count = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:  # a float, an array with an axis, a complex value, an object
+        count = None
+    if count is None:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if count < minimum:
         raise ConfigurationError(f"need {name} >= {minimum}, got {count}")
     return count
@@ -60,8 +81,14 @@ def check_count(name: str, value, minimum: int) -> int:
 
 
 def check_count_column(name: str, column: np.ndarray, minimum: int) -> np.ndarray:
-    """``check_count`` on every entry of a column in one vectorised pass, an
-    integral float passing; the first entry that fails raises its message."""
+    """``check_count`` on every entry of a 1-D integer or float array in one
+    vectorised pass, an integral float passing; the first entry that fails
+    raises its message."""
+    if column.ndim != 1 or column.dtype.kind not in "iuf":
+        raise ConfigurationError(
+            f"{name} must be a 1-D integer or float column, "
+            f"got shape {column.shape} of {column.dtype}"
+        )
     ok = (column >= minimum) & (column <= 2**53) & (column == np.floor(column))
     if not ok.all():
         value = column[ok.argmin()].item()
@@ -71,18 +98,21 @@ def check_count_column(name: str, column: np.ndarray, minimum: int) -> np.ndarra
 
 def check_positive(name: str, value) -> None:
     """A coupling, a coupling ratio, a step size or omega^2 must be finite and > 0."""
+    check_scalar(name, value)
     if not (value > 0.0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 def check_non_negative(name: str, value) -> None:
     """A rate or a time must be finite and >= 0."""
+    check_scalar(name, value)
     if not (value >= 0.0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def check_finite(name: str, value) -> None:
     """An angle may take any real value, but it must be finite."""
+    check_scalar(name, value)
     if not math.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value}")
 
@@ -140,13 +170,13 @@ class SystemConfig:
                 f"need a 1-D sequence of at least one coupling, got shape {couplings.shape}"
             )
         couplings.flags.writeable = False
+        (omega,) = _check_registers([couplings])
+        check_non_negative("gamma_decay", self.gamma_decay)
+        check_non_negative("kappa", self.kappa)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "gamma_decay", float(self.gamma_decay))
         object.__setattr__(self, "kappa", float(self.kappa))
-        (omega,) = _check_registers([couplings])
         object.__setattr__(self, "omega", omega)
-        check_non_negative("gamma_decay", self.gamma_decay)
-        check_non_negative("kappa", self.kappa)
 
     @property
     def m(self) -> int:
@@ -261,12 +291,16 @@ class GeneratorMatrix:
 
 
 def _check_generators(matrix: np.ndarray, kind: str) -> None:
-    """``GeneratorMatrix``'s checks on one generator or a stack (..., d, d)."""
-    if not np.all(np.isfinite(matrix)):
+    """``GeneratorMatrix``'s checks on one generator or a stack (..., d, d) array.
+
+    Array methods rather than numpy's functions: ``qcm check`` runs this on
+    every same-shape block, where the functions' wrappers cost a third.
+    """
+    if not np.isfinite(matrix).all():
         raise ValueError("generator must have finite entries")
-    difference = matrix - np.swapaxes(matrix, -1, -2).conj()
+    difference = matrix - matrix.swapaxes(-1, -2).conj()
     if kind == "hermitian":
-        defect = np.max(np.abs(difference))
+        defect = abs(difference).max()
         if defect > 1e-14:
             raise ValueError(f"hermitian generator has defect {defect:.3e}")
     elif kind == "dissipative":

@@ -30,6 +30,7 @@ from .model import (
     GeneratorMatrix,
     StateVector,
     SystemConfig,
+    _check_generators,
     check_non_negative,
     check_odd_index,
     check_positive,
@@ -141,12 +142,11 @@ def _no_click_kernel(omega2, gamma_decay: float, kappa: float, t) -> tuple:
         qubit = E*((C - 1) + d*S - expm1(d*t))/omega^2,  edge = -i*E*S,
         photon = E*(C - d*S)
 
-    omega2 and t may also be float64 columns, as in ``_kernel_terms``.
+    t is one time, checked here; columns of times go through ``_kernel_terms``.
     """
     check_non_negative("gamma_decay", gamma_decay)
     check_non_negative("kappa", kappa)
-    columns = _libm(t) is _COLUMN_LIBM  # a column checks its first time that fails, if any
-    check_non_negative("time", t[((t >= 0.0) & (t < math.inf)).argmin()] if columns else t)
+    check_non_negative("time", t)
     dark, qubit, damped_sinc, photon = _kernel_terms(omega2, gamma_decay, kappa, t)
     return dark, qubit, -1j * damped_sinc, photon
 
@@ -267,7 +267,13 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
 
 
 def expm_hermitian(matrix: np.ndarray, t) -> np.ndarray:
-    """exp(-i*matrix*t) for Hermitian ``matrix`` (or a stack, t (...,)) via eigh."""
+    """exp(-i*matrix*t) for Hermitian ``matrix`` (or a stack, t (...,)) via eigh.
+
+    ``matrix`` is checked as ``GeneratorMatrix`` checks a Hermitian generator,
+    since eigh reads only one triangle of whatever it is given.
+    """
+    matrix = np.asarray(matrix)
+    _check_generators(matrix, "hermitian")
     t = np.asarray(t, dtype=float)
     for time in t.reshape(-1).tolist():
         check_non_negative("time", time)
@@ -285,6 +291,7 @@ def evolve_oracle_expm(generator: GeneratorMatrix, state: StateVector, t: float)
         raise ValueError("eigendecomposition oracle requires a hermitian generator")
     if state.m != generator.m:
         raise ValueError(f"state is for M={state.m} qubits, generator for M={generator.m}")
+    check_non_negative("time", t)
     u = expm_hermitian(generator.matrix, t)
     amps = np.array(state.amplitudes)
     amps[1:] = u @ amps[1:]
@@ -319,7 +326,13 @@ def rk4_propagate(
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or not np.all(np.isfinite(t_arr)):
         raise ConfigurationError("times must be finite and >= 0")
-    n_steps = np.ceil(np.round(t_arr / dt, 9)).astype(np.int64)
+    with np.errstate(over="ignore"):
+        ratio = t_arr / dt
+    if np.any(ratio > 2**53):  # past it the int64 step count is not exact, or overflows
+        raise ConfigurationError(
+            f"t / dt must be at most 2**53 steps, got t = {t_arr.max()} and dt = {dt}"
+        )
+    n_steps = np.ceil(np.round(ratio, 9)).astype(np.int64)
     h = t_arr / np.maximum(n_steps, 1)
 
     # overflow of an unstable run is caught by the finiteness check below

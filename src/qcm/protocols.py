@@ -47,7 +47,7 @@ from .model import (
     initial_state,
     star_config,
 )
-from .propagator import _libm, _star_columns, _trap_time, evolve, trapping_time
+from .propagator import _COLUMN_LIBM, _libm, _star_columns, _trap_time, evolve, trapping_time
 
 SCHEME_TAGS = ("identical", "w_plus", "w_minus", "w_prime", "custom")
 
@@ -60,8 +60,9 @@ def _counts_and_sqrt(m, minimum: int) -> tuple:
     """(m, sqrt) for a closed form in M: a count, or a column of counts checked
     in one pass, each at least ``minimum``, with the kernel's sqrt for that
     input (``math.sqrt``, or numpy's on a column)."""
-    check = check_count_column if isinstance(m, np.ndarray) else check_count
-    return check("m", m, minimum), _libm(m).sqrt
+    libm = _libm(m)
+    check = check_count_column if libm is _COLUMN_LIBM else check_count
+    return check("m", m, minimum), libm.sqrt
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,13 @@ class CouplingScheme:
             if self.custom_ratio is None:
                 raise ConfigurationError("custom scheme needs a coupling ratio")
             check_positive("coupling ratio", self.custom_ratio)
+            object.__setattr__(self, "custom_ratio", float(self.custom_ratio))
         elif self.custom_ratio is not None:
             raise ConfigurationError(f"scheme {self.tag!r} does not take an explicit ratio")
 
     @classmethod
     def custom(cls, r: float) -> "CouplingScheme":
-        return cls(tag="custom", custom_ratio=float(r))
+        return cls(tag="custom", custom_ratio=r)
 
     def ratio(self, m):
         """Resolve the coupling ratio for M qubits.
@@ -111,7 +113,7 @@ class CouplingScheme:
             return sqrt(m) - 1.0
         if self.tag == "w_prime":
             return sqrt(m - 1.0)
-        return float(self.custom_ratio)
+        return self.custom_ratio
 
 
 IDENTICAL = CouplingScheme("identical")
@@ -150,6 +152,11 @@ class ProtocolReport:
     fidelities: np.ndarray | None = None
 
     def __post_init__(self):
+        check_count("m", self.m, 2)
+        check_positive("coupling ratio", self.r)
+        check_positive("trapping_time", self.trapping_time)
+        check_finite("a1", self.a1)
+        check_finite("a", self.a)
         if self.fidelities is not None:
             fidelities = np.array(self.fidelities, dtype=float)
             fidelities.flags.writeable = False
@@ -232,25 +239,25 @@ def generate_w_state(m: int, scheme: CouplingScheme) -> tuple[StateVector, Proto
     return state, _report(head, state.amplitudes[1], state.amplitudes[2])
 
 
-def _star_step(m: np.ndarray, r: np.ndarray, theta: float, alpha: float) -> tuple:
+def _star_step(m: np.ndarray, r: np.ndarray, ground, excited) -> tuple:
     """``_trapped_step`` for many star registers, in O(1) each.
 
     Row i is the register of m[i] >= 2 qubits (an integer column of checked
-    counts) with coupling ratio r[i].  Returns omega^2, the input's ground
-    amplitude, its trapped amplitudes (x1, x, photon) on qubit 1, on each
-    partner and on the cavity, their squared norm n2, and ``ok``: False on
-    a row whose ratio is not > 0 or whose norm is not 1 to 1e-12.  A NaN
-    fails every comparison, so ``ok`` also rejects a row with no trapping
-    instant or with amplitudes that are not finite.  The M-1 partners
-    couple alike, so the propagator's first column (``_star_columns``)
-    holds every amplitude.  The caller runs this under ``np.errstate``: a
-    row that fails its checks may overflow on the way.
+    counts) with coupling ratio r[i], and qubit 1 starts with the ground
+    and excited amplitudes of ``initial_state``.  Returns omega^2, the
+    trapped amplitudes (x1, x, photon) on qubit 1, on each partner and on
+    the cavity, their squared norm n2, and ``ok``: False on a row whose
+    ratio is not > 0 or whose norm is not 1 to 1e-12.  A NaN fails every
+    comparison, so ``ok`` also rejects a row with no trapping instant or
+    with amplitudes that are not finite.  The M-1 partners couple alike, so
+    the propagator's first column (``_star_columns``) holds every amplitude.
+    The caller runs this under ``np.errstate``: a row that fails its checks
+    may overflow on the way.
     """
-    ground, excited = initial_state(theta, alpha, star_config(1, 1.0)).amplitudes[:2]
     omega2, _, column = _star_columns(m, r, 0.0, 0.0, 1)
     x1, x, photon = (excited * b for b in column)
     n2 = abs(ground) ** 2 + abs(x1) ** 2 + (m - 1.0) * abs(x) ** 2 + abs(photon) ** 2
-    return omega2, ground, (x1, x, photon), n2, (r > 0.0) & (abs(n2 - 1.0) <= 1e-12)
+    return omega2, (x1, x, photon), n2, (r > 0.0) & (abs(n2 - 1.0) <= 1e-12)
 
 
 def w_state_columns(m: np.ndarray, r: np.ndarray, m_odd: int = 1) -> tuple:
@@ -260,16 +267,16 @@ def w_state_columns(m: np.ndarray, r: np.ndarray, m_odd: int = 1) -> tuple:
     counts) with coupling ratio r[i].  Returns the columns (tau_star, a1, a,
     classification, ok): tau_star is the m_odd'th trapping instant,
     bit-identical to ``renormalized_trapping_time`` without decay, and a1
-    and a come from ``_star_step`` on the excited input, whose trapped
-    amplitudes are real.  omega^2 is r^2 + M - 1 here, so they agree with
+    and a come from ``_star_step`` on the excited input, in real arithmetic:
+    the input's amplitudes are 0 and 1, and the propagator's first column
+    is real without decay.  omega^2 is r^2 + M - 1 here, so they agree with
     ``generate_w_state`` to about 4e-16, not bit for bit.  ``ok`` is False
     on a row that fails a check of ``generate_w_state`` (the ratio, the
     time, finite amplitudes of unit norm); that route raises the check's
     error on it.
     """
     with np.errstate(all="ignore"):
-        omega2, _, (x1, x, _), _, ok = _star_step(m, r, 0.0, 0.0)
-        a1, a = x1.real, x.real
+        omega2, (a1, a, _), _, ok = _star_step(m, r, 0.0, 1.0)
         tau_star = _trap_time(omega2, 0.0, 0.0, m_odd)
         # classify_trapped_state's tests, in its order
         patterns = [abs(a1) < CLASSIFY_TOL, abs(a1 - a) < CLASSIFY_TOL, abs(a1 + a) < CLASSIFY_TOL]
@@ -397,6 +404,8 @@ def fidelity_curve(m, scheme: CouplingScheme) -> tuple:
     value, as in ``CouplingScheme.ratio``.
     """
     m, sqrt = _counts_and_sqrt(m, 2)
+    if scheme.tag == "custom" and isinstance(m, np.ndarray):
+        raise ConfigurationError("a count column needs a named scheme, not the custom scheme")
     if scheme.tag == "identical":
         return 0.5 * (1.0 + 2.0 / m), 1.0 / m
     if scheme.tag == "w_plus":
@@ -442,8 +451,9 @@ def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> tu
     ratio, the time, finite amplitudes of unit norm, fidelities in [0, 1]);
     ``run_anticlone`` raises that check's error on it.
     """
+    ground, excited = initial_state(np.pi / 2.0, alpha, star_config(1, 1.0)).amplitudes[:2]
     with np.errstate(all="ignore"):
-        _, ground, (x1, x, _), n2, ok = _star_step(m, r, np.pi / 2.0, alpha)
+        _, (x1, x, _), n2, ok = _star_step(m, r, ground, excited)
         rho = _qubit_densities(ground, np.stack([x, x1], axis=-1), n2[:, None])
         fidelities = _complement_fidelities(rho, alpha)
         ok &= _in_unit_interval(fidelities).all(axis=-1)

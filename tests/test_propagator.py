@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,20 @@ class TestExpmOracle:
             worst = max(worst, float(np.max(np.abs(u - exact))))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], "hermitian generator has defect 1.000e\\+00"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "generator must have finite entries"),
+        ],
+    )
+    def test_rejects_a_matrix_that_is_not_hermitian(self, matrix, message):
+        # eigh reads one triangle: [[0, 1], [0, 0]] came back as the identity
+        with pytest.raises(ValueError, match=message):
+            expm_hermitian(matrix, 1.0)
+        with pytest.raises(ValueError, match=message):
+            expm_hermitian(np.array([np.eye(2), matrix]), np.array([1.0, 1.0]))
+
     def test_state_interface_rejects_dissipative(self):
         config = SystemConfig((1.0,), gamma_decay=0.1)
         state = initial_state(0.0, 0.0, config)
@@ -286,6 +302,15 @@ class TestRk4Oracle:
         state = initial_state(0.0, 0.0, config)
         with pytest.raises(FloatingPointError):
             evolve_oracle_rk4(build_hamiltonian(config), state, 50.0, dt=0.5)
+
+    @pytest.mark.parametrize("t, dt", [(1e20, 1e-4), (1.0, 1e-300), (1e300, 1e-300)])
+    def test_step_count_past_2_53_is_refused(self, t, dt):
+        # 1e20 / 1e-4 steps overflowed the int64 count (a RuntimeWarning), and
+        # the input came back unchanged instead of exp(-i*1e20)
+        message = re.escape(f"t / dt must be at most 2**53 steps, got t = {t} and dt = {dt}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            rk4_propagate(np.array([[1.0]]), np.array([1.0 + 0j]), t, dt)
+        rk4_propagate(np.array([[1.0]]), np.array([1.0 + 0j]), 2.0**53 * dt, dt)
 
     def test_settings_validation(self):
         config = SystemConfig((1.0,))

@@ -7,7 +7,7 @@ import pytest
 
 from qcm.decoherence import renormalized_trapping_time
 from qcm.model import ConfigurationError, StateVector, initial_state, star_config
-from qcm.propagator import closed_form_propagator, evolve, trapping_time
+from qcm.propagator import _star_columns, _trap_time, closed_form_propagator, evolve, trapping_time
 from qcm.protocols import (
     CouplingScheme,
     IDENTICAL,
@@ -422,6 +422,11 @@ class TestFidelityCurve:
             with pytest.raises(ConfigurationError):
                 fidelity_curve(1, scheme)
 
+    def test_count_column_needs_a_named_scheme(self):
+        # this blamed the counts: "m must be an integer, got array([2., 3.])"
+        with pytest.raises(ConfigurationError, match="^a count column needs a named scheme"):
+            fidelity_curve(np.array([2.0, 3.0]), CouplingScheme.custom(2.0))
+
 
 class TestRunAnticlone:
     def test_two_qubit_optimum_shared_by_input(self):
@@ -537,7 +542,29 @@ def exact_errors(m, r, values, column):
     return np.array(errors)
 
 
+def complex_w_state_columns(m, r, m_odd):
+    """(tau_star, a1, a, ok) of ``w_state_columns`` as it was written: the
+    excited input's amplitudes through complex arithmetic, then their real parts."""
+    with np.errstate(all="ignore"):
+        ground, excited = initial_state(0.0, 0.0, star_config(1, 1.0)).amplitudes[:2]
+        omega2, _, column = _star_columns(m, r, 0.0, 0.0, 1)
+        x1, x, photon = (excited * b for b in column)
+        n2 = abs(ground) ** 2 + abs(x1) ** 2 + (m - 1.0) * abs(x) ** 2 + abs(photon) ** 2
+        tau = _trap_time(omega2, 0.0, 0.0, m_odd)
+    return tau, x1.real, x.real, (r > 0.0) & (abs(n2 - 1.0) <= 1e-12)
+
+
 class TestWStateColumns:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=scheme_id)
+    @pytest.mark.parametrize("m_odd", [1, 3])
+    def test_real_arithmetic_is_bit_identical_to_the_complex_route(self, scheme, m_odd):
+        m, r = star_rows(range(2, 3001), (scheme,))
+        # and rows that fail a check: omega^2 = inf, 4*omega^2 = inf, a ratio <= 0
+        m, r = np.append(m, [4, 4, 4]), np.append(r, [1e200, 1e154, -1.0])
+        tau, a1, a, _, ok = w_state_columns(m, r, m_odd)
+        for new, old in zip((tau, a1, a, ok), complex_w_state_columns(m, r, m_odd)):
+            assert new.tobytes() == old.tobytes()
+
     @pytest.mark.parametrize("scheme", NAMED_AND_CUSTOM, ids=scheme_id)
     def test_agrees_with_generate_w_state(self, scheme):
         r, (_, a1, a, kinds, ok), reports = w_state_routes(scheme)
