@@ -10,9 +10,14 @@ Commands:
     scan         coupling-ratio sweep at fixed M plus the special ratios
 
 Identical invocations (including --seed) produce byte-identical output:
-floats are emitted with 17 significant digits, rows in a fixed sorted
-order.  Exit codes: 0 success, 1 tolerance or assertion breach, 2
-configuration error (including a qubit count too large to allocate).
+floats are emitted with 17 significant digits ('%.17g'), rows in a fixed
+sorted order.  A CSV table with KERNEL_MIN_CELLS float cells or more takes
+them, and its integer cells, from one vectorised numpy kernel
+(``_float_cells``), a block of rows at a time; a smaller table, and each
+cell the kernel cannot round with certainty, goes through '%.17g' itself,
+with identical bytes.  Exit codes: 0 success, 1 tolerance or assertion
+breach, 2 configuration error (including a qubit count too large to
+allocate).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,6 +59,7 @@ from .protocols import (
     W_MINUS,
     W_PLUS,
     W_PRIME,
+    _named_fidelities,
     _scheme_rows,
     _trapped_amplitudes,
     anticlone_fidelities,
@@ -144,6 +151,264 @@ def _typed_cells(column) -> tuple[str, list]:
     return "%s", list(map(format_value, column))
 
 
+#: a CSV table with fewer float64 cells than this formats every cell through
+#: one %-template.  Measured on a 2-vCPU x86-64 host (Python 3.11, numpy
+#: 2.4): the kernel saves about 0.3 us a cell and costs about 0.2 ms a table,
+#: plus about 3 ms for its tables in the first one a process prints, so a
+#: single command breaks even near 5000 cells
+KERNEL_MIN_CELLS = 5000
+#: float cells per block of rows in the kernel, so its arrays stay in cache
+#: and a table's working memory does not grow with its length
+_BLOCK_CELLS = 2048
+#: the decimal exponents k of the powers 10**k that scale a float into
+#: [10**16, 10**17): 16 - e for |x| in [1e-280, 1e280], e off by one at most
+_K_MIN, _K_MAX = -266, 298
+
+
+def _power_of_ten(k: int) -> tuple[float, float, float, float]:
+    """10**k as hi + lo, hi the double nearest to it and lo the double nearest
+    to the rest, computed exactly with Python ints, then hi's Dekker halves:
+    (hi, its big half, its small half, lo)."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int true division rounds correctly
+    p, q = hi.as_integer_ratio()
+    return (hi, *_split(hi), (num * q - p * den) / (den * q))
+
+
+@functools.cache
+def _kernel_tables() -> SimpleNamespace:
+    """The kernel's lookup tables, built with numpy on first use.  A cell's
+    digits field is 24 ASCII bytes, seven '0's then its 17 digits, held as
+    three little-endian uint64 words.
+
+    - quads: the four ASCII digits of 0..9999, one uint32 each;
+    - zeros: the trailing zeros of each of those;
+    - powers: column k - _K_MIN holds ``_power_of_ten(k)``, NaN until a
+      cell first needs it;
+    - layout[w][:, (sign*25 + p)*25 + q]: word w of the three masks of a cell
+      whose fraction is the field's bytes p..q-1: its integer part (bytes
+      min(p - 1, 7)..p-1) moved one byte down, its fraction, and its marks,
+      the '-' just before the integer part and the '.' at byte p - 1, where
+      the cell has them;
+    - exponents[e + 400]: 'e', sign, hundreds (NUL below 100), tens and units
+      of %g's e-notation; row 0, of fixed notation, is all NUL.
+
+    The build uses int64 arithmetic, as the kernel does: each further numpy
+    routine or dtype maps more of numpy's code into memory.
+    """
+    d = np.arange(10**4)
+    thousands, rest = np.divmod(d, 1000)
+    hundreds, rest = np.divmod(rest, 100)
+    tens, units = np.divmod(rest, 10)
+    quads = np.empty((10**4, 4), np.int64)
+    for i, digit in enumerate((thousands, hundreds, tens, units)):
+        quads[:, i] = digit + ord("0")
+    byte = np.arange(24)
+    sign, rest = np.divmod(np.arange(2 * 25 * 25)[:, None], 25 * 25)
+    p, q = np.divmod(rest, 25)
+    start = p - 1 - np.maximum(p - 8, 0)
+    layout = np.empty((2 * 25 * 25, 72), np.int64)
+    layout[:, :24] = 255 * ((byte >= start - 1) & (byte < p - 1))
+    layout[:, 24:48] = 255 * ((byte >= p) & (byte < q))
+    layout[:, 48:] = ord("-") * (sign & (byte == start - 2))
+    layout[:, 48:] += ord(".") * ((q > p) & (byte == p - 1))
+    exponent = np.arange(-399, 400)
+    exponents = np.zeros((800, 8), np.int64)
+    exponents[1:, 0] = ord("e")
+    exponents[1:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    exponents[1:, 2:5] = quads[abs(exponent), 1:]
+    exponents[1:, 2] *= abs(exponent) >= 100
+    return SimpleNamespace(
+        quads=quads.astype(np.uint8).view("<u4").ravel(),
+        zeros=sum(np.divmod(d, 10**k)[1] == 0 for k in (1, 2, 3, 4)),
+        powers=np.full((4, _K_MAX - _K_MIN + 1), np.nan),
+        layout=layout.astype(np.uint8).view("<u8").reshape(-1, 3, 3).transpose(2, 1, 0).copy(),
+        exponents=exponents.astype(np.uint8).view("<u8").ravel(),
+    )
+
+
+def _split(x):
+    """Dekker's split of x, a float or each entry of an array, into two
+    halves of 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    big = c - (c - x)
+    return big, x - big
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - e) as p + t: p = a * hi rounded, t the rest.  The product
+    a * hi is exact as p plus its Dekker error, so only a * lo and the rounding
+    of lo itself (each below 1e-14 here) make t inexact."""
+    k = 16 - _K_MIN - e
+    hi, hh, hl, lo = np.take(powers, k, axis=1)
+    missing = np.isnan(hi)
+    if missing.any():  # each power is computed once, the first time a cell needs it
+        for j in set(k[missing].tolist()):
+            powers[:, j] = _power_of_ten(j + _K_MIN)
+        hi, hh, hl, lo = np.take(powers, k, axis=1)
+    p = a * hi
+    ah, al = _split(a)
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+
+
+def _significands(x: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, e, exact) of the float64 column x: each |x| rounded to 17 significant
+    digits is N * 10**(e - 16), with N in [10**16, 10**17), where ``exact``.
+
+    A finite |x| in [1e-280, 1e280] has N = round(|x| * 10**(16 - e)) from
+    ``_scaled``: p >= 2**53 is an integer, so the error term t alone rounds
+    it, and e, estimated from log10, moves by one where the scaled value
+    leaves [10**16, 10**17).  ``exact`` is False outside that range, and
+    where t lies within 1e-6 of a half: a tie, or too close to one to round
+    with certainty.
+    """
+    a = np.abs(x)
+    exact = (a >= 1e-280) & (a <= 1e280)  # False on nan
+    a = np.where(exact, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _scaled(a, e, powers)
+    shift = ((p >= 1e17) & ((p > 1e17) | (t >= 0.0))).astype(np.int64)
+    shift -= (p <= 1e16) & ((p < 1e16) | (t < 0.0))
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        e[moved] += shift[moved]
+        p[moved], t[moved] = _scaled(a[moved], e[moved], powers)
+    rounded = np.rint(t)
+    exact &= abs(t - rounded) < 0.5 - 1e-6
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    if moved.size:  # next to a power of ten, N may still leave its decade
+        exact[moved] &= (digits[moved] >= 10**16) & (digits[moved] <= 10**17)
+    top = digits == 10**17  # rounded up into the next decade
+    digits[top] = 10**16
+    return digits, e + top, exact
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each entry v of the float64 column x, as a (rows, 24)
+    uint8 array of ASCII cells, or (rows, 32) where some cell is in e-notation,
+    padded with NULs anywhere inside.
+
+    The digits field of ``_significands``' N (``_kernel_tables``) gives the cell: its
+    integer part one byte down, after the sign, then the point and the
+    fraction without its trailing zeros, then the exponent word of %g's
+    e-notation.  A value below 1 in fixed notation (e from -4 to -1) takes
+    its integer part and the fraction's leading zeros from the field's seven
+    '0's.  A cell that ``_significands`` cannot round exactly, and a zero,
+    subnormal, huge or non-finite one, takes '%.17g' itself.
+    """
+    tables = _kernel_tables()
+    digits, e, exact = _significands(x, tables.powers)
+    # the 4-digit groups of the field: '0000', '000d', then four of 'dddd'
+    groups = np.empty((x.size, 6), np.int64)
+    groups[:, 0] = 0
+    high, low = np.divmod(digits, 10**8)
+    lead, groups[:, 3] = np.divmod(high, 10**4)
+    groups[:, 1], groups[:, 2] = np.divmod(lead, 10**4)
+    groups[:, 4], groups[:, 5] = np.divmod(low, 10**4)
+    field = np.take(tables.quads, groups).view(np.uint64)
+    tail = tables.zeros[groups[:, 5]]  # N's trailing zeros, group by group
+    rows = np.flatnonzero(groups[:, 5] == 0)
+    for group in (4, 3, 2):
+        if not rows.size:
+            break
+        tail[rows] += tables.zeros[groups[rows, group]]
+        rows = rows[groups[rows, group] == 0]
+    fixed = (e >= -4) & (e <= 16)
+    point = np.where(fixed, e + 8, 8)  # the field's first fraction byte
+    key = (np.signbit(x) * 25 + point) * 25 + np.maximum(24 - tail, point)
+    cells = np.empty((x.size, 3 if fixed.all() else 4), np.uint64)
+    for k in range(3):
+        down, fraction, marks = np.take(tables.layout[k], key, axis=1)
+        shifted = field[:, k] >> 8 | (field[:, k + 1] << 56 if k < 2 else 0)
+        cells[:, k] = shifted & down | field[:, k] & fraction | marks
+    if cells.shape[1] == 4:
+        cells[:, 3] = np.take(tables.exponents, np.where(fixed, 0, e + 400))
+    cells = cells.view(np.uint8)
+    slow = np.flatnonzero(~exact)
+    if slow.size:  # '%.17g' itself, at most 24 characters a cell
+        text = "".join([("%.17g" % v).ljust(24, "\0") for v in x[slow].tolist()])
+        cells[slow] = 0
+        cells[slow, :24] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+    return cells
+
+
+def _byte_column(column) -> np.ndarray | None:
+    """A str or bool column as NUL-padded cells, a (rows, width) uint8 array
+    of ``format_value``'s text: a tuple or 1-D array of ASCII str, or a 1-D
+    bool array; None on any other column."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "U" and column.ndim == 1:
+        column = tuple(column.tolist())
+    if isinstance(column, tuple) and set(map(type, column)) <= {str}:
+        values = list(dict.fromkeys(column))
+        text = "".join(values)
+        if not text.isascii() or "\0" in text:
+            return None
+        width = max(map(len, values), default=0)
+        cells = np.frombuffer("".join(v.ljust(width, "\0") for v in values).encode(), np.uint8)
+        codes = dict(zip(values, range(len(values))))
+        return cells.reshape(len(values), width)[list(map(codes.__getitem__, column))]
+    if isinstance(column, np.ndarray) and column.dtype.kind == "b" and column.ndim == 1:
+        return np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)[column.view(np.uint8)]
+    return None
+
+
+def _number_column(column, rows: int) -> bool:
+    """Whether ``_float_cells`` can print a column of ``rows`` cells: 1-D
+    float64, or 1-D integers below 2**53 in magnitude, whose float64 values
+    '%.17g' prints as ``str`` prints the integers."""
+    if not isinstance(column, np.ndarray) or column.shape != (rows,):
+        return False
+    if column.dtype.kind in "iu":
+        return -(2**53) < column.min() and column.max() < 2**53
+    return column.dtype == np.float64
+
+
+def _csv_text(headers: list[str], columns: list) -> str:
+    """The CSV text of a table.  With KERNEL_MIN_CELLS float64 cells or more,
+    each block of rows is put together as NUL-padded bytes, the cells of
+    each ``_number_column`` from ``_float_cells`` and all others from
+    ``_byte_column``, and the padding is stripped.  Otherwise, or where a
+    column is of neither kind, every cell goes through one %-template built
+    from the column types.  Both give the same bytes."""
+    rows = len(columns[0]) if columns else 0
+    floats = sum(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
+    if rows and rows * floats >= KERNEL_MIN_CELLS and sys.byteorder == "little":
+        numbers = [j for j, c in enumerate(columns) if _number_column(c, rows)]
+        fields = {j: _byte_column(c) for j, c in enumerate(columns) if j not in numbers}
+        if all(field is not None and len(field) == rows for field in fields.values()):
+            return _kernel_text(headers, columns, numbers, fields)
+    specs, cells = zip(*map(_typed_cells, columns))
+    template = ",".join(specs)
+    lines = [",".join(headers)]
+    lines += map(template.__mod__, zip(*cells))
+    return "\n".join(lines) + "\n"
+
+
+def _kernel_text(headers: list[str], columns: list, numbers: list[int], fields: dict) -> str:
+    """``_csv_text`` through ``_float_cells`` for the columns ``numbers``, one
+    block of rows at a time."""
+    rows, step = len(columns[0]), max(1, _BLOCK_CELLS // len(numbers))
+    chunks = [",".join(headers) + "\n"]
+    for first in range(0, rows, step):
+        block = slice(first, min(first + step, rows))
+        stack = np.empty((block.stop - first, len(numbers)))
+        for i, j in enumerate(numbers):
+            stack[:, i] = columns[j][block]
+        cells = _float_cells(stack.reshape(-1)).reshape(len(stack), len(numbers), -1)
+        pieces = {j: cells[:, i] for i, j in enumerate(numbers)}
+        pieces.update((j, field[block]) for j, field in fields.items())
+        table = np.empty((len(stack), sum(p.shape[1] + 1 for p in pieces.values())), np.uint8)
+        end = 0
+        for j in range(len(columns)):  # each cell, then its comma
+            width = pieces[j].shape[1]
+            table[:, end : end + width] = pieces[j]
+            table[:, end + width] = ord(",")
+            end += width + 1
+        table[:, -1] = ord("\n")
+        chunks.append(table.tobytes().translate(None, b"\0").decode())
+    return "".join(chunks)
+
+
 def write_table(headers: list[str], columns: list, args: argparse.Namespace):
     """Emit columns (one sequence or array per header, of equal lengths) as
     CSV (fixed header) or a JSON array of row objects."""
@@ -152,11 +417,7 @@ def write_table(headers: list[str], columns: list, args: argparse.Namespace):
         payload = [dict(zip(headers, row)) for row in zip(*cells)]
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        specs, cells = zip(*map(_typed_cells, columns))
-        template = ",".join(specs)
-        lines = [",".join(headers)]
-        lines += map(template.__mod__, zip(*cells))
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(headers, columns)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -298,7 +559,8 @@ def run_check_suites(
 def cmd_check(args: argparse.Namespace) -> int:
     rows = run_check_suites(args.trials, args.seed, args.inject_fault)
     headers = ["suite", "trials", "max_deviation", "tolerance", "passed"]
-    write_table(headers, [[row[h] for row in rows] for h in headers], args)
+    columns = [np.array([row[h] for row in rows]) for h in headers[1:]]
+    write_table(headers, [tuple(row["suite"] for row in rows), *columns], args)
     failed = [row["suite"] for row in rows if not row["passed"]]
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
@@ -343,8 +605,8 @@ def cmd_anticlone(args: argparse.Namespace) -> int:
     n = len(ANTICLONE_SCHEMES)
     # (target, input) closed forms of each (M, scheme) row, M ascending, then scheme
     closed = np.empty((counts.size, n, 2))
-    for j, scheme in enumerate(ANTICLONE_SCHEMES):
-        closed[:, j, 0], closed[:, j, 1] = fidelity_curve(counts.astype(float), scheme)
+    for j, scheme in enumerate(ANTICLONE_SCHEMES):  # counts checked by qubit_counts
+        closed[:, j, 0], closed[:, j, 1] = _named_fidelities(counts.astype(float), scheme.tag)
     m, r = _scheme_rows(counts, ANTICLONE_SCHEMES)
     pipeline, ok = anticlone_fidelities(m, r, args.alpha)  # (target, input), as closed
     ok &= np.max(abs(pipeline - closed.reshape(-1, 2)), axis=1) <= 1e-12

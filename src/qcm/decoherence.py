@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigurationError, StateVector, _star_omega_squared, check_count
-from .model import check_count_column, check_positive, check_scalar, replay_flagged
+from .model import check_count_column, check_iterable, check_positive, check_scalar, replay_flagged
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     OverdampedRegimeError,
     _libm,
@@ -42,6 +42,7 @@ from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     _trap_time,
 )
 from .protocols import W_PLUS, W_PRIME, _in_unit_interval, _scheme_rows, _trapped_amplitudes
+from .protocols import check_scheme
 
 
 @dataclass(frozen=True)
@@ -263,8 +264,9 @@ def decay_robustness_scan(
     if isinstance(m_values, np.ndarray):
         counts = check_count_column("m", m_values, 2)
     else:
-        counts = [check_count("m", m, 2) for m in m_values]
+        counts = [check_count("m", m, 2) for m in check_iterable("m_values", m_values)]
     counts = np.unique(np.asarray(counts, dtype=np.int64))
+    schemes = map(check_scheme, check_iterable("schemes", schemes))
     schemes = sorted(schemes, key=lambda scheme: scheme.tag)
     m, r = _scheme_rows(counts, schemes)
     tags = tuple(scheme.tag for scheme in schemes) * counts.size

@@ -80,6 +80,15 @@ def check_count(name: str, value, minimum: int) -> int:
     return count
 
 
+def check_iterable(name: str, values):
+    """An iterator over ``values``; a value that is not iterable raises a
+    ConfigurationError that names the argument."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be iterable, got {values!r}") from None
+
+
 def check_count_column(name: str, column: np.ndarray, minimum: int) -> np.ndarray:
     """``check_count`` on every entry of a 1-D integer or float array in one
     vectorised pass, an integral float passing; the first entry that fails

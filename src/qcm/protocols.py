@@ -104,7 +104,10 @@ class CouplingScheme:
         are bit-identical to the one-count ratios, as numpy's sqrt and
         libm's are both correctly rounded.
         """
-        m, sqrt = _counts_and_sqrt(m, 2 if self.tag in ("w_minus", "w_prime") else 1)
+        return self._ratio(*_counts_and_sqrt(m, 2 if self.tag in ("w_minus", "w_prime") else 1))
+
+    def _ratio(self, m, sqrt=np.sqrt):
+        """``ratio`` at checked counts, with the kernel's sqrt for their type."""
         if self.tag == "identical":
             return 1.0
         if self.tag == "w_plus":
@@ -114,6 +117,14 @@ class CouplingScheme:
         if self.tag == "w_prime":
             return sqrt(m - 1.0)
         return self.custom_ratio
+
+
+def check_scheme(scheme) -> CouplingScheme:
+    """``scheme``, which must be a CouplingScheme; anything else raises a
+    ConfigurationError that names the argument."""
+    if not isinstance(scheme, CouplingScheme):
+        raise ConfigurationError(f"scheme must be a CouplingScheme, got {scheme!r}")
+    return scheme
 
 
 IDENTICAL = CouplingScheme("identical")
@@ -127,7 +138,7 @@ def _scheme_rows(counts: np.ndarray, schemes) -> tuple[np.ndarray, np.ndarray]:
     column of checked counts, then each scheme in the order given."""
     m, r = counts.astype(float), np.empty((counts.size, len(schemes)))
     for j, scheme in enumerate(schemes):
-        r[:, j] = scheme.ratio(m)
+        r[:, j] = scheme._ratio(m)
     return np.repeat(counts, len(schemes)), r.reshape(-1)
 
 
@@ -215,7 +226,7 @@ def _trapped_step(m: int, scheme: CouplingScheme, theta: float, alpha: float) ->
     leading fields (m, scheme tag, r, trapping time) and the evolved state.
     """
     m = check_count("m", m, 2)
-    r = scheme.ratio(m)
+    r = check_scheme(scheme).ratio(m)
     config = star_config(m, r)
     tau = trapping_time(config)
     return (m, scheme.tag, r, tau), evolve(initial_state(theta, alpha, config), config, tau)
@@ -403,20 +414,27 @@ def fidelity_curve(m, scheme: CouplingScheme) -> tuple:
     checked in one pass; each entry is then bit-identical to the one-count
     value, as in ``CouplingScheme.ratio``.
     """
+    check_scheme(scheme)
     m, sqrt = _counts_and_sqrt(m, 2)
-    if scheme.tag == "custom" and isinstance(m, np.ndarray):
+    if scheme.tag != "custom":
+        return _named_fidelities(m, scheme.tag, sqrt)
+    if isinstance(m, np.ndarray):
         raise ConfigurationError("a count column needs a named scheme, not the custom scheme")
-    if scheme.tag == "identical":
-        return 0.5 * (1.0 + 2.0 / m), 1.0 / m
-    if scheme.tag == "w_plus":
-        f = 0.5 * (1.0 + 1.0 / sqrt(m))
-        return f, f
-    if scheme.tag == "w_minus":
-        return 0.5 * (1.0 + 1.0 / sqrt(m)), 0.5 * (1.0 - 1.0 / sqrt(m))
-    if scheme.tag == "w_prime":
-        return 0.5 * (1.0 + 1.0 / sqrt(m - 1.0)), 0.5
     a1, a = trapped_amplitudes(m, scheme.ratio(m))
     return 0.5 * (1.0 - a), 0.5 * (1.0 - a1)
+
+
+def _named_fidelities(m, tag: str, sqrt=np.sqrt) -> tuple:
+    """``fidelity_curve`` of the named scheme ``tag`` at checked counts, with
+    the kernel's sqrt for their type."""
+    if tag == "identical":
+        return 0.5 * (1.0 + 2.0 / m), 1.0 / m
+    if tag == "w_plus":
+        f = 0.5 * (1.0 + 1.0 / sqrt(m))
+        return f, f
+    if tag == "w_minus":
+        return 0.5 * (1.0 + 1.0 / sqrt(m)), 0.5 * (1.0 - 1.0 / sqrt(m))
+    return 0.5 * (1.0 + 1.0 / sqrt(m - 1.0)), 0.5
 
 
 def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> ProtocolReport:

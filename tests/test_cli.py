@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import json
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 import qcm.cli as cli
 import qcm.decoherence as decoherence
+import qcm.protocols as protocols
 from qcm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -266,6 +268,21 @@ class TestAnticloneCommand:
         for m in range(2, 12):
             assert by_m[m]["f_plusminus"] == by_m[m + 1]["f_sep"]
 
+    def test_counts_are_checked_once_by_qubit_counts(self, capsys, monkeypatch):
+        # fidelity_curve and CouplingScheme.ratio check a count column; the command
+        # hands them none, as qubit_counts has checked its range already
+        calls, check = [], protocols.check_count_column
+
+        def spy(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(protocols, "check_count_column", spy)
+        _, out, _ = run_cli(capsys, ["anticlone", "--m-range", "2:40"])
+        assert calls == []
+        assert out.count("\n") == 40
+        assert fidelity_curve(np.arange(2.0, 41.0), W_PLUS) and len(calls) == 1
+
 
     @pytest.mark.parametrize("alpha", ["1e12", "1e300", "-1e300"])
     def test_large_phase_prints_the_zero_phase_table(self, capsys, alpha):
@@ -294,15 +311,22 @@ class TestAnticloneCommand:
         ],
     )
     def test_closed_form_defect_fails_the_check(self, capsys, monkeypatch, shifted, named):
-        exact = cli.fidelity_curve
+        exact_curve, exact_named = cli.fidelity_curve, cli._named_fidelities
 
-        def moved(m, scheme):
-            # m is one count on a replayed row, a column of counts in the table
-            f_target, f_input = exact(m, scheme)
-            counts = [count for count, tag in shifted if tag == scheme.tag]
-            return f_target + np.where(np.isin(m, counts), 1e-9, 0.0), f_input
+        def moved(m, tag, f_target):
+            counts = [count for count, shifted_tag in shifted if shifted_tag == tag]
+            return f_target + np.where(np.isin(m, counts), 1e-9, 0.0)
 
-        monkeypatch.setattr(cli, "fidelity_curve", moved)
+        def moved_curve(m, scheme):  # one count, on a replayed row
+            f_target, f_input = exact_curve(m, scheme)
+            return moved(m, scheme.tag, f_target), f_input
+
+        def moved_named(m, tag, *sqrt):  # the column of counts of the table
+            f_target, f_input = exact_named(m, tag, *sqrt)
+            return moved(m, tag, f_target), f_input
+
+        monkeypatch.setattr(cli, "fidelity_curve", moved_curve)
+        monkeypatch.setattr(cli, "_named_fidelities", moved_named)
         code, out, err = run_cli(capsys, ["anticlone", "--m-range", "2:12", "--alpha", "0.6"])
         assert code == EXIT_TOLERANCE
         assert out == ""
@@ -731,6 +755,120 @@ class TestWriteTable:
             {"w": 0.1, "x": -3, "y": True, "z": "a"},
             {"w": -2.5, "x": 4, "y": False, "z": "b"},
         ]
+
+
+def kernel_cells(values) -> list[str]:
+    """The vectorised kernel's text of each float64 value, one string per cell."""
+    cells = cli._float_cells(np.asarray(values, dtype=np.float64))
+    lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode().splitlines()
+
+
+def mismatches(values) -> list[tuple]:
+    """(value, kernel cell, '%.17g' cell) wherever the two differ."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    return [
+        (v, got, "%.17g" % v) for v, got in zip(values, kernel_cells(values)) if got != "%.17g" % v
+    ]
+
+
+def spy_on_kernel(monkeypatch) -> list:
+    """The sizes of the columns that ``cli._float_cells`` formats from now on."""
+    calls, kernel = [], cli._float_cells
+    monkeypatch.setattr(cli, "_float_cells", lambda x: calls.append(x.size) or kernel(x))
+    return calls
+
+
+#: every golden table with the command that prints it
+GOLDEN_RUNS = [
+    ("wstate_m2_16_w_plus.csv", ["wstate", "--m-range", "2:16", "--scheme", "w_plus"]),
+    ("anticlone_m2_8.csv", ["anticlone", "--m-range", "2:8"]),
+    ("decoherence_m2_6.csv", ["decoherence", "--m-range", "2:6"]),
+    ("scan_m4.csv", ["scan", "--m", "4", "--r-grid", "0.5:3.5:7"]),
+    ("check_trials200_seed42.csv", ["check"]),
+]
+
+
+class TestFloatKernel:
+    """The vectorised '%.17g' of write_table's CSV route, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        # both signs and every exponent, nan, inf and subnormals included
+        bits = np.random.default_rng(17).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        assert mismatches(bits.view(np.float64)) == []
+
+    def test_powers_of_ten_and_the_range_edges(self):
+        powers = [float(f"1e{k}") for k in range(-300, 301)]
+        edges = [1e-280, 1e280]
+        edges += [np.nextafter(x, direction) for x in edges for direction in (0.0, np.inf)]
+        values = np.array(powers + edges)
+        assert mismatches(np.concatenate([values, -values])) == []
+
+    def test_exact_decimal_ties(self):
+        # odd * 2**-j is exact, with the decimal digits of odd * 5**j: where those
+        # are 18, its 17-digit rounding is a tie, which '%.17g' breaks to even
+        ties = [
+            odd * 2.0**-j
+            for j in range(3, 25)
+            for odd in range(10**17 // 5**j | 1, 10**17 // 5**j + 400, 2)
+            if len(str(odd * 5**j)) == 18
+        ]
+        assert len(ties) > 4000
+        binary = (np.arange(1, 4000, 2)[:, None] * 2.0 ** -np.arange(1, 60)).ravel()
+        decimal_ties = ((10**16 + np.arange(10**4)) * 10 + 5).astype(np.float64)
+        assert mismatches(np.concatenate([ties, binary, decimal_ties])) == []
+
+    def test_values_rounding_into_the_next_decade(self):
+        # the doubles nearest 10**k that lie below it and still round up to it
+        below = [
+            v for k in range(-300, 301)
+            if decimal.Decimal(v := float(f"1e{k}")) < decimal.Decimal(f"1e{k}")
+            and "%.17g" % v == "%.17g" % 10.0**k
+        ]
+        assert len(below) >= 10
+        assert mismatches(below + [9.9999999999999999e22, 0.99999999999999999]) == []
+
+    def test_special_values(self):
+        values = [5e-324, 1e308, 0.0, -0.0, math.nan, math.inf, -math.inf, 2.2250738585072014e-308]
+        assert mismatches(values) == []
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_tables_at_the_cut_over(self, capsys, monkeypatch, above):
+        rows = -(-cli.KERNEL_MIN_CELLS // 2) - (not above)  # two float columns
+        m = np.arange(2, rows + 2)
+        tags = ("w_plus", "w_prime") * (rows // 2) + ("w_plus",) * (rows % 2)
+        columns = [m, tags, 1.0 / m, -np.sqrt(m) * 10.0 ** (m % 40 - 20), m % 3 == 0]
+        headers = ["m", "scheme", "x", "y", "flag"]
+        calls = spy_on_kernel(monkeypatch)
+        assert table_text(capsys, headers, columns) == reference_csv(headers, columns)
+        assert bool(calls) == above
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.arange(4) + 2**53,  # integers past the float64 range
+            [1, "x", 0.1, True],
+            ("a", "é", "b", "c"),
+            ("a", "\0", "b", "c"),
+            np.arange(4) + 1j,
+            np.arange(4, dtype=np.float32),
+            ("a", "b"),  # shorter than the table
+        ],
+    )
+    def test_other_columns_go_cell_by_cell(self, capsys, monkeypatch, column):
+        monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "_float_cells", None)  # the kernel must not run
+        columns = [np.linspace(0.1, 0.4, 4), column]
+        assert table_text(capsys, ["x", "c"], columns) == reference_csv(["x", "c"], columns)
+
+    @pytest.mark.parametrize("name,argv", GOLDEN_RUNS)
+    def test_goldens_through_the_kernel(self, capsys, monkeypatch, name, argv):
+        monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
+        calls = spy_on_kernel(monkeypatch)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / name).read_text()
+        assert calls
 
 
 class TestConfigFile:

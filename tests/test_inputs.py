@@ -271,6 +271,23 @@ CASES = [
 ]
 
 
+#: (callable, good keyword arguments, argument, bad value, message label) of the
+#: arguments that take no scalar: a scheme, and the iterables of the scan
+OTHER_CASES = [
+    (generate_w_state, dict(m=3, scheme=W_PLUS), "scheme", "w_plus", "scheme"),
+    (run_anticlone, dict(m=3, scheme=W_PLUS, alpha=0.3), "scheme", "w_plus", "scheme"),
+    (fidelity_curve, dict(m=3, scheme=W_PLUS), "scheme", "w_plus", "scheme"),
+    (fidelity_curve, dict(m=np.array([3.0]), scheme=W_PLUS), "scheme", None, "scheme"),
+    (decay_robustness_scan, dict(m_values=[2, 3]), "schemes", [W_PLUS, "w_prime"], "scheme"),
+    (decay_robustness_scan, dict(m_values=[2, 3]), "schemes", W_PLUS, "schemes"),
+    (decay_robustness_scan, dict(m_values=[2, 3]), "m_values", 5, "m_values"),
+]
+CASES += [
+    pytest.param(*case, id=f"{case[0].__qualname__}-{case[2]}-{type(case[3]).__name__}")
+    for case in OTHER_CASES
+]
+
+
 @pytest.mark.parametrize("call, good, argument, bad, label", CASES)
 def test_bad_scalar_fails_by_name(call, good, argument, bad, label):
     error = IndexError if argument == "j" else ConfigurationError
