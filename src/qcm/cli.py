@@ -45,6 +45,7 @@ from .model import (
     check_integer,
     check_odd_index,
     replay_flagged,
+    sorted_distinct,
 )
 from .propagator import (
     _check_propagators,
@@ -468,7 +469,7 @@ def _matrix_suites(trials: int, rng, inject_fault: str | None) -> dict[str, floa
     worst = {"unitarity": 0.0, "closed_vs_expm": 0.0, "group_property": 0.0}
     # matrix products and eigh on same-shape stacks only: zero-padding would
     # change their summation order, hence their bits
-    for count in np.unique(m).tolist():
+    for count in sorted_distinct(m).tolist():
         idx, block = np.flatnonzero(m == count), slice(-count - 1, None)
         u1, u2, u12 = u[:, idx, block, block]
         # expm_hermitian checks each generator block it is given
@@ -496,7 +497,7 @@ def _rk4_suite(trials: int, rng, inject_fault: str | None) -> float:
     _check_generators(h, "hermitian")
     for state, count in zip(states, m.tolist()):
         state[: count + 1] /= np.linalg.norm(state[: count + 1])
-    for count in np.unique(m).tolist():
+    for count in sorted_distinct(m).tolist():
         idx, block = np.flatnonzero(m == count), slice(-count - 1, None)
         closed[idx, : count + 1] = (u[idx, block, block] @ states[idx, : count + 1, None])[..., 0]
     integrated = _rk4_blocks(h, states, m, t, RK4_DT)

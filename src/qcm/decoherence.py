@@ -33,6 +33,7 @@ import numpy as np
 
 from .model import ConfigurationError, StateVector, _star_omega_squared, check_count
 from .model import check_count_column, check_iterable, check_positive, check_scalar, replay_flagged
+from .model import sorted_distinct
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     OverdampedRegimeError,
     _libm,
@@ -265,7 +266,7 @@ def decay_robustness_scan(
         counts = check_count_column("m", m_values, 2)
     else:
         counts = [check_count("m", m, 2) for m in check_iterable("m_values", m_values)]
-    counts = np.unique(np.asarray(counts, dtype=np.int64))
+    counts = sorted_distinct(np.asarray(counts, dtype=np.int64))
     schemes = map(check_scheme, check_iterable("schemes", schemes))
     schemes = sorted(schemes, key=lambda scheme: scheme.tag)
     m, r = _scheme_rows(counts, schemes)

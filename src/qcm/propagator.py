@@ -258,9 +258,18 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     amps = np.array(state.amplitudes)
     x, p = amps[1:-1], amps[-1]
     s = g @ x
-    # qubit*(g*s) keeps the product order of U[j, k] = qubit*(g_j*g_k), so the
-    # excited-input column is bit-identical to closed_form_propagator's
-    amps[1:-1] = dark * x + qubit * (g * s) + edge * (g * p)
+    # x <- dark*x + qubit*(g*s) + edge*(g*p), in place through one buffer:
+    # only the factors of a product swap places, so each entry keeps the bits
+    # of that sum.  qubit*(g*s) keeps the product order of U[j, k] =
+    # qubit*(g_j*g_k), so the excited-input column is bit-identical to
+    # closed_form_propagator's
+    x *= dark
+    term = np.multiply(g, s)
+    term *= qubit
+    x += term
+    np.multiply(g, p, out=term)
+    term *= edge
+    x += term
     amps[-1] = edge * s + photon * p
     lossless = not (config.gamma_decay or config.kappa)
     return StateVector(amplitudes=amps, normalized=state.normalized and lossless)

@@ -2,6 +2,9 @@ import argparse
 import decimal
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -91,6 +94,22 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
+
+
+def test_commands_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, tens of milliseconds and over a
+    # megabyte for each fresh process; a fresh interpreter shows whether any command
+    # still pulls it in, as this test process may have imported it already
+    script = (
+        "import sys, qcm.cli; qcm.cli.main(['decoherence', '--m', '3']); "
+        "qcm.cli.main(['check', '--trials', '3']); assert 'numpy.ma' not in sys.modules"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestGoldenFiles:

@@ -14,6 +14,7 @@ from qcm.model import (
     check_count,
     check_count_column,
     initial_state,
+    sorted_distinct,
     star_config,
 )
 from qcm.propagator import PropagatorMatrix, evolve
@@ -125,6 +126,17 @@ class TestCheckCount:
             assert check_count_column("m", column, 2) is column
 
 
+def test_sorted_distinct_is_np_unique():
+    # np.unique is the reference; qcm does not call it, as it imports numpy.ma
+    rng = np.random.default_rng(36)
+    columns = [np.array([], np.int64), np.array([5]), np.array([2**53, 2, 2**53], np.int64)]
+    columns += [rng.integers(1, 17, size=n) for n in (1, 2, 25, 200, 1000)]
+    for column in columns:
+        distinct = sorted_distinct(column)
+        assert distinct.dtype == column.dtype
+        np.testing.assert_array_equal(distinct, np.unique(column))
+
+
 class TestStateVector:
     def test_norm_squared_is_derived(self):
         state = StateVector(np.array([0.6, 0.0, 0.8j]))
@@ -162,8 +174,9 @@ class TestStateVector:
             state.amplitudes[0] = 0.0
 
     def test_non_finite_amplitudes_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([np.nan, 0.0, 0.0]))
+        for bad in (np.nan, complex(0.0, np.inf), complex(0.6, np.nan), -np.inf):
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                StateVector(np.array([0.8, 0.0, bad]))
         with pytest.raises(ValueError):
             GeneratorMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]), kind="hermitian")
 

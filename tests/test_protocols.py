@@ -9,6 +9,9 @@ from qcm.decoherence import renormalized_trapping_time
 from qcm.model import ConfigurationError, StateVector, initial_state, star_config
 from qcm.propagator import _star_columns, _trap_time, closed_form_propagator, evolve, trapping_time
 from qcm.protocols import (
+    _in_unit_interval,
+    _qubit_densities,
+    _star_step,
     CouplingScheme,
     IDENTICAL,
     ProtocolReport,
@@ -29,7 +32,7 @@ from qcm.protocols import (
     w_state_columns,
 )
 
-from conftest import brute_force_reduced_density
+from conftest import brute_force_reduced_density, random_block_state
 
 ALL_SCHEMES = (IDENTICAL, W_PLUS, W_MINUS, W_PRIME)
 
@@ -42,6 +45,41 @@ def check_density(rho, tol=1e-12):
     assert np.max(np.abs(rho - rho.conj().T)) <= tol
     assert abs(np.trace(rho).real - 1.0) <= tol
     assert np.linalg.eigvalsh(rho).min() >= -tol
+
+
+# Reference arithmetic for the reduction and the readout: the four density
+# entries stacked and then divided by the norm in complex arithmetic, and each
+# fidelity as t^dagger rho t by einsum.
+
+
+def divided_densities(ground, qubits, norm_squared):
+    """Reduced densities of the qubits with amplitudes ``qubits``, by stack and divide."""
+    excited = np.abs(qubits) ** 2
+    coherence = ground * np.conj(qubits)
+    rho = np.stack([norm_squared - excited, coherence, np.conj(coherence), excited], axis=-1)
+    rho /= np.asarray(norm_squared)[..., None]
+    return rho.reshape(qubits.shape + (2, 2))
+
+
+def einsum_fidelities(rho, alpha):
+    """Fidelity of each density with the complement (1, -exp(i*alpha))/sqrt(2), by einsum."""
+    target = np.array([1.0, -np.exp(1j * alpha)]) / np.sqrt(2.0)
+    return np.einsum("i,...ij,j->...", target.conj(), rho, target).real
+
+
+def divided_run_anticlone(m, scheme, alpha):
+    """``run_anticlone``'s fidelities through the references."""
+    config = star_config(m, scheme.ratio(m))
+    state = evolve(initial_state(np.pi / 2.0, alpha, config), config, trapping_time(config))
+    c = state.amplitudes
+    return einsum_fidelities(divided_densities(c[0], c[1:-1], state.norm_squared), alpha)
+
+
+def same_bits(got, expected):
+    """Whether two arrays have one shape and the same bits, a zero's sign aside
+    (adding 0.0 turns -0.0 into 0.0)."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and (got + 0.0).tobytes() == (expected + 0.0).tobytes()
 
 
 class TestCouplingScheme:
@@ -294,6 +332,24 @@ class TestReducedQubitDensity:
             for j in range(1, m + 1):
                 check_density(reduced_qubit_density(state, j))
 
+    def test_bit_identical_to_dividing_the_stack(self):
+        # multiplying by 1/n is what numpy's complex division by n + 0j does
+        rng = np.random.default_rng(35)
+        states = [random_block_state(rng, m) for m in (1, 2, 7, 300)]
+        for m, scheme in zip((2, 3, 64, 4096), ALL_SCHEMES):
+            for gamma_decay, kappa in ((0.0, 0.0), (0.03, 0.2), (0.5, 0.01)):
+                config = star_config(m, scheme.ratio(m), gamma_decay, kappa)
+                for theta, alpha, t in ((np.pi / 2.0, 0.0, None), (1.1, 4.2, 2.7), (0.3, 1e12, 40.0)):
+                    t = trapping_time(config) if t is None else t
+                    states.append(evolve(initial_state(theta, alpha, config), config, t))
+        assert sum(not state.normalized for state in states) == 24  # decayed, unnormalized
+        for state in states:
+            c, m = state.amplitudes, state.m
+            indices = [1, m, np.arange(1, m + 1), rng.integers(1, m + 1, size=(2, 3))]
+            for j in indices:
+                expected = divided_densities(c[0], c[j], state.norm_squared)
+                assert same_bits(reduced_qubit_density(state, j), expected)
+
     def test_index_validation(self):
         state = initial_state(0.0, 0.0, star_config(2, 1.0))
         with pytest.raises(IndexError):
@@ -465,6 +521,17 @@ class TestRunAnticlone:
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
             run_anticlone(3, W_PLUS, alpha=alpha)
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=scheme_id)
+    def test_large_registers_against_the_references(self, scheme):
+        # the paper's regime: fidelities within 1e-15 of stack, divide and einsum
+        for m in (4096, 10**4):
+            f_target, f_input = fidelity_curve(m, scheme)
+            fidelities = run_anticlone(m, scheme, alpha=0.7).fidelities
+            reference = divided_run_anticlone(m, scheme, 0.7)
+            np.testing.assert_allclose(fidelities, reference, rtol=0.0, atol=1e-15)
+            assert abs(fidelities[0] - f_input) <= 1e-12
+            np.testing.assert_allclose(fidelities[1:], f_target, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.3, 1e12])
     def test_reads_the_trapped_state_of_generate_w_state(self, alpha):
         # both protocols take one machine step; only the input and the readout differ
@@ -485,8 +552,46 @@ def star_rows(counts, schemes):
     return m, r
 
 
+def star_qubits(m, r, alpha):
+    """The ground amplitude, the (partner, qubit 1) amplitudes, the squared norm
+    and ``ok`` of each star row of ``anticlone_fidelities``."""
+    ground, excited = initial_state(np.pi / 2.0, alpha, star_config(1, 1.0)).amplitudes[:2]
+    with np.errstate(all="ignore"):
+        _, (x1, x, _), n2, ok = _star_step(m, r, ground, excited)
+    return ground, np.stack([x, x1], axis=-1), n2[:, None], ok
+
+
+def divided_anticlone_fidelities(m, r, alpha):
+    """``anticlone_fidelities`` through the references."""
+    ground, qubits, n2, ok = star_qubits(m, r, alpha)
+    with np.errstate(all="ignore"):
+        fidelities = einsum_fidelities(divided_densities(ground, qubits, n2), alpha)
+        ok &= _in_unit_interval(fidelities).all(axis=-1)
+    fidelities[~ok] = np.nan
+    return fidelities, ok
+
+
+ALPHAS = [0.0, 1.1, 4.32, 1e12, 1e300, -1e300]
+
+
 class TestAnticloneFidelities:
-    @pytest.mark.parametrize("alpha", [0.0, 1.1, 4.32, 1e12, 1e300, -1e300])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_against_the_references(self, alpha):
+        # M = 2..300, as `qcm anticlone --m-range 2:300` checks them
+        counts = range(2, 301)
+        m, r = star_rows(counts, ALL_SCHEMES)
+        ground, qubits, n2, _ = star_qubits(m, r, alpha)
+        assert same_bits(_qubit_densities(ground, qubits, n2), divided_densities(ground, qubits, n2))
+        fidelities, ok = anticlone_fidelities(m, r, alpha)
+        reference, reference_ok = divided_anticlone_fidelities(m, r, alpha)
+        assert ok.tolist() == reference_ok.tolist() and ok.all()
+        # the readout rounds otherwise than einsum: within 2 ulps of 1 of it, and no
+        # farther from the closed forms
+        np.testing.assert_allclose(fidelities, reference, rtol=0.0, atol=4.5e-16)
+        closed = np.array([fidelity_curve(k, scheme) for k in counts for scheme in ALL_SCHEMES])
+        assert np.max(abs(fidelities - closed)) <= np.max(abs(reference - closed))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_agrees_with_run_anticlone(self, alpha):
         m, r = star_rows(range(2, 301), ALL_SCHEMES)
         batched, ok = anticlone_fidelities(m, r, alpha)
