@@ -11,13 +11,13 @@ Commands:
 
 Identical invocations (including --seed) produce byte-identical output:
 floats are emitted with 17 significant digits ('%.17g'), rows in a fixed
-sorted order.  A CSV table with KERNEL_MIN_CELLS float cells or more takes
-them, and its integer cells, from one vectorised numpy kernel
-(``_float_cells``), a block of rows at a time; a smaller table, and each
-cell the kernel cannot round with certainty, goes through '%.17g' itself,
-with identical bytes.  Exit codes: 0 success, 1 tolerance or assertion
-breach, 2 configuration error (including a qubit count too large to
-allocate).
+sorted order.  Each CSV column is classified once, as numbers or text
+(``_printed``).  A CSV table with KERNEL_MIN_CELLS float cells or more takes
+its number cells from one vectorised numpy kernel (``_float_cells``), a
+block of rows at a time; a smaller table, and each cell the kernel cannot
+round with certainty, goes through '%.17g' itself, with identical bytes.
+Exit codes: 0 success, 1 tolerance or assertion breach, 2 configuration
+error (including a qubit count too large to allocate).
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .decoherence import (
+    DEFAULT_GAMMA_DECAY,
+    DEFAULT_KAPPA,
+    DEFAULT_SCHEMES,
     conditional_amplitudes,
     decay_robustness_scan,
     renormalized_trapping_time,
@@ -57,6 +60,7 @@ from .propagator import (
 from .protocols import (
     CouplingScheme,
     IDENTICAL,
+    SCHEME_TAGS,
     W_MINUS,
     W_PLUS,
     W_PRIME,
@@ -135,21 +139,6 @@ def format_value(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
-
-
-def _typed_cells(column) -> tuple[str, list]:
-    """The %-conversion and cells of one CSV column, each cell as ``format_value``
-    gives it; a column other than a typed array or a tuple of str goes cell by cell."""
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind in "fiu":
-            return ("%.17g" if kind == "f" else "%d"), column.tolist()
-        if kind == "b":
-            return "%s", np.where(column, "true", "false").tolist()
-        column = column.tolist()
-    elif isinstance(column, tuple) and set(map(type, column)) <= {str}:
-        return "%s", column
-    return "%s", list(map(format_value, column))
 
 
 #: a CSV table with fewer float64 cells than this formats every cell through
@@ -333,61 +322,65 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _byte_column(column) -> np.ndarray | None:
-    """A str or bool column as NUL-padded cells, a (rows, width) uint8 array
-    of ``format_value``'s text: a tuple or 1-D array of ASCII str, or a 1-D
-    bool array; None on any other column."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "U" and column.ndim == 1:
-        column = tuple(column.tolist())
-    if isinstance(column, tuple) and set(map(type, column)) <= {str}:
-        values = list(dict.fromkeys(column))
-        text = "".join(values)
-        if not text.isascii() or "\0" in text:
-            return None
-        width = max(map(len, values), default=0)
-        cells = np.frombuffer("".join(v.ljust(width, "\0") for v in values).encode(), np.uint8)
-        codes = dict(zip(values, range(len(values))))
-        return cells.reshape(len(values), width)[list(map(codes.__getitem__, column))]
-    if isinstance(column, np.ndarray) and column.dtype.kind == "b" and column.ndim == 1:
-        return np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)[column.view(np.uint8)]
-    return None
+def _printed(column, kernel: bool):
+    """How one CSV column prints, for both routes: a 1-D float64 or integer
+    array stays a number column, any other column becomes its text cells,
+    ``format_value``'s.  In a ``kernel`` table the integers must lie within
+    2**53 of zero, where '%.17g' prints their float64 values as ``str``."""
+    if isinstance(column, np.ndarray):
+        if column.ndim == 1 and column.dtype == np.float64:
+            return column
+        if column.ndim == 1 and column.dtype.kind in "iu" and (
+            not kernel or -(2**53) <= column.min(initial=0) and column.max(initial=0) <= 2**53
+        ):
+            return column
+        column = column.tolist()
+    return column if set(map(type, column)) <= {str} else list(map(format_value, column))
 
 
-def _number_column(column, rows: int) -> bool:
-    """Whether ``_float_cells`` can print a column of ``rows`` cells: 1-D
-    float64, or 1-D integers below 2**53 in magnitude, whose float64 values
-    '%.17g' prints as ``str`` prints the integers."""
-    if not isinstance(column, np.ndarray) or column.shape != (rows,):
-        return False
-    if column.dtype.kind in "iu":
-        return -(2**53) < column.min() and column.max() < 2**53
-    return column.dtype == np.float64
+def _byte_column(cells) -> np.ndarray | None:
+    """Text cells as a (rows, width) uint8 array, NUL-padded; None where the
+    text is not ASCII or holds a NUL, which the padding would lose."""
+    values = list(dict.fromkeys(cells))
+    text = "".join(values)
+    if not text.isascii() or "\0" in text:
+        return None
+    width = max(map(len, values))
+    table = np.frombuffer("".join(v.ljust(width, "\0") for v in values).encode(), np.uint8)
+    codes = dict(zip(values, range(len(values))))
+    return table.reshape(len(values), width)[list(map(codes.__getitem__, cells))]
 
 
 def _csv_text(headers: list[str], columns: list) -> str:
-    """The CSV text of a table.  With KERNEL_MIN_CELLS float64 cells or more,
-    each block of rows is put together as NUL-padded bytes, the cells of
-    each ``_number_column`` from ``_float_cells`` and all others from
-    ``_byte_column``, and the padding is stripped.  Otherwise, or where a
-    column is of neither kind, every cell goes through one %-template built
-    from the column types.  Both give the same bytes."""
+    """The CSV text of a table, each column classified once by ``_printed``.
+    With KERNEL_MIN_CELLS float64 cells or more, each block of rows is put
+    together as NUL-padded bytes, the number cells from ``_float_cells`` and
+    the text cells from ``_byte_column``, and the padding is stripped.
+    Otherwise, or where the columns differ in length or ``_byte_column``
+    refuses a text column, every cell goes through one %-template ('%.17g' on
+    a float column, '%s' on any other).  Both give the same bytes."""
     rows = len(columns[0]) if columns else 0
     floats = sum(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
-    if rows and rows * floats >= KERNEL_MIN_CELLS and sys.byteorder == "little":
-        numbers = [j for j, c in enumerate(columns) if _number_column(c, rows)]
-        fields = {j: _byte_column(c) for j, c in enumerate(columns) if j not in numbers}
-        if all(field is not None and len(field) == rows for field in fields.values()):
-            return _kernel_text(headers, columns, numbers, fields)
-    specs, cells = zip(*map(_typed_cells, columns))
-    template = ",".join(specs)
+    kernel = rows > 0 and rows * floats >= KERNEL_MIN_CELLS and sys.byteorder == "little"
+    columns = [_printed(c, kernel) for c in columns]
+    if kernel and all(len(c) == rows for c in columns):
+        texts = [j for j, c in enumerate(columns) if not isinstance(c, np.ndarray)]
+        fields = {j: _byte_column(columns[j]) for j in texts}
+        if all(field is not None for field in fields.values()):
+            return _kernel_text(headers, columns, fields)
+    specs = [
+        "%.17g" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s" for c in columns
+    ]
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     lines = [",".join(headers)]
-    lines += map(template.__mod__, zip(*cells))
+    lines += map(",".join(specs).__mod__, zip(*cells))
     return "\n".join(lines) + "\n"
 
 
-def _kernel_text(headers: list[str], columns: list, numbers: list[int], fields: dict) -> str:
-    """``_csv_text`` through ``_float_cells`` for the columns ``numbers``, one
-    block of rows at a time."""
+def _kernel_text(headers: list[str], columns: list, fields: dict) -> str:
+    """``_csv_text`` through ``_float_cells`` for the number columns, one block
+    of rows at a time; ``fields`` holds the text columns' byte cells."""
+    numbers = [j for j in range(len(columns)) if j not in fields]
     rows, step = len(columns[0]), max(1, _BLOCK_CELLS // len(numbers))
     chunks = [",".join(headers) + "\n"]
     for first in range(0, rows, step):
@@ -589,19 +582,17 @@ def cmd_wstate(args: argparse.Namespace) -> int:
 
 #: the anticlone schemes, in the order each qubit count checks them
 ANTICLONE_SCHEMES = (IDENTICAL, W_PLUS, W_MINUS, W_PRIME)
+#: anticlone's columns after m: (header, scheme, 0 for a target's fidelity or 1 for the input's)
+ANTICLONE_COLUMNS = (
+    ("f_iden", IDENTICAL, 0), ("f_plusminus", W_PLUS, 0), ("f_sep", W_PRIME, 0),
+    ("f1_iden", IDENTICAL, 1), ("f1_plus", W_PLUS, 1),
+    ("f1_minus", W_MINUS, 1), ("f1_sep", W_PRIME, 1),
+)
+#: the largest defect of the one-register pipeline from the closed forms
+PIPELINE_TOLERANCE = 1e-12
 
 
 def cmd_anticlone(args: argparse.Namespace) -> int:
-    headers = [
-        "m",
-        "f_iden",
-        "f_plusminus",
-        "f_sep",
-        "f1_iden",
-        "f1_plus",
-        "f1_minus",
-        "f1_sep",
-    ]
     counts = qubit_counts(args, default=(2, 30))
     n = len(ANTICLONE_SCHEMES)
     # (target, input) closed forms of each (M, scheme) row, M ascending, then scheme
@@ -610,14 +601,13 @@ def cmd_anticlone(args: argparse.Namespace) -> int:
         closed[:, j, 0], closed[:, j, 1] = _named_fidelities(counts.astype(float), scheme.tag)
     m, r = _scheme_rows(counts, ANTICLONE_SCHEMES)
     pipeline, ok = anticlone_fidelities(m, r, args.alpha)  # (target, input), as closed
-    ok &= np.max(abs(pipeline - closed.reshape(-1, 2)), axis=1) <= 1e-12
+    ok &= np.max(abs(pipeline - closed.reshape(-1, 2)), axis=1) <= PIPELINE_TOLERANCE
     replay_flagged(
         ok, lambda i: _check_anticlone_row(int(m[i]), ANTICLONE_SCHEMES[i % n], args.alpha)
     )
-    f = {scheme.tag: closed[:, j] for j, scheme in enumerate(ANTICLONE_SCHEMES)}
-    targets = [f[tag][:, 0] for tag in ("identical", "w_plus", "w_prime")]
-    inputs = [f[tag][:, 1] for tag in ("identical", "w_plus", "w_minus", "w_prime")]
-    write_table(headers, [counts, *targets, *inputs], args)
+    headers, schemes, sides = zip(*ANTICLONE_COLUMNS)
+    columns = [closed[:, ANTICLONE_SCHEMES.index(s), side] for s, side in zip(schemes, sides)]
+    write_table(["m", *headers], [counts, *columns], args)
     return EXIT_OK
 
 
@@ -627,7 +617,7 @@ def _check_anticlone_row(m: int, scheme: CouplingScheme, alpha: float) -> None:
     f_target, f_input = fidelity_curve(m, scheme)
     report = run_anticlone(m, scheme, alpha=alpha)
     defect = max(abs(report.fidelities[-1] - f_target), abs(report.fidelities[0] - f_input))
-    if defect > 1e-12:
+    if defect > PIPELINE_TOLERANCE:
         raise CheckFailure(
             f"anticlone closed form disagrees with pipeline at m={m} "
             f"scheme={scheme.tag}: defect {defect:.3e}"
@@ -635,10 +625,8 @@ def _check_anticlone_row(m: int, scheme: CouplingScheme, alpha: float) -> None:
 
 
 def cmd_decoherence(args: argparse.Namespace) -> int:
-    if args.r is not None or args.scheme is not None:
-        schemes = [resolve_scheme(args)]
-    else:
-        schemes = [W_PLUS, W_PRIME]
+    given = args.r is not None or args.scheme is not None
+    schemes = [resolve_scheme(args)] if given else DEFAULT_SCHEMES
     table = decay_robustness_scan(
         qubit_counts(args, default=(2, 20)),
         args.gamma_decay,
@@ -712,12 +700,14 @@ OPTIONS = {
     "--m": {"type": int, "help": "qubit count M"},
     "--m-range": {"help": "inclusive qubit-count range A:B"},
     "--scheme": {
-        "choices": ["identical", "w_plus", "w_minus", "w_prime"],
+        "choices": [tag for tag in SCHEME_TAGS if tag != "custom"],
         "help": "named coupling scheme (not with --r)",
     },
     "--r": {"type": float, "help": "explicit coupling ratio gamma_1/gamma (not with --scheme)"},
-    "--gamma-decay": {"type": float, "default": 0.001, "help": "qubit dipole decay rate"},
-    "--kappa": {"type": float, "default": 0.02, "help": "cavity decay rate"},
+    "--gamma-decay": {
+        "type": float, "default": DEFAULT_GAMMA_DECAY, "help": "qubit dipole decay rate"
+    },
+    "--kappa": {"type": float, "default": DEFAULT_KAPPA, "help": "cavity decay rate"},
     "--alpha": {"type": float, "default": 0.0, "help": "input-qubit phase"},
     "--m-odd": {"type": int, "default": 1, "help": "odd trapping-time index"},
     "--trials": {"type": int, "default": 200, "help": "randomized trials"},

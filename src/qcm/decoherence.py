@@ -33,7 +33,7 @@ import numpy as np
 
 from .model import ConfigurationError, StateVector, _star_omega_squared, check_count
 from .model import check_count_column, check_iterable, check_positive, check_scalar, replay_flagged
-from .model import sorted_distinct
+from .model import check_label, sorted_distinct
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     OverdampedRegimeError,
     _libm,
@@ -43,7 +43,11 @@ from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     _trap_time,
 )
 from .protocols import W_PLUS, W_PRIME, _in_unit_interval, _scheme_rows, _trapped_amplitudes
-from .protocols import check_scheme
+from .protocols import SCHEME_TAGS, check_scheme
+
+#: the decay-robustness table's default rates Gamma and kappa, in coupling units, and schemes
+DEFAULT_GAMMA_DECAY, DEFAULT_KAPPA = 0.001, 0.02
+DEFAULT_SCHEMES = (W_PLUS, W_PRIME)
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,7 @@ class DecoherenceReport:
         check_count("m", self.m, 2)
         check_positive("coupling ratio", self.r)
         check_positive("tau_star_c", self.tau_star_c)
+        check_label("scheme", self.scheme, SCHEME_TAGS)
         for name, value in (("fidelity", self.fidelity), ("no-click probability", self.p_no_click)):
             check_scalar(name, value)
             if not _in_unit_interval(value):
@@ -247,18 +252,18 @@ def decohered_fidelity(
 
 def decay_robustness_scan(
     m_values,
-    gamma_decay: float = 0.001,
-    kappa: float = 0.02,
+    gamma_decay: float = DEFAULT_GAMMA_DECAY,
+    kappa: float = DEFAULT_KAPPA,
     m_odd: int = 1,
-    schemes=(W_PLUS, W_PRIME),
+    schemes=DEFAULT_SCHEMES,
 ) -> DecoherenceTable:
     """Decay-robustness table over qubit counts and coupling schemes.
 
     Rows run over the distinct M ascending and, for each M, over the
     schemes by tag: the shifted trapping time, the fidelity against the
-    decay-free trapped state, and the no-click probability.  Default rates
-    are kappa = 0.02 and Gamma = 0.001 in coupling units, with both
-    protocol schemes.  The counts are checked once, in the order given (an
+    decay-free trapped state, and the no-click probability.  The rates and
+    schemes default to DEFAULT_GAMMA_DECAY, DEFAULT_KAPPA and
+    DEFAULT_SCHEMES.  The counts are checked once, in the order given (an
     integer or float column in one pass, as ``fidelity_curve`` checks it),
     and the table is built as float64 columns in one pass (``_decay_columns``).
     """

@@ -126,6 +126,12 @@ def check_finite(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+def check_label(name: str, value, labels: tuple) -> None:
+    """A label, such as a scheme tag, must be one of the str ``labels``."""
+    if not (isinstance(value, str) and value in labels):
+        raise ConfigurationError(f"{name} must be one of {labels}, got {value!r}")
+
+
 def check_odd_index(m_odd) -> int:
     """Return the trapping index m_odd as an int; it must be positive and odd."""
     index = check_count("trapping index", m_odd, 1)
@@ -297,16 +303,21 @@ class GeneratorMatrix:
     kind: str
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
-            raise ValueError(f"generator must be square of dimension >= 2, got {mat.shape}")
-        _check_generators(mat, self.kind)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        _freeze_matrix(self, "generator", lambda mat: _check_generators(mat, self.kind))
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0] - 1
+
+
+def _freeze_matrix(record, name: str, check) -> None:
+    """Freeze ``record.matrix`` as a complex copy, square of size >= 2, that passes ``check``."""
+    mat = np.array(record.matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
+        raise ValueError(f"{name} must be square of dimension >= 2, got {mat.shape}")
+    check(mat)
+    mat.flags.writeable = False
+    object.__setattr__(record, "matrix", mat)
 
 
 def _check_generators(matrix: np.ndarray, kind: str) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .model import (
     StateVector,
     SystemConfig,
     _check_generators,
+    _freeze_matrix,
     check_non_negative,
     check_odd_index,
     check_positive,
@@ -48,12 +48,7 @@ class PropagatorMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
-            raise ValueError(f"propagator must be square of dimension >= 2, got {mat.shape}")
-        _check_propagators(mat)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        _freeze_matrix(self, "propagator", _check_propagators)
 
 
 def _check_propagators(u: np.ndarray) -> None:
@@ -67,14 +62,16 @@ class OverdampedRegimeError(ConfigurationError):
     amplitude then never returns to zero.  Amplitudes work in every regime."""
 
 
-def _per_entry(routine):
-    """``routine`` applied to each entry of a float64 column.
+def _per_entry(routine, *args):
+    """``routine``, with any further ``args``, applied to each entry of a float64 column.
 
     numpy's own exp and expm1 may round an entry differently from the libm
     call a Python float makes; mapping the ``math`` routine keeps every
     entry bit-identical to the float result.
     """
-    return lambda column: np.fromiter(map(routine, column.tolist()), float, column.size)
+    return lambda column: np.fromiter(
+        map(routine, column.tolist(), *([arg] * column.size for arg in args)), float, column.size
+    )
 
 
 _Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt square")
@@ -84,12 +81,9 @@ _Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt square")
 _FLOAT_LIBM = _Libm(math.exp, math.expm1, math.cos, math.sin, math.sqrt, lambda x: x ** 2)
 
 #: the same routines on float64 columns: IEEE arithmetic and the correctly
-#: rounded sqrt run in numpy, every other libm call entry by entry (numpy squares)
-_COLUMN_LIBM = _Libm(
-    *map(_per_entry, _FLOAT_LIBM[:4]),
-    np.sqrt,
-    lambda column: np.fromiter(map(pow, column.tolist(), repeat(2)), float, column.size),
-)
+#: rounded sqrt run in numpy, every other libm call entry by entry (numpy
+#: squares); square maps pow itself, as a Python frame an entry would double its time
+_COLUMN_LIBM = _Libm(*map(_per_entry, _FLOAT_LIBM[:4]), np.sqrt, _per_entry(pow, 2))
 
 
 def _libm(x) -> _Libm:

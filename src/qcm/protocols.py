@@ -44,6 +44,7 @@ from .model import (
     check_count,
     check_count_column,
     check_finite,
+    check_label,
     check_positive,
     initial_state,
     star_config,
@@ -55,6 +56,8 @@ SCHEME_TAGS = ("identical", "w_plus", "w_minus", "w_prime", "custom")
 #: amplitudes closer in magnitude than this are treated as equal when
 #: classifying trapped states (oracle noise floor)
 CLASSIFY_TOL = 1e-10
+#: the classifications of a trapped state, in the order they are tested
+TRAPPED_KINDS = ("separable_W", "symmetric_W", "antisymmetric_W", "generic")
 
 
 def _counts_and_sqrt(m, minimum: int) -> tuple:
@@ -80,10 +83,7 @@ class CouplingScheme:
     custom_ratio: float | None = None
 
     def __post_init__(self):
-        if self.tag not in SCHEME_TAGS:
-            raise ConfigurationError(
-                f"unknown scheme {self.tag!r}, expected one of {SCHEME_TAGS}"
-            )
+        check_label("scheme", self.tag, SCHEME_TAGS)
         if self.tag == "custom":
             if self.custom_ratio is None:
                 raise ConfigurationError("custom scheme needs a coupling ratio")
@@ -165,10 +165,12 @@ class ProtocolReport:
 
     def __post_init__(self):
         check_count("m", self.m, 2)
+        check_label("scheme", self.scheme, SCHEME_TAGS)
         check_positive("coupling ratio", self.r)
         check_positive("trapping_time", self.trapping_time)
         check_finite("a1", self.a1)
         check_finite("a", self.a)
+        check_label("classification", self.classification, TRAPPED_KINDS)
         if self.fidelities is not None:
             fidelities = np.array(self.fidelities, dtype=float)
             fidelities.flags.writeable = False
@@ -210,13 +212,12 @@ def classify_trapped_state(a1: float, a: float) -> str:
     """
     check_finite("a1", a1)
     check_finite("a", a)
-    if abs(a1) < CLASSIFY_TOL:
-        return "separable_W"
-    if abs(a1 - a) < CLASSIFY_TOL:
-        return "symmetric_W"
-    if abs(a1 + a) < CLASSIFY_TOL:
-        return "antisymmetric_W"
-    return "generic"
+    return TRAPPED_KINDS[[*_kind_tests(a1, a), True].index(True)]
+
+
+def _kind_tests(a1, a) -> list:
+    """The tests of the first three ``TRAPPED_KINDS``, in order, on floats or columns."""
+    return [abs(a1) < CLASSIFY_TOL, abs(a1 - a) < CLASSIFY_TOL, abs(a1 + a) < CLASSIFY_TOL]
 
 
 def _trapped_step(m: int, scheme: CouplingScheme, theta: float, alpha: float) -> tuple:
@@ -290,9 +291,7 @@ def w_state_columns(m: np.ndarray, r: np.ndarray, m_odd: int = 1) -> tuple:
     with np.errstate(all="ignore"):
         omega2, (a1, a, _), _, ok = _star_step(m, r, 0.0, 1.0)
         tau_star = _trap_time(omega2, 0.0, 0.0, m_odd)
-        # classify_trapped_state's tests, in its order
-        patterns = [abs(a1) < CLASSIFY_TOL, abs(a1 - a) < CLASSIFY_TOL, abs(a1 + a) < CLASSIFY_TOL]
-    kinds = np.select(patterns, ["separable_W", "symmetric_W", "antisymmetric_W"], "generic")
+        kinds = np.select(_kind_tests(a1, a), TRAPPED_KINDS[:3], TRAPPED_KINDS[3])
     return tau_star, a1, a, kinds, ok
 
 

@@ -23,9 +23,14 @@ from qcm.cli import (
     main,
     run_check_suites,
 )
-from qcm.decoherence import conditional_amplitudes, renormalized_trapping_time
+from qcm.decoherence import (
+    conditional_amplitudes,
+    decay_robustness_scan,
+    renormalized_trapping_time,
+)
 from qcm.model import ConfigurationError
 from qcm.protocols import (
+    SCHEME_TAGS,
     W_MINUS,
     W_PLUS,
     W_PRIME,
@@ -509,6 +514,12 @@ class TestDecoherenceCommand:
         assert len(rows) == 2 * 19  # both schemes over M = 2..20
         assert all(float(row["p_no_click"]) >= 0.97 for row in rows)
 
+    def test_defaults_are_the_library_table(self, capsys):
+        # no --scheme, --r or rates: decay_robustness_scan at its own defaults
+        code, out, _ = run_cli(capsys, ["decoherence", "--m-range", "2:20"])
+        assert code == EXIT_OK
+        assert out == decoherence_csv(decay_robustness_scan(range(2, 21)))
+
     def test_equal_rates_unity_column(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -728,6 +739,13 @@ def reference_csv(headers, columns):
     return "\n".join(lines) + "\n"
 
 
+def decoherence_csv(table) -> str:
+    """``reference_csv`` of a decay-robustness table, as `decoherence` heads it."""
+    headers = ["m", "scheme", "r", "tau_star_c", "f_r", "p_no_click"]
+    columns = [table.m, table.scheme, table.r, table.tau_star_c, table.fidelity, table.p_no_click]
+    return reference_csv(headers, columns)
+
+
 def table_text(capsys, headers, columns, format="csv", out=None):
     cli.write_table(headers, columns, argparse.Namespace(format=format, out=out))
     return capsys.readouterr().out
@@ -863,22 +881,42 @@ class TestFloatKernel:
         assert bool(calls) == above
 
     @pytest.mark.parametrize(
-        "column",
+        "column, kernel",
         [
-            np.arange(4) + 2**53,  # integers past the float64 range
-            [1, "x", 0.1, True],
-            ("a", "é", "b", "c"),
-            ("a", "\0", "b", "c"),
-            np.arange(4) + 1j,
-            np.arange(4, dtype=np.float32),
-            ("a", "b"),  # shorter than the table
+            pytest.param(np.arange(4) + 2**53, True, id="column0"),  # past the exact floats
+            pytest.param([1, "x", 0.1, True], True, id="column1"),
+            pytest.param(("a", "é", "b", "c"), False, id="column2"),  # not ASCII
+            pytest.param(("a", "\0", "b", "c"), False, id="column3"),  # a NUL is padding
+            pytest.param(np.arange(4) + 1j, True, id="column4"),
+            pytest.param(np.arange(4, dtype=np.float32), True, id="column5"),
+            pytest.param(("a", "b"), False, id="column6"),  # shorter than the table
         ],
     )
-    def test_other_columns_go_cell_by_cell(self, capsys, monkeypatch, column):
+    def test_other_columns_go_cell_by_cell(self, capsys, monkeypatch, column, kernel):
+        # each cell is format_value's text; the kernel formats the float64 column alone
         monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
-        monkeypatch.setattr(cli, "_float_cells", None)  # the kernel must not run
+        calls = spy_on_kernel(monkeypatch)
         columns = [np.linspace(0.1, 0.4, 4), column]
         assert table_text(capsys, ["x", "c"], columns) == reference_csv(["x", "c"], columns)
+        assert calls == ([4] if kernel else [])
+
+    @pytest.mark.parametrize("bound", [2**53, -(2**53)])
+    def test_integers_at_two_to_the_53_stay_numbers(self, capsys, monkeypatch, bound):
+        # 2**53 is an exact float whose '%.17g' is its str, so the kernel prints it
+        monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
+        calls = spy_on_kernel(monkeypatch)
+        columns = [np.linspace(0.1, 0.4, 4), bound - np.sign(bound) * np.arange(4)]
+        assert table_text(capsys, ["x", "m"], columns) == reference_csv(["x", "m"], columns)
+        assert calls == [8]
+
+    def test_counts_up_to_two_to_the_53_take_the_kernel(self, capsys, monkeypatch):
+        # the count column ends at 2**53, and still prints through the kernel
+        calls = spy_on_kernel(monkeypatch)
+        code, out, _ = run_cli(capsys, ["decoherence", "--m-range", f"{2**53 - 5992}:{2**53}"])
+        table = decay_robustness_scan(np.arange(2**53 - 5992, 2**53 + 1))
+        assert code == EXIT_OK
+        assert out == decoherence_csv(table)
+        assert sum(calls) == 5 * len(table) > cli.KERNEL_MIN_CELLS  # m and four floats
 
     @pytest.mark.parametrize("name,argv", GOLDEN_RUNS)
     def test_goldens_through_the_kernel(self, capsys, monkeypatch, name, argv):
@@ -975,6 +1013,12 @@ class TestArgumentErrors:
             argv += [flag, FLAG_VALUES[flag]]
         args = build_parser().parse_args(argv)
         assert args.command == command
+
+    @pytest.mark.parametrize("command", ["wstate", "decoherence"])
+    def test_scheme_choices_are_the_named_tags(self, command):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (scheme,) = [a for a in sub.choices[command]._actions if a.dest == "scheme"]
+        assert list(scheme.choices) == [tag for tag in SCHEME_TAGS if tag != "custom"]
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

@@ -6,7 +6,8 @@ with an axis where a scalar is documented, a complex value and any other
 object each raise a ConfigurationError whose message names the argument,
 with no warning on the way.  Arguments documented as count columns keep
 their 1-D columns but refuse other arrays; the qubit index of
-``reduced_qubit_density`` is an index and raises IndexError.
+``reduced_qubit_density`` is an index and raises IndexError.  A label, a
+scheme tag or a classification, must be one of its str values.
 """
 
 import importlib
@@ -86,6 +87,12 @@ AMPLITUDE = [np.array([0.5j]), np.array([0.5j, 0.5j]), True, object()]
 COUNTS = [[2.5], [True], [np.nan], [1], np.array(3), *BAD_COLUMNS]
 INDEX = [np.nan, np.inf, 0, 4, 1.5, True, complex(2), object()]
 
+#: good fields of the two report records
+REPORT = dict(
+    m=3, scheme="custom", r=1.5, trapping_time=1.0, a1=0.1, a=-0.5, classification="generic"
+)
+DECAY_REPORT = dict(m=3, r=1.5, tau_star_c=1.0, fidelity=0.9, p_no_click=0.95)
+
 RATE = {"gamma_decay": (NON_NEGATIVE, "gamma_decay"), "kappa": (NON_NEGATIVE, "kappa")}
 STAR = {"m": (count(2), "m"), "r": (POSITIVE, "coupling ratio")}
 TIME = {"t": (NON_NEGATIVE, "time")}
@@ -130,9 +137,7 @@ SCALAR_ARGUMENTS = [
     (
         "ProtocolReport",
         ProtocolReport,
-        dict(
-            m=3, scheme="custom", r=1.5, trapping_time=1.0, a1=0.1, a=-0.5, classification="generic"
-        ),
+        REPORT,
         {
             "m": (count(2), "m"),
             "r": (POSITIVE, "coupling ratio"),
@@ -195,7 +200,7 @@ SCALAR_ARGUMENTS = [
     (
         "DecoherenceReport",
         DecoherenceReport,
-        dict(m=3, r=1.5, tau_star_c=1.0, fidelity=0.9, p_no_click=0.95),
+        DECAY_REPORT,
         STAR
         | {
             "tau_star_c": (POSITIVE, "tau_star_c"),
@@ -281,6 +286,20 @@ OTHER_CASES = [
     (decay_robustness_scan, dict(m_values=[2, 3]), "schemes", [W_PLUS, "w_prime"], "scheme"),
     (decay_robustness_scan, dict(m_values=[2, 3]), "schemes", W_PLUS, "schemes"),
     (decay_robustness_scan, dict(m_values=[2, 3]), "m_values", 5, "m_values"),
+]
+
+#: labels, each one of a fixed tuple of str: a scheme tag, and a trapped state's classification
+OTHER_CASES += [
+    (CouplingScheme, dict(tag="w_plus"), "tag", bad, "scheme") for bad in (None, "w_max")
+] + [
+    (ProtocolReport, REPORT, "scheme", bad, "scheme") for bad in (None, 42, "w_plus2")
+] + [
+    (ProtocolReport, REPORT, "classification", bad, "classification")
+    for bad in (17, None, "W", np.array("generic"))
+] + [
+    (DecoherenceReport, DECAY_REPORT, "scheme", bad, "scheme") for bad in (None, 42, "custom ")
+] + [
+    (decohered_fidelity, dict(m=3, r=1.0, gamma_decay=0.001, kappa=0.02), "scheme", 42, "scheme"),
 ]
 CASES += [
     pytest.param(*case, id=f"{case[0].__qualname__}-{case[2]}-{type(case[3]).__name__}")
