@@ -14,8 +14,9 @@ floats are emitted with 17 significant digits ('%.17g'), rows in a fixed
 sorted order.  Each CSV column is classified once, as numbers or text
 (``_printed``).  A CSV table with KERNEL_MIN_CELLS float cells or more takes
 its number cells from one vectorised numpy kernel (``_float_cells``), a
-block of rows at a time; a smaller table, and each cell the kernel cannot
-round with certainty, goes through '%.17g' itself, with identical bytes.
+block of rows at a time.  The kernel prints the cells that '%g' writes in
+fixed notation; a smaller table, and each e-notation cell, decimal tie,
+zero, nan or inf, goes through '%.17g' itself, with identical bytes.
 Exit codes: 0 success, 1 tolerance or assertion breach, 2 configuration
 error (including a qubit count too large to allocate).
 """
@@ -150,19 +151,6 @@ KERNEL_MIN_CELLS = 5000
 #: float cells per block of rows in the kernel, so its arrays stay in cache
 #: and a table's working memory does not grow with its length
 _BLOCK_CELLS = 2048
-#: the decimal exponents k of the powers 10**k that scale a float into
-#: [10**16, 10**17): 16 - e for |x| in [1e-280, 1e280], e off by one at most
-_K_MIN, _K_MAX = -266, 298
-
-
-def _power_of_ten(k: int) -> tuple[float, float, float, float]:
-    """10**k as hi + lo, hi the double nearest to it and lo the double nearest
-    to the rest, computed exactly with Python ints, then hi's Dekker halves:
-    (hi, its big half, its small half, lo)."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    hi = num / den  # int true division rounds correctly
-    p, q = hi.as_integer_ratio()
-    return (hi, *_split(hi), (num * q - p * den) / (den * q))
 
 
 @functools.cache
@@ -173,15 +161,15 @@ def _kernel_tables() -> SimpleNamespace:
 
     - quads: the four ASCII digits of 0..9999, one uint32 each;
     - zeros: the trailing zeros of each of those;
-    - powers: column k - _K_MIN holds ``_power_of_ten(k)``, NaN until a
-      cell first needs it;
+    - powers[:, k]: 10**k and its Dekker halves, for k from 0 to 22: the
+      scales 10**(16 - e) of the cells '%g' prints in fixed notation, whose
+      rounded exponents e run from -4 to 16, each an exact double (5**22 <
+      2**53);
     - layout[w][:, (sign*25 + p)*25 + q]: word w of the three masks of a cell
       whose fraction is the field's bytes p..q-1: its integer part (bytes
       min(p - 1, 7)..p-1) moved one byte down, its fraction, and its marks,
       the '-' just before the integer part and the '.' at byte p - 1, where
-      the cell has them;
-    - exponents[e + 400]: 'e', sign, hundreds (NUL below 100), tens and units
-      of %g's e-notation; row 0, of fixed notation, is all NUL.
+      the cell has them.
 
     The build uses int64 arithmetic, as the kernel does: each further numpy
     routine or dtype maps more of numpy's code into memory.
@@ -202,18 +190,12 @@ def _kernel_tables() -> SimpleNamespace:
     layout[:, 24:48] = 255 * ((byte >= p) & (byte < q))
     layout[:, 48:] = ord("-") * (sign & (byte == start - 2))
     layout[:, 48:] += ord(".") * ((q > p) & (byte == p - 1))
-    exponent = np.arange(-399, 400)
-    exponents = np.zeros((800, 8), np.int64)
-    exponents[1:, 0] = ord("e")
-    exponents[1:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
-    exponents[1:, 2:5] = quads[abs(exponent), 1:]
-    exponents[1:, 2] *= abs(exponent) >= 100
+    powers = np.array([float(10**k) for k in range(23)])
     return SimpleNamespace(
         quads=quads.astype(np.uint8).view("<u4").ravel(),
         zeros=sum(np.divmod(d, 10**k)[1] == 0 for k in (1, 2, 3, 4)),
-        powers=np.full((4, _K_MAX - _K_MIN + 1), np.nan),
+        powers=np.array([powers, *_split(powers)]),
         layout=layout.astype(np.uint8).view("<u8").reshape(-1, 3, 3).transpose(2, 1, 0).copy(),
-        exponents=exponents.astype(np.uint8).view("<u8").ravel(),
     )
 
 
@@ -226,36 +208,32 @@ def _split(x):
 
 
 def _scaled(a: np.ndarray, e: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10**(16 - e) as p + t: p = a * hi rounded, t the rest.  The product
-    a * hi is exact as p plus its Dekker error, so only a * lo and the rounding
-    of lo itself (each below 1e-14 here) make t inexact."""
-    k = 16 - _K_MIN - e
-    hi, hh, hl, lo = np.take(powers, k, axis=1)
-    missing = np.isnan(hi)
-    if missing.any():  # each power is computed once, the first time a cell needs it
-        for j in set(k[missing].tolist()):
-            powers[:, j] = _power_of_ten(j + _K_MIN)
-        hi, hh, hl, lo = np.take(powers, k, axis=1)
+    """a * 10**(16 - e) as p + t, exactly: p = a * 10**(16 - e) rounded, and
+    t its rounding error, from the Dekker halves of both factors."""
+    hi, hh, hl = np.take(powers, 16 - e, axis=1)
     p = a * hi
     ah, al = _split(a)
-    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl
 
 
 def _significands(x: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, e, exact) of the float64 column x: each |x| rounded to 17 significant
     digits is N * 10**(e - 16), with N in [10**16, 10**17), where ``exact``.
 
-    A finite |x| in [1e-280, 1e280] has N = round(|x| * 10**(16 - e)) from
+    A finite |x| in [1e-5, 1e17) has N = round(|x| * 10**(16 - e)) from
     ``_scaled``: p >= 2**53 is an integer, so the error term t alone rounds
-    it, and e, estimated from log10, moves by one where the scaled value
-    leaves [10**16, 10**17).  ``exact`` is False outside that range, and
-    where t lies within 1e-6 of a half: a tie, or too close to one to round
-    with certainty.
+    it, and e, estimated from log10 and at most 16, moves by one where the
+    scaled value p + t leaves [10**16, 10**17); as t is exact, it then lies
+    in that decade, and N in [10**16, 10**17].  ``exact`` is False for any
+    other |x|, where t lies within 1e-6 of a half (a tie, which '%.17g'
+    breaks to even), and where the rounded e lies outside -4..16, so that
+    '%g' prints the cell in e-notation.
     """
     a = np.abs(x)
-    exact = (a >= 1e-280) & (a <= 1e280)  # False on nan
+    exact = (a >= 1e-5) & (a < 1e17)  # False on nan
     a = np.where(exact, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
+    # at most 16, or np.take would wrap the index 16 - e = -1 round to 10**22
+    e = np.minimum(np.floor(np.log10(a)), 16.0).astype(np.int64)
     p, t = _scaled(a, e, powers)
     shift = ((p >= 1e17) & ((p > 1e17) | (t >= 0.0))).astype(np.int64)
     shift -= (p <= 1e16) & ((p < 1e16) | (t < 0.0))
@@ -266,25 +244,24 @@ def _significands(x: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.nda
     rounded = np.rint(t)
     exact &= abs(t - rounded) < 0.5 - 1e-6
     digits = p.astype(np.int64) + rounded.astype(np.int64)
-    if moved.size:  # next to a power of ten, N may still leave its decade
-        exact[moved] &= (digits[moved] >= 10**16) & (digits[moved] <= 10**17)
     top = digits == 10**17  # rounded up into the next decade
     digits[top] = 10**16
-    return digits, e + top, exact
+    e += top
+    exact &= (e >= -4) & (e <= 16)
+    return digits, e, exact
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """``'%.17g' % v`` for each entry v of the float64 column x, as a (rows, 24)
-    uint8 array of ASCII cells, or (rows, 32) where some cell is in e-notation,
-    padded with NULs anywhere inside.
+    uint8 array of ASCII cells, padded with NULs anywhere inside.
 
-    The digits field of ``_significands``' N (``_kernel_tables``) gives the cell: its
-    integer part one byte down, after the sign, then the point and the
-    fraction without its trailing zeros, then the exponent word of %g's
-    e-notation.  A value below 1 in fixed notation (e from -4 to -1) takes
-    its integer part and the fraction's leading zeros from the field's seven
-    '0's.  A cell that ``_significands`` cannot round exactly, and a zero,
-    subnormal, huge or non-finite one, takes '%.17g' itself.
+    The digits field of ``_significands``' N (``_kernel_tables``) gives the
+    cell: its integer part one byte down, after the sign, then the point and
+    the fraction without its trailing zeros.  A value below 1 (e from -4 to
+    -1) takes its integer part and the fraction's leading zeros from the
+    field's seven '0's.  A cell that ``_significands`` does not mark exact (a
+    tie, zero, e-notation, nan or inf) takes '%.17g' itself, at most 24
+    characters.
     """
     tables = _kernel_tables()
     digits, e, exact = _significands(x, tables.powers)
@@ -303,22 +280,18 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
             break
         tail[rows] += tables.zeros[groups[rows, group]]
         rows = rows[groups[rows, group] == 0]
-    fixed = (e >= -4) & (e <= 16)
-    point = np.where(fixed, e + 8, 8)  # the field's first fraction byte
+    point = np.where(exact, e + 8, 8)  # the field's first fraction byte
     key = (np.signbit(x) * 25 + point) * 25 + np.maximum(24 - tail, point)
-    cells = np.empty((x.size, 3 if fixed.all() else 4), np.uint64)
+    cells = np.empty((x.size, 3), np.uint64)
     for k in range(3):
         down, fraction, marks = np.take(tables.layout[k], key, axis=1)
         shifted = field[:, k] >> 8 | (field[:, k + 1] << 56 if k < 2 else 0)
         cells[:, k] = shifted & down | field[:, k] & fraction | marks
-    if cells.shape[1] == 4:
-        cells[:, 3] = np.take(tables.exponents, np.where(fixed, 0, e + 400))
     cells = cells.view(np.uint8)
     slow = np.flatnonzero(~exact)
-    if slow.size:  # '%.17g' itself, at most 24 characters a cell
+    if slow.size:
         text = "".join([("%.17g" % v).ljust(24, "\0") for v in x[slow].tolist()])
-        cells[slow] = 0
-        cells[slow, :24] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+        cells[slow] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
     return cells
 
 
@@ -356,14 +329,14 @@ def _csv_text(headers: list[str], columns: list) -> str:
     With KERNEL_MIN_CELLS float64 cells or more, each block of rows is put
     together as NUL-padded bytes, the number cells from ``_float_cells`` and
     the text cells from ``_byte_column``, and the padding is stripped.
-    Otherwise, or where the columns differ in length or ``_byte_column``
-    refuses a text column, every cell goes through one %-template ('%.17g' on
-    a float column, '%s' on any other).  Both give the same bytes."""
+    Otherwise, or where ``_byte_column`` refuses a text column, every cell
+    goes through one %-template ('%.17g' on a float column, '%s' on any
+    other).  Both give the same bytes."""
     rows = len(columns[0]) if columns else 0
     floats = sum(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
     kernel = rows > 0 and rows * floats >= KERNEL_MIN_CELLS and sys.byteorder == "little"
     columns = [_printed(c, kernel) for c in columns]
-    if kernel and all(len(c) == rows for c in columns):
+    if kernel:
         texts = [j for j, c in enumerate(columns) if not isinstance(c, np.ndarray)]
         fields = {j: _byte_column(columns[j]) for j in texts}
         if all(field is not None for field in fields.values()):
@@ -405,7 +378,15 @@ def _kernel_text(headers: list[str], columns: list, fields: dict) -> str:
 
 def write_table(headers: list[str], columns: list, args: argparse.Namespace):
     """Emit columns (one sequence or array per header, of equal lengths) as
-    CSV (fixed header) or a JSON array of row objects."""
+    CSV (fixed header) or a JSON array of row objects.  A header without its
+    column, or a column of another length, raises ValueError: both routes
+    would drop rows or cells silently."""
+    lengths = [len(c) for c in columns]
+    if len(headers) != len(columns) or len(set(lengths)) > 1:
+        raise ValueError(
+            f"a table needs one column per header, all of one length: got {len(headers)} "
+            f"headers and columns of lengths {lengths}"
+        )
     if args.format == "json":
         cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         payload = [dict(zip(headers, row)) for row in zip(*cells)]

@@ -865,6 +865,17 @@ class TestFloatKernel:
         assert len(below) >= 10
         assert mismatches(below + [9.9999999999999999e22, 0.99999999999999999]) == []
 
+    def test_the_fixed_notation_bounds(self):
+        # '%g' prints fixed notation for rounded exponents -4 to 16: the kernel prints
+        # those cells, and each e-notation cell takes '%.17g' itself
+        bits = np.array([1e-5, 1e-4, 1e16, 1e17]).view(np.int64)[:, None] + np.arange(-40, 41)
+        below = [9.9999999999999995e-05, 99999999999999984.0]  # the doubles below 1e-4, 1e17
+        swept = 10.0 ** np.random.default_rng(20).uniform(-6.0, math.log10(3e17), 50_000)
+        values = np.concatenate([bits.ravel().view(np.float64), below, swept])
+        values = np.concatenate([values, -values])
+        assert mismatches(values) == []
+        assert cli._float_cells(values).shape == (values.size, 24)
+
     def test_special_values(self):
         values = [5e-324, 1e308, 0.0, -0.0, math.nan, math.inf, -math.inf, 2.2250738585072014e-308]
         assert mismatches(values) == []
@@ -889,7 +900,7 @@ class TestFloatKernel:
             pytest.param(("a", "\0", "b", "c"), False, id="column3"),  # a NUL is padding
             pytest.param(np.arange(4) + 1j, True, id="column4"),
             pytest.param(np.arange(4, dtype=np.float32), True, id="column5"),
-            pytest.param(("a", "b"), False, id="column6"),  # shorter than the table
+            pytest.param(("a", "b"), None, id="column6"),  # shorter than the table: an error
         ],
     )
     def test_other_columns_go_cell_by_cell(self, capsys, monkeypatch, column, kernel):
@@ -897,8 +908,27 @@ class TestFloatKernel:
         monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
         calls = spy_on_kernel(monkeypatch)
         columns = [np.linspace(0.1, 0.4, 4), column]
+        if kernel is None:  # zip used to print two rows of the four
+            with pytest.raises(ValueError, match=r"2 headers and columns of lengths \[4, 2\]"):
+                table_text(capsys, ["x", "c"], columns)
+            assert (capsys.readouterr().out, calls) == ("", [])
+            return
         assert table_text(capsys, ["x", "c"], columns) == reference_csv(["x", "c"], columns)
         assert calls == ([4] if kernel else [])
+
+    @pytest.mark.parametrize(
+        "format, headers, column, message",
+        [
+            pytest.param("json", ["x", "c"], ("a", "b"), r"2 headers .* \[4, 2\]", id="json_short"),
+            pytest.param("csv", ["x"], tuple("abcd"), r"1 headers .* \[4, 4\]", id="csv_headers"),
+            pytest.param("json", ["x"], tuple("abcd"), r"1 headers .* \[4, 4\]", id="json_headers"),
+        ],
+    )
+    def test_unpaired_columns_are_an_error(self, capsys, format, headers, column, message):
+        # zip used to drop the rows past the shortest column, or the cells past the headers
+        with pytest.raises(ValueError, match=message):
+            table_text(capsys, headers, [np.linspace(0.1, 0.4, 4), column], format)
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("bound", [2**53, -(2**53)])
     def test_integers_at_two_to_the_53_stay_numbers(self, capsys, monkeypatch, bound):
