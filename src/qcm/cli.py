@@ -15,8 +15,8 @@ sorted order.  Each CSV column is classified once, as numbers or text
 (``_printed``).  A CSV table with KERNEL_MIN_CELLS float cells or more takes
 its number cells from one vectorised numpy kernel (``_float_cells``), a
 block of rows at a time.  The kernel prints the cells that '%g' writes in
-fixed notation; a smaller table, and each e-notation cell, decimal tie,
-zero, nan or inf, goes through '%.17g' itself, with identical bytes.
+fixed notation; a smaller table, and each e-notation cell, zero, nan or
+inf, goes through '%.17g' itself, with identical bytes.
 Exit codes: 0 success, 1 tolerance or assertion breach, 2 configuration
 error (including a qubit count too large to allocate).
 """
@@ -221,12 +221,12 @@ def _significands(x: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.nda
     digits is N * 10**(e - 16), with N in [10**16, 10**17), where ``exact``.
 
     A finite |x| in [1e-5, 1e17) has N = round(|x| * 10**(16 - e)) from
-    ``_scaled``: p >= 2**53 is an integer, so the error term t alone rounds
-    it, and e, estimated from log10 and at most 16, moves by one where the
-    scaled value p + t leaves [10**16, 10**17); as t is exact, it then lies
-    in that decade, and N in [10**16, 10**17].  ``exact`` is False for any
-    other |x|, where t lies within 1e-6 of a half (a tie, which '%.17g'
-    breaks to even), and where the rounded e lies outside -4..16, so that
+    ``_scaled``: p >= 2**53 is an even integer, so the error term t alone
+    rounds it, and ``np.rint`` breaks a tie in t to even, as '%.17g' breaks
+    one in p + t.  e, estimated from log10 and at most 16, moves by one
+    where the scaled value p + t leaves [10**16, 10**17); as t is exact, it
+    then lies in that decade, and N in [10**16, 10**17].  ``exact`` is False
+    for any other |x|, and where the rounded e lies outside -4..16, so that
     '%g' prints the cell in e-notation.
     """
     a = np.abs(x)
@@ -241,9 +241,7 @@ def _significands(x: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.nda
     if moved.size:
         e[moved] += shift[moved]
         p[moved], t[moved] = _scaled(a[moved], e[moved], powers)
-    rounded = np.rint(t)
-    exact &= abs(t - rounded) < 0.5 - 1e-6
-    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    digits = p.astype(np.int64) + np.rint(t).astype(np.int64)
     top = digits == 10**17  # rounded up into the next decade
     digits[top] = 10**16
     e += top
@@ -259,8 +257,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     cell: its integer part one byte down, after the sign, then the point and
     the fraction without its trailing zeros.  A value below 1 (e from -4 to
     -1) takes its integer part and the fraction's leading zeros from the
-    field's seven '0's.  A cell that ``_significands`` does not mark exact (a
-    tie, zero, e-notation, nan or inf) takes '%.17g' itself, at most 24
+    field's seven '0's.  A cell that ``_significands`` does not mark exact
+    (zero, e-notation, nan or inf) takes '%.17g' itself, at most 24
     characters.
     """
     tables = _kernel_tables()
@@ -412,7 +410,7 @@ def _closed_stacks(m: np.ndarray, g: np.ndarray, t: np.ndarray, inject_fault: st
     the generators where it uses them, so that no block is checked twice."""
     h = _generators(g)
     omega = _check_registers([row[16 - count :] for row, count in zip(g, m.tolist())])
-    omega2 = np.repeat([w**2 for w in omega], t.shape[1])  # libm pow, as config.omega**2
+    omega2 = np.repeat([w * w for w in omega], t.shape[1])
     # the suites draw their times in [0, 20), so the kernel's columns need no check
     dark, qubit, damped_sinc, photon = _kernel_terms(omega2, 0.0, 0.0, t.reshape(-1))
     kernel = [np.reshape(c, t.shape).T for c in (dark, qubit, -1j * damped_sinc, photon)]

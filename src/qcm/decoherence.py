@@ -18,8 +18,9 @@ loses while waiting.
 and m_odd are checked once, and every row goes through the same kernel
 formulas as one float would.  The kernel's routines follow the input: on a
 column numpy does the IEEE arithmetic and the correctly rounded sqrt, and
-exp, expm1, sin, cos and pow go through ``math`` entry by entry, since
-numpy's versions may round differently.  Every entry is therefore
+exp, expm1, sin and cos go through ``math`` entry by entry, since numpy's
+versions may round differently.  A square is the IEEE product x * x, the
+same bits on a float and on a column.  Every entry is therefore
 bit-identical to the scalar route, and ``decohered_fidelity`` is the
 one-row case.  The table's fidelity is taken against the trapped
 amplitudes a1 and a of ``qcm.protocols``, from the same expression.
@@ -36,7 +37,7 @@ from .model import check_count_column, check_iterable, check_positive, check_sca
 from .model import check_label, sorted_distinct
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     OverdampedRegimeError,
-    _libm,
+    _branch_norm_squared,
     _no_click_kernel,
     _star_column,
     _star_columns,
@@ -82,12 +83,6 @@ class ConditionalAmplitudes:
         return StateVector(amplitudes=amps, normalized=False)
 
 
-def _branch_norm_squared(m, b1, b, photon):
-    """|b1|^2 + (M-1)*|b|^2 + |photon|^2 from the magnitudes, as floats or columns."""
-    square = _libm(b1).square
-    return square(b1) + (m - 1) * square(b) + square(photon)
-
-
 def conditional_amplitudes(
     m: int, r: float, gamma_decay: float, kappa: float, t: float
 ) -> ConditionalAmplitudes:
@@ -114,11 +109,12 @@ def renormalized_trapping_time(
 def no_click_probability(m: int, r: float, gamma_decay: float, kappa: float, t: float) -> float:
     """Probability of detecting no photon in (0, t) for the excited-input branch.
 
-    Squared norm of the unnormalized conditional state.  The equatorial
+    Squared norm of the unnormalized conditional state, clamped to 1 against
+    rounding (without decay the norm may round up past 1).  The equatorial
     protocol's no-click probability follows by linearity as
     1/2 + branch/2, since the zero-excitation component does not decay.
     """
-    return conditional_amplitudes(m, r, gamma_decay, kappa, t).branch_norm_squared
+    return min(conditional_amplitudes(m, r, gamma_decay, kappa, t).branch_norm_squared, 1.0)
 
 
 @dataclass(frozen=True)
@@ -182,8 +178,8 @@ def _decay_columns(m: np.ndarray, r: np.ndarray, gamma_decay: float, kappa: floa
 
     ``m`` holds checked qubit counts and ``r`` positive ratios, as float64
     columns of one length.  Each entry is bit-identical to the row's scalar
-    closed form (``renormalized_trapping_time`` and
-    ``conditional_amplitudes``).  The rates and m_odd are checked once;
+    closed form (``renormalized_trapping_time``, ``conditional_amplitudes``
+    and ``no_click_probability``).  The rates and m_odd are checked once;
     ``ok`` is False on a row that fails a check the scalar route makes on
     every row, and ``_raise_for_row`` raises that check's error on it.
     """
@@ -196,8 +192,9 @@ def _decay_columns(m: np.ndarray, r: np.ndarray, gamma_decay: float, kappa: floa
         a1, a = _trapped_amplitudes(m, r, omega2)
         fidelity = np.minimum(abs(a1 * b1 + (m - 1.0) * a * b) / np.sqrt(p), 1.0)
     # a row with no trapping instant has p = NaN, which fails every comparison
-    ok = (p > 1e-300) & _in_unit_interval(fidelity) & _in_unit_interval(p)
-    return tau, fidelity, p, ok
+    ok = (p > 1e-300) & _in_unit_interval(fidelity)
+    # without decay the norm may round past 1: the probability, as the fidelity, is clamped
+    return tau, fidelity, np.minimum(p, 1.0), ok
 
 
 def _decay_table(m, scheme, r, gamma_decay, kappa, m_odd) -> DecoherenceTable:
@@ -217,8 +214,8 @@ def _raise_for_row(m, r, gamma_decay, kappa, m_odd, fidelity, p):
     """Raise the error the scalar route finds first on one table row, if any.
 
     The order is the route's: omega^2, m_odd and the rates, overdamping, a
-    time that is not finite, a zero norm, then the [0, 1] ranges of the
-    fidelity and p_no_click found by the table.
+    time that is not finite, a zero norm, then the [0, 1] range of the
+    fidelity found by the table.
     """
     tau_c = renormalized_trapping_time(m, r, gamma_decay, kappa, m_odd)
     conditional_amplitudes(m, r, gamma_decay, kappa, tau_c)

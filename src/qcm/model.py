@@ -220,7 +220,7 @@ def _check_registers(registers) -> list[float]:
     with np.errstate(over="ignore"):
         omega = np.sqrt([np.add.reduce(np.square(g)) for g in registers]).tolist()
     for w in omega:
-        check_positive("omega^2 = sum of squared couplings", w**2)
+        check_positive("omega^2 = sum of squared couplings", w * w)
     return omega
 
 

@@ -62,28 +62,25 @@ class OverdampedRegimeError(ConfigurationError):
     amplitude then never returns to zero.  Amplitudes work in every regime."""
 
 
-def _per_entry(routine, *args):
-    """``routine``, with any further ``args``, applied to each entry of a float64 column.
+def _per_entry(routine):
+    """``routine`` applied to each entry of a float64 column.
 
-    numpy's own exp and expm1 may round an entry differently from the libm
-    call a Python float makes; mapping the ``math`` routine keeps every
-    entry bit-identical to the float result.
+    numpy's own exp, expm1, cos and sin may round an entry differently from
+    the libm call a Python float makes; mapping the ``math`` routine keeps
+    every entry bit-identical to the float result.
     """
-    return lambda column: np.fromiter(
-        map(routine, column.tolist(), *([arg] * column.size for arg in args)), float, column.size
-    )
+    return lambda column: np.fromiter(map(routine, column.tolist()), float, column.size)
 
 
-_Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt square")
+_Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt")
 
-#: the kernel's libm routines on Python floats; square is libm pow(x, 2), as
-#: every `x ** 2` on a float
-_FLOAT_LIBM = _Libm(math.exp, math.expm1, math.cos, math.sin, math.sqrt, lambda x: x ** 2)
+#: the kernel's libm routines on Python floats; a square is the product x * x,
+#: correctly rounded as every IEEE operation, so it needs no routine
+_FLOAT_LIBM = _Libm(math.exp, math.expm1, math.cos, math.sin, math.sqrt)
 
 #: the same routines on float64 columns: IEEE arithmetic and the correctly
-#: rounded sqrt run in numpy, every other libm call entry by entry (numpy
-#: squares); square maps pow itself, as a Python frame an entry would double its time
-_COLUMN_LIBM = _Libm(*map(_per_entry, _FLOAT_LIBM[:4]), np.sqrt, _per_entry(pow, 2))
+#: rounded sqrt run in numpy, every other libm call entry by entry
+_COLUMN_LIBM = _Libm(*map(_per_entry, _FLOAT_LIBM[:4]), np.sqrt)
 
 
 def _libm(x) -> _Libm:
@@ -153,15 +150,15 @@ def _kernel_terms(omega2, gamma_decay: float, kappa: float, t) -> tuple:
     every row with a trapping instant is); each entry is then bit-identical
     to the float result.
     """
-    exp, expm1, cos, sin, sqrt, square = libm = _libm(t)
+    exp, expm1, cos, sin, sqrt = libm = _libm(t)
     d = (kappa - gamma_decay) / 2.0
     nu2 = omega2 - d * d
     dark = exp(-gamma_decay * t)
     joint = decay = exp(-(gamma_decay + kappa) / 2.0 * t)
     if libm is _COLUMN_LIBM or nu2 > 0.0:
         nu = sqrt(nu2)
-        c, sinc = cos(nu * t), sin(nu * t) / nu
-        c_minus_1 = -2.0 * square(sin(nu * t / 2.0))
+        c, sinc, half = cos(nu * t), sin(nu * t) / nu, sin(nu * t / 2.0)
+        c_minus_1 = -2.0 * (half * half)
     elif nu2 == 0.0:
         c, sinc, c_minus_1 = 1.0, t, 0.0
     else:
@@ -169,9 +166,9 @@ def _kernel_terms(omega2, gamma_decay: float, kappa: float, t) -> tuple:
         # mu - (Gamma + kappa)/2 = -min(Gamma, kappa) - omega^2/(|d| + mu) cannot cancel
         mu = math.sqrt(-nu2) if nu2 > -math.inf else abs(d)  # d*d overflowed: omega << |d|
         decay = math.exp(-(min(gamma_decay, kappa) + omega2 / (abs(d) + mu)) * t)
-        c = (1.0 + math.exp(-2.0 * mu * t)) / 2.0
-        sinc = -math.expm1(-2.0 * mu * t) / (2.0 * mu)
-        c_minus_1 = math.expm1(-mu * t) ** 2 / 2.0
+        gap = math.expm1(-mu * t)
+        c, sinc = (1.0 + math.exp(-2.0 * mu * t)) / 2.0, -math.expm1(-2.0 * mu * t) / (2.0 * mu)
+        c_minus_1 = gap * gap / 2.0
     # E*expm1(d*t) = dark - E, in the form that cannot overflow
     shift = joint * expm1(d * t) if d <= 0.0 else -dark * expm1(-d * t)
     qubit = (decay * (c_minus_1 + d * sinc) - shift) / omega2
@@ -187,6 +184,12 @@ def _star_column(r, dark, qubit, edge) -> tuple:
     """
     b = r * qubit
     return dark + r * b, b, r * edge
+
+
+def _branch_norm_squared(m, b1, b, photon):
+    """|b1|^2 + (M-1)*|b|^2 + |photon|^2, the squared norm of ``_star_column``,
+    from the magnitudes, as floats or float64 columns."""
+    return b1 * b1 + (m - 1) * (b * b) + photon * photon
 
 
 def _star_columns(m, r, gamma_decay: float, kappa: float, m_odd) -> tuple:
@@ -218,7 +221,7 @@ def closed_form_propagator(config: SystemConfig, t: float) -> PropagatorMatrix:
     Without decay qubit = -2*sin^2(omega*t/2)/omega^2; any sign asymmetry
     in the symmetric qubit block would break unitarity.
     """
-    kernel = _no_click_kernel(config.omega**2, config.gamma_decay, config.kappa, t)
+    kernel = _no_click_kernel(config.omega * config.omega, config.gamma_decay, config.kappa, t)
     return PropagatorMatrix(matrix=_propagators(config.couplings, *kernel))
 
 
@@ -247,7 +250,7 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
         raise ValueError(f"state is for M={state.m} qubits, config for M={config.m}")
     g = config.couplings
     dark, qubit, edge, photon = _no_click_kernel(
-        config.omega**2, config.gamma_decay, config.kappa, t
+        config.omega * config.omega, config.gamma_decay, config.kappa, t
     )
     amps = np.array(state.amplitudes)
     x, p = amps[1:-1], amps[-1]
@@ -416,4 +419,4 @@ def trapping_time(config: SystemConfig, m_odd: int = 1) -> float:
     vanishes and the cavity factorizes from the qubits; only odd multiples
     trap (even ones return the full initial state instead).  Rates shift it.
     """
-    return _trap_time(config.omega**2, config.gamma_decay, config.kappa, m_odd)
+    return _trap_time(config.omega * config.omega, config.gamma_decay, config.kappa, m_odd)

@@ -49,7 +49,8 @@ from .model import (
     initial_state,
     star_config,
 )
-from .propagator import _COLUMN_LIBM, _libm, _star_columns, _trap_time, evolve, trapping_time
+from .propagator import _COLUMN_LIBM, _branch_norm_squared, _libm, _star_columns, _trap_time
+from .propagator import evolve, trapping_time
 
 SCHEME_TAGS = ("identical", "w_plus", "w_minus", "w_prime", "custom")
 
@@ -269,7 +270,7 @@ def _star_step(m: np.ndarray, r: np.ndarray, ground, excited) -> tuple:
     """
     omega2, _, column = _star_columns(m, r, 0.0, 0.0, 1)
     x1, x, photon = (excited * b for b in column)
-    n2 = abs(ground) ** 2 + abs(x1) ** 2 + (m - 1.0) * abs(x) ** 2 + abs(photon) ** 2
+    n2 = abs(ground) * abs(ground) + _branch_norm_squared(m, abs(x1), abs(x), abs(photon))
     return omega2, (x1, x, photon), n2, (r > 0.0) & (abs(n2 - 1.0) <= 1e-12)
 
 
@@ -370,8 +371,8 @@ def equatorial_qubit_density(u_j1: float, alpha: float) -> np.ndarray:
     phase = np.exp(1j * alpha)
     return 0.5 * np.array(
         [
-            [2.0 - u_j1**2, u_j1 * np.conj(phase)],
-            [u_j1 * phase, u_j1**2],
+            [2.0 - u_j1 * u_j1, u_j1 * np.conj(phase)],
+            [u_j1 * phase, u_j1 * u_j1],
         ],
         dtype=complex,
     )

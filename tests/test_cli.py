@@ -809,6 +809,17 @@ def mismatches(values) -> list[tuple]:
     ]
 
 
+def exact_decimal_ties() -> list[float]:
+    """Doubles whose 17-digit rounding is a tie: odd * 2**-j is exact, with the
+    decimal digits of odd * 5**j, and where those are 18 the last one is a 5."""
+    return [
+        odd * 2.0**-j
+        for j in range(3, 25)
+        for odd in range(10**17 // 5**j | 1, 10**17 // 5**j + 400, 2)
+        if len(str(odd * 5**j)) == 18
+    ]
+
+
 def spy_on_kernel(monkeypatch) -> list:
     """The sizes of the columns that ``cli._float_cells`` formats from now on."""
     calls, kernel = [], cli._float_cells
@@ -842,18 +853,18 @@ class TestFloatKernel:
         assert mismatches(np.concatenate([values, -values])) == []
 
     def test_exact_decimal_ties(self):
-        # odd * 2**-j is exact, with the decimal digits of odd * 5**j: where those
-        # are 18, its 17-digit rounding is a tie, which '%.17g' breaks to even
-        ties = [
-            odd * 2.0**-j
-            for j in range(3, 25)
-            for odd in range(10**17 // 5**j | 1, 10**17 // 5**j + 400, 2)
-            if len(str(odd * 5**j)) == 18
-        ]
+        ties = exact_decimal_ties()
         assert len(ties) > 4000
         binary = (np.arange(1, 4000, 2)[:, None] * 2.0 ** -np.arange(1, 60)).ravel()
         decimal_ties = ((10**16 + np.arange(10**4)) * 10 + 5).astype(np.float64)
         assert mismatches(np.concatenate([ties, binary, decimal_ties])) == []
+
+    def test_ties_in_fixed_notation_are_kernel_cells(self):
+        # t is exact and p even, so np.rint breaks each tie to even, as '%.17g' does
+        ties = np.array(exact_decimal_ties())
+        fixed = ties[ties >= 1e-4]
+        assert fixed.size > 3000
+        assert cli._significands(fixed, cli._kernel_tables().powers)[2].all()
 
     def test_values_rounding_into_the_next_decade(self):
         # the doubles nearest 10**k that lie below it and still round up to it

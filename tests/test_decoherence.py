@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qcm.decoherence import (
+    ConditionalAmplitudes,
     DecoherenceReport,
     DecoherenceTable,
     OverdampedRegimeError,
@@ -439,6 +440,7 @@ def scalar_row(m, r, gamma_decay, kappa, m_odd=1):
         raise ValueError("conditional state has zero norm")
     a1, a = trapped_amplitudes(m, r)
     fidelity = min(abs(a1 * amps.b1 + (m - 1) * a * amps.b) / math.sqrt(p), 1.0)
+    p = min(p, 1.0)  # the probability is clamped, after the fidelity took the norm
     DecoherenceReport(m=m, r=r, tau_star_c=tau, fidelity=fidelity, p_no_click=p)
     return tau, fidelity, p
 
@@ -575,6 +577,30 @@ class TestDecayTable:
             decay_robustness_scan([2], np.nan, 0.0, schemes=[CouplingScheme.custom(1e200)])
         with pytest.raises(ConfigurationError, match="gamma_decay"):
             decay_robustness_scan([2], np.nan, 0.0)
+
+    def test_no_click_probability_is_at_most_one(self):
+        # without decay the norm rounds past 1 on many rows; the probability may not
+        table = decay_robustness_scan(range(2, 2001), 0.0, 0.0)
+        rows = list(zip(table.m.tolist(), table.r.tolist(), table.tau_star_c.tolist()))
+        norms = [conditional_amplitudes(m, r, 0.0, 0.0, t).branch_norm_squared for m, r, t in rows]
+        assert sum(norm > 1.0 for norm in norms) > 100
+        assert table.p_no_click.max() == 1.0
+        assert max(no_click_probability(m, r, 0.0, 0.0, tau) for m, r, tau in rows) == 1.0
+
+    def test_squares_are_products(self):
+        # where libm pow(x, 2) rounds otherwise than x * x, the squares are still products
+        draws = np.random.default_rng(21).uniform(0.0, 1.0, 200_000).tolist()
+        odd = [x for x in draws if x ** 2 != x * x] or draws
+        for b1, b, b_photon in zip(odd[0:30:3], odd[1:30:3], odd[2:30:3]):
+            amps = ConditionalAmplitudes(m=7, b1=b1, b=-b, b_photon=1j * b_photon)
+            assert amps.branch_norm_squared == b1 * b1 + 6 * (b * b) + b_photon * b_photon
+        table = decay_robustness_scan(range(2, 301))
+        expected = []
+        for m, r, tau in zip(table.m.tolist(), table.r.tolist(), table.tau_star_c.tolist()):
+            amps = conditional_amplitudes(m, r, DEFAULT_GAMMA, DEFAULT_KAPPA, tau)
+            b1, b, b_photon = abs(amps.b1), abs(amps.b), abs(amps.b_photon)
+            expected.append(min(b1 * b1 + (m - 1) * (b * b) + b_photon * b_photon, 1.0))
+        np.testing.assert_array_equal(bits(table.p_no_click), bits(expected))
 
     def test_overflow_raises_without_warning(self):
         # pytest turns a numpy RuntimeWarning into an error, so none may leak
