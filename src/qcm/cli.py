@@ -13,10 +13,12 @@ Identical invocations (including --seed) produce byte-identical output:
 floats are emitted with 17 significant digits ('%.17g'), rows in a fixed
 sorted order.  Each CSV column is classified once, as numbers or text
 (``_printed``).  A CSV table with KERNEL_MIN_CELLS float cells or more takes
-its number cells from one vectorised numpy kernel (``_float_cells``), a
-block of rows at a time.  The kernel prints the cells that '%g' writes in
-fixed notation; a smaller table, and each e-notation cell, zero, nan or
-inf, goes through '%.17g' itself, with identical bytes.
+its number cells from one vectorised numpy kernel (``_float_cells``), in
+blocks of rows of about _BLOCK_CELLS number cells, each written into one
+NUL-padded byte table per table, whose padding is stripped once.  The
+kernel prints the cells that '%g' writes in fixed notation; a smaller
+table, and each e-notation cell, zero, nan or inf, goes through '%.17g'
+itself, with identical bytes.
 Exit codes: 0 success, 1 tolerance or assertion breach, 2 configuration
 error (including a qubit count too large to allocate).
 """
@@ -144,13 +146,17 @@ def format_value(value) -> str:
 
 #: a CSV table with fewer float64 cells than this formats every cell through
 #: one %-template.  Measured on a 2-vCPU x86-64 host (Python 3.11, numpy
-#: 2.4): the kernel saves about 0.3 us a cell and costs about 0.2 ms a table,
-#: plus about 3 ms for its tables in the first one a process prints, so a
-#: single command breaks even near 5000 cells
+#: 2.4) on the 3998-row `decoherence --m-range 2:2000` table (19990 number
+#: cells): 7.5 ms on the template, 2.8 ms on the kernel, so the kernel saves
+#: about 0.24 us a cell; its tables take about 2.2 ms to build in the first
+#: table a process prints, which is what keeps this cut-over high
 KERNEL_MIN_CELLS = 5000
-#: float cells per block of rows in the kernel, so its arrays stay in cache
-#: and a table's working memory does not grow with its length
-_BLOCK_CELLS = 2048
+#: number cells per block of rows in the kernel, so that its arrays stay in
+#: cache.  Measured as above: a block costs about 70 us, a cell about 62 ns,
+#: and the table took 3.0 ms in blocks of 2048, 2.7 ms in blocks of 4096 or
+#: 8192, and 3.4 ms in blocks of 16384 or more; 8192 raises a process's
+#: peak memory by about 0.9 MB over 4096
+_BLOCK_CELLS = 4096
 
 
 @functools.cache
@@ -165,11 +171,11 @@ def _kernel_tables() -> SimpleNamespace:
       scales 10**(16 - e) of the cells '%g' prints in fixed notation, whose
       rounded exponents e run from -4 to 16, each an exact double (5**22 <
       2**53);
-    - layout[w][:, (sign*25 + p)*25 + q]: word w of the three masks of a cell
-      whose fraction is the field's bytes p..q-1: its integer part (bytes
-      min(p - 1, 7)..p-1) moved one byte down, its fraction, and its marks,
-      the '-' just before the integer part and the '.' at byte p - 1, where
-      the cell has them.
+    - layout[:, (sign*25 + p)*25 + q]: the three masks of a cell whose
+      fraction is the field's bytes p..q-1, as three words each: its integer
+      part (bytes min(p - 1, 7)..p-1) moved one byte down, its fraction, and
+      its marks, the '-' just before the integer part and the '.' at byte
+      p - 1, where the cell has them.
 
     The build uses int64 arithmetic, as the kernel does: each further numpy
     routine or dtype maps more of numpy's code into memory.
@@ -195,7 +201,7 @@ def _kernel_tables() -> SimpleNamespace:
         quads=quads.astype(np.uint8).view("<u4").ravel(),
         zeros=sum(np.divmod(d, 10**k)[1] == 0 for k in (1, 2, 3, 4)),
         powers=np.array([powers, *_split(powers)]),
-        layout=layout.astype(np.uint8).view("<u8").reshape(-1, 3, 3).transpose(2, 1, 0).copy(),
+        layout=layout.astype(np.uint8).view("<u8").reshape(-1, 3, 3).transpose(1, 0, 2).copy(),
     )
 
 
@@ -263,29 +269,33 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     """
     tables = _kernel_tables()
     digits, e, exact = _significands(x, tables.powers)
-    # the 4-digit groups of the field: '0000', '000d', then four of 'dddd'
-    groups = np.empty((x.size, 6), np.int64)
-    groups[:, 0] = 0
-    high, low = np.divmod(digits, 10**8)
-    lead, groups[:, 3] = np.divmod(high, 10**4)
-    groups[:, 1], groups[:, 2] = np.divmod(lead, 10**4)
-    groups[:, 4], groups[:, 5] = np.divmod(low, 10**4)
-    field = np.take(tables.quads, groups).view(np.uint64)
-    tail = tables.zeros[groups[:, 5]]  # N's trailing zeros, group by group
-    rows = np.flatnonzero(groups[:, 5] == 0)
-    for group in (4, 3, 2):
+    # the 4-digit groups of the field, one row each: '0000', '000d', then four
+    # of 'dddd'; each remainder by product and difference, as numpy
+    # vectorises floor division by a scalar but not divmod
+    groups = np.zeros((6, x.size), np.int64)
+    np.floor_divide(digits, 10**8, out=groups[3])
+    np.subtract(digits, groups[3] * 10**8, out=groups[5])
+    np.floor_divide(groups[3::2], 10**4, out=groups[2::2])
+    groups[3::2] -= groups[2::2] * 10**4
+    np.floor_divide(groups[2], 10**4, out=groups[1])
+    groups[2] -= groups[1] * 10**4
+    field = np.take(tables.quads, groups.T).view(np.uint64)
+    tail = tables.zeros[groups[5]]  # N's trailing zeros, group by group
+    rows = np.flatnonzero(groups[5] == 0)
+    for group in groups[4:1:-1]:
         if not rows.size:
             break
-        tail[rows] += tables.zeros[groups[rows, group]]
-        rows = rows[groups[rows, group] == 0]
+        tail[rows] += tables.zeros[group[rows]]
+        rows = rows[group[rows] == 0]
     point = np.where(exact, e + 8, 8)  # the field's first fraction byte
     key = (np.signbit(x) * 25 + point) * 25 + np.maximum(24 - tail, point)
-    cells = np.empty((x.size, 3), np.uint64)
-    for k in range(3):
-        down, fraction, marks = np.take(tables.layout[k], key, axis=1)
-        shifted = field[:, k] >> 8 | (field[:, k + 1] << 56 if k < 2 else 0)
-        cells[:, k] = shifted & down | field[:, k] & fraction | marks
-    cells = cells.view(np.uint8)
+    down, fraction, marks = np.take(tables.layout, key, axis=1)
+    # the field one byte down; a cell's last byte takes the next cell's first,
+    # which ``down`` always masks off
+    words = field.ravel()
+    shifted = words >> 8
+    shifted[:-1] |= words[1:] << 56
+    cells = (shifted.reshape(field.shape) & down | field & fraction | marks).view(np.uint8)
     slow = np.flatnonzero(~exact)
     if slow.size:
         text = "".join([("%.17g" % v).ljust(24, "\0") for v in x[slow].tolist()])
@@ -312,21 +322,21 @@ def _printed(column, kernel: bool):
 def _byte_column(cells) -> np.ndarray | None:
     """Text cells as a (rows, width) uint8 array, NUL-padded; None where the
     text is not ASCII or holds a NUL, which the padding would lose."""
-    values = list(dict.fromkeys(cells))
+    values = dict.fromkeys(cells)
     text = "".join(values)
     if not text.isascii() or "\0" in text:
         return None
     width = max(map(len, values))
-    table = np.frombuffer("".join(v.ljust(width, "\0") for v in values).encode(), np.uint8)
-    codes = dict(zip(values, range(len(values))))
-    return table.reshape(len(values), width)[list(map(codes.__getitem__, cells))]
+    padded = {v: v.ljust(width, "\0").encode() for v in values}
+    packed = b"".join(map(padded.__getitem__, cells))
+    return np.frombuffer(packed, np.uint8).reshape(len(cells), width)
 
 
 def _csv_text(headers: list[str], columns: list) -> str:
     """The CSV text of a table, each column classified once by ``_printed``.
-    With KERNEL_MIN_CELLS float64 cells or more, each block of rows is put
-    together as NUL-padded bytes, the number cells from ``_float_cells`` and
-    the text cells from ``_byte_column``, and the padding is stripped.
+    With KERNEL_MIN_CELLS float64 cells or more, the table is put together
+    as NUL-padded bytes, the number cells from ``_float_cells`` and the text
+    cells from ``_byte_column``, and the padding is stripped.
     Otherwise, or where ``_byte_column`` refuses a text column, every cell
     goes through one %-template ('%.17g' on a float column, '%s' on any
     other).  Both give the same bytes."""
@@ -350,28 +360,26 @@ def _csv_text(headers: list[str], columns: list) -> str:
 
 def _kernel_text(headers: list[str], columns: list, fields: dict) -> str:
     """``_csv_text`` through ``_float_cells`` for the number columns, one block
-    of rows at a time; ``fields`` holds the text columns' byte cells."""
+    of rows at a time, into one NUL-padded byte table; ``fields`` holds the
+    text columns' byte cells."""
     numbers = [j for j in range(len(columns)) if j not in fields]
-    rows, step = len(columns[0]), max(1, _BLOCK_CELLS // len(numbers))
-    chunks = [",".join(headers) + "\n"]
-    for first in range(0, rows, step):
-        block = slice(first, min(first + step, rows))
-        stack = np.empty((block.stop - first, len(numbers)))
+    widths = [fields[j].shape[1] if j in fields else 24 for j in range(len(columns))]
+    # each cell's first byte, then the row's end
+    starts = np.cumsum([0] + [width + 1 for width in widths]).tolist()
+    table = np.empty((len(columns[0]), starts[-1]), np.uint8)
+    table[:, np.subtract(starts[1:], 1)] = ord(",")  # each cell, then its comma
+    table[:, -1] = ord("\n")
+    for j, field in fields.items():
+        table[:, starts[j] : starts[j + 1] - 1] = field
+    step = max(1, _BLOCK_CELLS // len(numbers))
+    for first in range(0, len(table), step):
+        block = np.stack([columns[j][first : first + step] for j in numbers], axis=1, dtype=float)
+        cells = _float_cells(block.reshape(-1)).reshape(len(block), len(numbers), 24)
         for i, j in enumerate(numbers):
-            stack[:, i] = columns[j][block]
-        cells = _float_cells(stack.reshape(-1)).reshape(len(stack), len(numbers), -1)
-        pieces = {j: cells[:, i] for i, j in enumerate(numbers)}
-        pieces.update((j, field[block]) for j, field in fields.items())
-        table = np.empty((len(stack), sum(p.shape[1] + 1 for p in pieces.values())), np.uint8)
-        end = 0
-        for j in range(len(columns)):  # each cell, then its comma
-            width = pieces[j].shape[1]
-            table[:, end : end + width] = pieces[j]
-            table[:, end + width] = ord(",")
-            end += width + 1
-        table[:, -1] = ord("\n")
-        chunks.append(table.tobytes().translate(None, b"\0").decode())
-    return "".join(chunks)
+            table[first : first + step, starts[j] : starts[j] + 24] = cells[:, i]
+    text = table.tobytes()
+    del table  # at most two copies of the table at any one time
+    return ",".join(headers) + "\n" + text.translate(None, b"\0").decode()
 
 
 def write_table(headers: list[str], columns: list, args: argparse.Namespace):

@@ -43,7 +43,7 @@ from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     _star_columns,
     _trap_time,
 )
-from .protocols import W_PLUS, W_PRIME, _in_unit_interval, _scheme_rows, _trapped_amplitudes
+from .protocols import W_PLUS, W_PRIME, _scheme_rows, _trapped_amplitudes
 from .protocols import SCHEME_TAGS, check_scheme
 
 #: the decay-robustness table's default rates Gamma and kappa, in coupling units, and schemes
@@ -119,7 +119,8 @@ def no_click_probability(m: int, r: float, gamma_decay: float, kappa: float, t: 
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """One row of the decay-robustness tables."""
+    """One row of the decay-robustness tables; ``fidelity`` and
+    ``p_no_click`` lie in [0, 1], with no slack: qcm clamps both to 1."""
 
     m: int
     r: float
@@ -135,7 +136,7 @@ class DecoherenceReport:
         check_label("scheme", self.scheme, SCHEME_TAGS)
         for name, value in (("fidelity", self.fidelity), ("no-click probability", self.p_no_click)):
             check_scalar(name, value)
-            if not _in_unit_interval(value):
+            if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} outside [0, 1]: {value}")
 
 
@@ -192,7 +193,7 @@ def _decay_columns(m: np.ndarray, r: np.ndarray, gamma_decay: float, kappa: floa
         a1, a = _trapped_amplitudes(m, r, omega2)
         fidelity = np.minimum(abs(a1 * b1 + (m - 1.0) * a * b) / np.sqrt(p), 1.0)
     # a row with no trapping instant has p = NaN, which fails every comparison
-    ok = (p > 1e-300) & _in_unit_interval(fidelity)
+    ok = (p > 1e-300) & (fidelity >= 0.0) & (fidelity <= 1.0)
     # without decay the norm may round past 1: the probability, as the fidelity, is clamped
     return tau, fidelity, np.minimum(p, 1.0), ok
 

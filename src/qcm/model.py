@@ -261,7 +261,9 @@ class StateVector:
     Conditional (no-click) states are sub-normalized; ``normalized=False``
     marks them and relaxes the unit-norm invariant to norm <= 1.
     ``norm_squared`` is derived from the amplitudes when they are checked;
-    it is neither an argument nor assignable.  States compare and hash by
+    it is neither an argument nor assignable.  The amplitudes are a
+    read-only complex128 copy, except that a read-only complex128 array
+    owning its memory is kept as it is.  States compare and hash by
     identity.
     """
 
@@ -270,7 +272,12 @@ class StateVector:
     norm_squared: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = self.amplitudes
+        if not (
+            type(amps) is np.ndarray and amps.dtype == np.complex128
+            and amps.flags.owndata and not amps.flags.writeable
+        ):
+            amps = np.array(amps, dtype=complex)
         if amps.ndim != 1 or amps.size < 3:
             raise ValueError("amplitudes must be a vector over >= 3 basis states")
         if not np.isfinite(amps.view(float)).all():
@@ -384,4 +391,5 @@ def initial_state(theta: float, alpha: float, config: SystemConfig) -> StateVect
     amps = np.zeros(config.m + 2, dtype=complex)
     amps[0] = np.sin(theta / 2.0)
     amps[1] = np.exp(1j * alpha) * np.cos(theta / 2.0)
+    amps.flags.writeable = False  # so that StateVector keeps it
     return StateVector(amplitudes=amps, normalized=True)

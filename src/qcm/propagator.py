@@ -268,6 +268,7 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     term *= edge
     x += term
     amps[-1] = edge * s + photon * p
+    amps.flags.writeable = False  # so that StateVector keeps it
     lossless = not (config.gamma_decay or config.kappa)
     return StateVector(amplitudes=amps, normalized=state.normalized and lossless)
 

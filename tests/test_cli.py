@@ -891,16 +891,37 @@ class TestFloatKernel:
         values = [5e-324, 1e308, 0.0, -0.0, math.nan, math.inf, -math.inf, 2.2250738585072014e-308]
         assert mismatches(values) == []
 
-    @pytest.mark.parametrize("above", [False, True])
-    def test_tables_at_the_cut_over(self, capsys, monkeypatch, above):
-        rows = -(-cli.KERNEL_MIN_CELLS // 2) - (not above)  # two float columns
+    @pytest.mark.parametrize(
+        "above, edge",
+        [
+            pytest.param(False, None, id="False"),
+            pytest.param(True, None, id="True"),
+            *(pytest.param(True, k, id=f"block_edge{k:+d}") for k in (-1, 0, 1)),
+        ],
+    )
+    def test_tables_at_the_cut_over(self, capsys, monkeypatch, above, edge):
+        # two float columns; with ``edge``, a table of edge rows past a multiple
+        # of the kernel's rows per block, for its three number columns
+        step = cli._BLOCK_CELLS // 3
+        if edge is None:
+            rows = -(-cli.KERNEL_MIN_CELLS // 2) - (not above)
+        else:
+            rows = step * (-(-cli.KERNEL_MIN_CELLS // (2 * step)) + 1) + edge
         m = np.arange(2, rows + 2)
         tags = ("w_plus", "w_prime") * (rows // 2) + ("w_plus",) * (rows % 2)
         columns = [m, tags, 1.0 / m, -np.sqrt(m) * 10.0 ** (m % 40 - 20), m % 3 == 0]
+        if edge is not None:
+            # negative, zero, e-notation and nan cells on both sides of each edge
+            last = np.arange(step, rows + 1, step) - 1  # each block's last row
+            first = last[last + 1 < rows] + 1
+            m[last], columns[2][last], columns[3][last] = 0, math.nan, -2.5e-300
+            m[first], columns[2][first], columns[3][first] = -1, -3.5e-07, math.nan
         headers = ["m", "scheme", "x", "y", "flag"]
         calls = spy_on_kernel(monkeypatch)
         assert table_text(capsys, headers, columns) == reference_csv(headers, columns)
         assert bool(calls) == above
+        if edge is not None:
+            assert calls == [3 * step] * (rows // step) + [3 * (rows % step)] * (rows % step > 0)
 
     @pytest.mark.parametrize(
         "column, kernel",

@@ -389,6 +389,18 @@ class TestDecoheredFidelity:
                 m=2, r=1.0, tau_star_c=1.0, fidelity=1.5, p_no_click=0.9,
             )
 
+    @pytest.mark.parametrize("name", ["fidelity", "p_no_click"])
+    def test_report_holds_probabilities_to_the_unit_interval(self, name):
+        # 1 + 1e-12 used to pass; qcm clamps each report it builds to 1
+        def report(value):
+            values = {"fidelity": 0.5, "p_no_click": 0.5, name: value}
+            return DecoherenceReport(m=3, r=1.0, tau_star_c=1.0, **values)
+
+        assert [getattr(report(v), name) for v in (0.0, 1.0)] == [0.0, 1.0]
+        for value in (1.0000000000005, np.nextafter(1.0, 2.0), -1e-13):
+            with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]: "):
+                report(value)
+
 
 class TestDecayRobustnessScan:
     def test_row_layout_and_order(self):

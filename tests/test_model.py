@@ -173,6 +173,22 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_only_a_frozen_owning_complex_vector_is_kept(self):
+        frozen = np.array([1.0, 0.0, 0.0], dtype=complex)
+        frozen.flags.writeable = False
+        assert StateVector(frozen).amplitudes is frozen
+        # a caller's writable array is copied, and left writable
+        mine = np.array([1.0, 0.0, 0.0], dtype=complex)
+        state = StateVector(mine)
+        mine[0] = 0.0
+        assert state.amplitudes[0] == 1.0 and mine.flags.writeable
+        # so are a read-only view and a read-only float array
+        view = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)[1:]
+        real = np.array([1.0, 0.0, 0.0])
+        for other in (view, real):
+            other.flags.writeable = False
+            assert StateVector(other).amplitudes is not other
+
     def test_non_finite_amplitudes_rejected(self):
         for bad in (np.nan, complex(0.0, np.inf), complex(0.6, np.nan), -np.inf):
             with pytest.raises(ValueError, match="^amplitudes must be finite$"):
