@@ -13,12 +13,13 @@ Identical invocations (including --seed) produce byte-identical output:
 floats are emitted with 17 significant digits ('%.17g'), rows in a fixed
 sorted order.  Each CSV column is classified once, as numbers or text
 (``_printed``).  A CSV table with KERNEL_MIN_CELLS float cells or more takes
-its number cells from one vectorised numpy kernel (``_float_cells``), in
-blocks of rows of about _BLOCK_CELLS number cells, each written into one
+its float cells from one vectorised numpy kernel (``_float_cells``), in
+blocks of rows of about _BLOCK_CELLS float cells, each written into one
 NUL-padded byte table per table, whose padding is stripped once.  The
 kernel prints the cells that '%g' writes in fixed notation; a smaller
 table, and each e-notation cell, zero, nan or inf, goes through '%.17g'
-itself, with identical bytes.
+itself, with identical bytes.  Its integer columns print from their own
+digits (``_int_cells``), each in a slot as wide as its widest cell.
 Exit codes: 0 success, 1 tolerance or assertion breach, 2 configuration
 error (including a qubit count too large to allocate).
 """
@@ -303,11 +304,34 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _int_cells(column: np.ndarray) -> np.ndarray:
+    """``str`` of each entry of an integer column within 2**53 of zero, as a
+    (rows, width) uint8 array of ASCII cells right-aligned in NULs, width
+    the widest cell's.  Each entry's own 4-digit groups index the kernel's
+    ``quads``; no float, log10 or trailing-zero count enters."""
+    width = max(len(str(column.min())), len(str(column.max())))
+    n = -(-width // 4)  # 4-digit groups, a sign included
+    count = rest = np.abs(column.astype(np.int64))
+    groups = np.empty((n, count.size), np.int64)
+    for j in range(n - 1, -1, -1):
+        high = rest // 10**4
+        groups[j] = rest - high * 10**4
+        rest = high
+    cells = np.take(_kernel_tables().quads, groups.T).view(np.uint8)
+    # the leading zeros become NULs, and a '-' goes just before the first digit
+    lead = 4 * n - 1 - np.searchsorted(10 ** np.arange(1, 17), count, side="right")
+    keep = (np.arange(4 * n) >= np.arange(4 * n)[:, None]).astype(np.uint8) * 255
+    cells &= np.take(keep, lead, axis=0)
+    negative = np.flatnonzero(column < 0)
+    cells[negative, lead[negative] - 1] = ord("-")
+    return cells[:, 4 * n - width :]
+
+
 def _printed(column, kernel: bool):
     """How one CSV column prints, for both routes: a 1-D float64 or integer
     array stays a number column, any other column becomes its text cells,
     ``format_value``'s.  In a ``kernel`` table the integers must lie within
-    2**53 of zero, where '%.17g' prints their float64 values as ``str``."""
+    2**53 of zero, whose digits ``_int_cells`` takes in int64."""
     if isinstance(column, np.ndarray):
         if column.ndim == 1 and column.dtype == np.float64:
             return column
@@ -335,8 +359,9 @@ def _byte_column(cells) -> np.ndarray | None:
 def _csv_text(headers: list[str], columns: list) -> str:
     """The CSV text of a table, each column classified once by ``_printed``.
     With KERNEL_MIN_CELLS float64 cells or more, the table is put together
-    as NUL-padded bytes, the number cells from ``_float_cells`` and the text
-    cells from ``_byte_column``, and the padding is stripped.
+    as NUL-padded bytes, the float cells from ``_float_cells``, the integer
+    cells from ``_int_cells`` and the text cells from ``_byte_column``, and
+    the padding is stripped.
     Otherwise, or where ``_byte_column`` refuses a text column, every cell
     goes through one %-template ('%.17g' on a float column, '%s' on any
     other).  Both give the same bytes."""
@@ -345,8 +370,11 @@ def _csv_text(headers: list[str], columns: list) -> str:
     kernel = rows > 0 and rows * floats >= KERNEL_MIN_CELLS and sys.byteorder == "little"
     columns = [_printed(c, kernel) for c in columns]
     if kernel:
-        texts = [j for j, c in enumerate(columns) if not isinstance(c, np.ndarray)]
-        fields = {j: _byte_column(columns[j]) for j in texts}
+        fields = {
+            j: _int_cells(c) if isinstance(c, np.ndarray) else _byte_column(c)
+            for j, c in enumerate(columns)
+            if not (isinstance(c, np.ndarray) and c.dtype == np.float64)
+        }
         if all(field is not None for field in fields.values()):
             return _kernel_text(headers, columns, fields)
     specs = [
@@ -359,9 +387,10 @@ def _csv_text(headers: list[str], columns: list) -> str:
 
 
 def _kernel_text(headers: list[str], columns: list, fields: dict) -> str:
-    """``_csv_text`` through ``_float_cells`` for the number columns, one block
+    """``_csv_text`` through ``_float_cells`` for the float columns, one block
     of rows at a time, into one NUL-padded byte table; ``fields`` holds the
-    text columns' byte cells."""
+    byte cells of the integer and text columns, each slot as wide as its
+    widest cell."""
     numbers = [j for j in range(len(columns)) if j not in fields]
     widths = [fields[j].shape[1] if j in fields else 24 for j in range(len(columns))]
     # each cell's first byte, then the row's end

@@ -386,10 +386,16 @@ def initial_state(theta: float, alpha: float, config: SystemConfig) -> StateVect
     ground and the cavity is empty.  Canonically theta in [0, pi] and
     alpha in [0, 2*pi), though any finite angles are accepted.
     """
-    check_finite("theta", theta)
-    check_finite("alpha", alpha)
+    ground, excited = _input_amplitudes(theta, alpha)
     amps = np.zeros(config.m + 2, dtype=complex)
-    amps[0] = np.sin(theta / 2.0)
-    amps[1] = np.exp(1j * alpha) * np.cos(theta / 2.0)
+    amps[0], amps[1] = ground, excited
     amps.flags.writeable = False  # so that StateVector keeps it
     return StateVector(amplitudes=amps, normalized=True)
+
+
+def _input_amplitudes(theta: float, alpha: float) -> tuple:
+    """(ground, excited) amplitudes of qubit 1 in ``initial_state``, after its
+    checks of theta, then alpha; the ground amplitude is real."""
+    check_finite("theta", theta)
+    check_finite("alpha", alpha)
+    return np.sin(theta / 2.0), np.exp(1j * alpha) * np.cos(theta / 2.0)

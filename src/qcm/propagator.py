@@ -63,13 +63,15 @@ class OverdampedRegimeError(ConfigurationError):
 
 
 def _per_entry(routine):
-    """``routine`` applied to each entry of a float64 column.
+    """``routine`` applied to each entry of a 1-D float64 column.
 
     numpy's own exp, expm1, cos and sin may round an entry differently from
     the libm call a Python float makes; mapping the ``math`` routine keeps
-    every entry bit-identical to the float result.
+    every entry bit-identical to the float result.  The map reads the
+    column's buffer through a memoryview, which yields the same floats as a
+    ``tolist()`` copy without building one.
     """
-    return lambda column: np.fromiter(map(routine, column.tolist()), float, column.size)
+    return lambda column: np.fromiter(map(routine, memoryview(column)), float, column.size)
 
 
 _Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt")
@@ -79,7 +81,9 @@ _Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt")
 _FLOAT_LIBM = _Libm(math.exp, math.expm1, math.cos, math.sin, math.sqrt)
 
 #: the same routines on float64 columns: IEEE arithmetic and the correctly
-#: rounded sqrt run in numpy, every other libm call entry by entry
+#: rounded sqrt run in numpy, every other libm call entry by entry.  The
+#: kernel maps one only where its value is unknown and read: no exp of a
+#: zero rate, no expm1 at equal rates, no photon cos where it is dropped
 _COLUMN_LIBM = _Libm(*map(_per_entry, _FLOAT_LIBM[:4]), np.sqrt)
 
 
@@ -142,22 +146,28 @@ def _no_click_kernel(omega2, gamma_decay: float, kappa: float, t) -> tuple:
     return dark, qubit, -1j * damped_sinc, photon
 
 
-def _kernel_terms(omega2, gamma_decay: float, kappa: float, t) -> tuple:
+def _kernel_terms(omega2, gamma_decay: float, kappa: float, t, photon: bool = True) -> tuple:
     """(dark, qubit, E*S, photon) of ``_no_click_kernel``, unchecked.
 
     omega2 and t may also be float64 columns whose rows the caller has
     checked to be underdamped (4*nu^2 is their trapping discriminant, so
     every row with a trapping instant is); each entry is then bit-identical
-    to the float result.
+    to the float result.  Without ``photon`` the photon term is None, and
+    its cos(nu*t) is never taken.  A zero rate takes no exp and equal rates
+    (d = 0) no expm1: exp(-0.0*t) is 1.0 + 0.0*t and expm1(0.0*t) is 0.0*t,
+    bit for bit, for every t (0, subnormal, inf and NaN included), on floats
+    and on columns.  So a lossless column maps only the two sines, and the
+    cos with ``photon``.
     """
     exp, expm1, cos, sin, sqrt = libm = _libm(t)
     d = (kappa - gamma_decay) / 2.0
     nu2 = omega2 - d * d
-    dark = exp(-gamma_decay * t)
-    joint = decay = exp(-(gamma_decay + kappa) / 2.0 * t)
+    dark = exp(-gamma_decay * t) if gamma_decay else 1.0 + 0.0 * t
+    joint = decay = exp(-(gamma_decay + kappa) / 2.0 * t) if gamma_decay or kappa else dark
     if libm is _COLUMN_LIBM or nu2 > 0.0:
         nu = sqrt(nu2)
-        c, sinc, half = cos(nu * t), sin(nu * t) / nu, sin(nu * t / 2.0)
+        sinc, half = sin(nu * t) / nu, sin(nu * t / 2.0)
+        c = cos(nu * t) if photon else None
         c_minus_1 = -2.0 * (half * half)
     elif nu2 == 0.0:
         c, sinc, c_minus_1 = 1.0, t, 0.0
@@ -169,10 +179,14 @@ def _kernel_terms(omega2, gamma_decay: float, kappa: float, t) -> tuple:
         gap = math.expm1(-mu * t)
         c, sinc = (1.0 + math.exp(-2.0 * mu * t)) / 2.0, -math.expm1(-2.0 * mu * t) / (2.0 * mu)
         c_minus_1 = gap * gap / 2.0
-    # E*expm1(d*t) = dark - E, in the form that cannot overflow
-    shift = joint * expm1(d * t) if d <= 0.0 else -dark * expm1(-d * t)
+    # E*expm1(d*t) = dark - E, in the form that cannot overflow; equal rates
+    # have d = 0, where expm1(d*t) is d*t
+    if d > 0.0:
+        shift = -dark * expm1(-d * t)
+    else:
+        shift = joint * (expm1(d * t) if d else d * t)
     qubit = (decay * (c_minus_1 + d * sinc) - shift) / omega2
-    return dark, qubit, decay * sinc, decay * (c - d * sinc)
+    return dark, qubit, decay * sinc, decay * (c - d * sinc) if photon else None
 
 
 def _star_column(r, dark, qubit, edge) -> tuple:
@@ -199,12 +213,14 @@ def _star_columns(m, r, gamma_decay: float, kappa: float, m_odd) -> tuple:
     ``_star_omega_squared`` forms it, tau is the m_odd'th trapping instant
     (NaN where none exists) and (b1, b, r*E*S) the excited input's
     propagator column there (``_star_column``; the photon amplitude is
-    -i*r*E*S).  Rows are unchecked, and the caller runs this under
-    ``np.errstate``: a row that fails its checks may overflow on the way.
+    -i*r*E*S).  The photon's own term is dropped, so its cos is never
+    mapped: a lossless call maps only the two sines of ``_kernel_terms``.
+    Rows are unchecked, and the caller runs this under ``np.errstate``: a
+    row that fails its checks may overflow on the way.
     """
     omega2 = r * r + (m - 1.0)
     tau = _trap_time(omega2, gamma_decay, kappa, m_odd)
-    dark, qubit, damped_sinc, _ = _kernel_terms(omega2, gamma_decay, kappa, tau)
+    dark, qubit, damped_sinc, _ = _kernel_terms(omega2, gamma_decay, kappa, tau, photon=False)
     return omega2, tau, _star_column(r, dark, qubit, damped_sinc)
 
 

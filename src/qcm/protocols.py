@@ -40,6 +40,7 @@ import numpy as np
 from .model import (
     ConfigurationError,
     StateVector,
+    _input_amplitudes,
     _star_omega_squared,
     check_count,
     check_count_column,
@@ -481,12 +482,14 @@ def anticlone_fidelities(m: np.ndarray, r: np.ndarray, alpha: float = 0.0) -> tu
     products are ordered otherwise than in ``evolve``, so entries agree
     with ``run_anticlone`` to about 1e-16, not bit for bit.
 
-    alpha is checked once, up front.  ``ok`` is False, and the fidelities
-    NaN, on a row that fails any other check ``run_anticlone`` makes (the
-    ratio, the time, finite amplitudes of unit norm, fidelities in [0, 1]);
-    ``run_anticlone`` raises that check's error on it.
+    Qubit 1 starts from ``initial_state``'s two amplitudes, taken without
+    building a register, and alpha is checked once, up front.  ``ok`` is
+    False, and the fidelities NaN, on a row that fails any other check
+    ``run_anticlone`` makes (the ratio, the time, finite amplitudes of unit
+    norm, fidelities in [0, 1]); ``run_anticlone`` raises that check's error
+    on it.
     """
-    ground, excited = initial_state(np.pi / 2.0, alpha, star_config(1, 1.0)).amplitudes[:2]
+    ground, excited = _input_amplitudes(np.pi / 2.0, alpha)
     with np.errstate(all="ignore"):
         _, (x1, x, _), n2, ok = _star_step(m, r, ground, excited)
         rho = _qubit_densities(ground, np.stack([x, x1], axis=-1), n2[:, None])

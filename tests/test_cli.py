@@ -820,10 +820,11 @@ def exact_decimal_ties() -> list[float]:
     ]
 
 
-def spy_on_kernel(monkeypatch) -> list:
-    """The sizes of the columns that ``cli._float_cells`` formats from now on."""
-    calls, kernel = [], cli._float_cells
-    monkeypatch.setattr(cli, "_float_cells", lambda x: calls.append(x.size) or kernel(x))
+def spy_on_kernel(monkeypatch, name="_float_cells") -> list:
+    """The sizes of the columns that ``cli._float_cells`` (or the kernel routine
+    ``name``) formats from now on."""
+    calls, kernel = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda x: calls.append(x.size) or kernel(x))
     return calls
 
 
@@ -891,6 +892,27 @@ class TestFloatKernel:
         values = [5e-324, 1e308, 0.0, -0.0, math.nan, math.inf, -math.inf, 2.2250738585072014e-308]
         assert mismatches(values) == []
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_integer_cells_print_as_str(self, dtype):
+        # every digit count up to 16, each side of each power of ten, 0 and 2**53
+        powers = 10 ** np.arange(17, dtype=np.int64)
+        values = np.concatenate([[0, 1, 2**53 - 1, 2**53], powers[:16], powers[1:] - 1])
+        values = np.concatenate([values, np.random.default_rng(23).integers(0, 2**53, 5000)])
+        signs = [1] if dtype is np.uint64 else [1, -1]
+        for sign in signs:
+            column = (sign * values).astype(dtype)
+            cells = cli._int_cells(column)
+            lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)], axis=1)
+            assert lines.tobytes().translate(None, b"\0").decode().split() == list(
+                map(str, column.tolist())
+            )
+            assert cells.shape[1] == 16 + (sign < 0)
+
+    @pytest.mark.parametrize("counts, width", [([0], 1), ([-1, 0], 2), ([2, 2000], 4), ([-9, 9999], 4)])
+    def test_integer_slots_are_as_wide_as_their_widest_cell(self, counts, width):
+        # the float cells' 24 bytes would be mostly NUL padding here
+        assert cli._int_cells(np.array(counts, dtype=np.int64)).shape == (len(counts), width)
+
     @pytest.mark.parametrize(
         "above, edge",
         [
@@ -901,8 +923,8 @@ class TestFloatKernel:
     )
     def test_tables_at_the_cut_over(self, capsys, monkeypatch, above, edge):
         # two float columns; with ``edge``, a table of edge rows past a multiple
-        # of the kernel's rows per block, for its three number columns
-        step = cli._BLOCK_CELLS // 3
+        # of the kernel's rows per block, for its two float columns
+        step = cli._BLOCK_CELLS // 2
         if edge is None:
             rows = -(-cli.KERNEL_MIN_CELLS // 2) - (not above)
         else:
@@ -916,12 +938,16 @@ class TestFloatKernel:
             first = last[last + 1 < rows] + 1
             m[last], columns[2][last], columns[3][last] = 0, math.nan, -2.5e-300
             m[first], columns[2][first], columns[3][first] = -1, -3.5e-07, math.nan
+            m[last - 1], m[first[first + 1 < rows] + 1] = 2**53, -(2**53)
         headers = ["m", "scheme", "x", "y", "flag"]
         calls = spy_on_kernel(monkeypatch)
+        counts = spy_on_kernel(monkeypatch, "_int_cells")
         assert table_text(capsys, headers, columns) == reference_csv(headers, columns)
         assert bool(calls) == above
+        # the integer column prints from its own digits, once for the whole table
+        assert counts == [rows] * above
         if edge is not None:
-            assert calls == [3 * step] * (rows // step) + [3 * (rows % step)] * (rows % step > 0)
+            assert calls == [2 * step] * (rows // step) + [2 * (rows % step)] * (rows % step > 0)
 
     @pytest.mark.parametrize(
         "column, kernel",
@@ -964,21 +990,24 @@ class TestFloatKernel:
 
     @pytest.mark.parametrize("bound", [2**53, -(2**53)])
     def test_integers_at_two_to_the_53_stay_numbers(self, capsys, monkeypatch, bound):
-        # 2**53 is an exact float whose '%.17g' is its str, so the kernel prints it
+        # up to 2**53 an integer column is a number column, printed from its digits
         monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
         calls = spy_on_kernel(monkeypatch)
+        counts = spy_on_kernel(monkeypatch, "_int_cells")
         columns = [np.linspace(0.1, 0.4, 4), bound - np.sign(bound) * np.arange(4)]
         assert table_text(capsys, ["x", "m"], columns) == reference_csv(["x", "m"], columns)
-        assert calls == [8]
+        assert (calls, counts) == ([4], [4])
 
     def test_counts_up_to_two_to_the_53_take_the_kernel(self, capsys, monkeypatch):
         # the count column ends at 2**53, and still prints through the kernel
         calls = spy_on_kernel(monkeypatch)
+        counts = spy_on_kernel(monkeypatch, "_int_cells")
         code, out, _ = run_cli(capsys, ["decoherence", "--m-range", f"{2**53 - 5992}:{2**53}"])
         table = decay_robustness_scan(np.arange(2**53 - 5992, 2**53 + 1))
         assert code == EXIT_OK
         assert out == decoherence_csv(table)
-        assert sum(calls) == 5 * len(table) > cli.KERNEL_MIN_CELLS  # m and four floats
+        assert sum(calls) == 4 * len(table) > cli.KERNEL_MIN_CELLS  # four floats
+        assert counts == [len(table)]  # and m
 
     @pytest.mark.parametrize("name,argv", GOLDEN_RUNS)
     def test_goldens_through_the_kernel(self, capsys, monkeypatch, name, argv):

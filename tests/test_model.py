@@ -310,6 +310,13 @@ class TestInitialState:
             with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
                 initial_state(theta, alpha, SystemConfig((1.0, 1.0)))
 
+    def test_angles_are_checked_theta_first_before_the_register(self):
+        # both angles bad: theta is named; the config is read only after the checks
+        with pytest.raises(ConfigurationError, match="theta must be finite"):
+            initial_state(np.nan, np.inf, SystemConfig((1.0,)))
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            initial_state(0.0, np.nan, None)
+
 
 class TestCollectiveRabi:
     def test_bit_identical_to_couplings(self):

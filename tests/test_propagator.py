@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -12,8 +13,14 @@ from qcm.model import (
     initial_state,
     star_config,
 )
+import qcm.propagator as propagator
+import qcm.protocols as protocols
 from qcm.propagator import (
     PropagatorMatrix,
+    _COLUMN_LIBM,
+    _kernel_terms,
+    _per_entry,
+    _star_columns,
     _trap_time,
     closed_form_propagator,
     evolve,
@@ -24,7 +31,11 @@ from qcm.propagator import (
     rk4_propagate_many,
     trapping_time,
 )
-from qcm.decoherence import OverdampedRegimeError, renormalized_trapping_time
+from qcm.decoherence import (
+    OverdampedRegimeError,
+    decay_robustness_scan,
+    renormalized_trapping_time,
+)
 
 from conftest import random_block_state, random_system
 
@@ -544,3 +555,101 @@ class TestTrappingTime:
             state = initial_state(0.0, rng.uniform(0.0, 6.0), config)
             out = evolve(state, config, trapping_time(config))
             assert abs(out.amplitudes[-1]) < 1e-12
+
+
+#: the times of the zero-rate identities: 0, the least subnormal, 1, a huge
+#: time, inf and NaN
+KERNEL_TIMES = [0.0, 5e-324, 1.0, 1e300, math.inf, math.nan]
+#: (Gamma, kappa): no loss, matched rates (d = 0) and unequal rates
+KERNEL_RATES = {"lossless": (0.0, 0.0), "matched": (0.3, 0.3), "unequal": (0.05, 0.4)}
+
+
+def float_bits(values) -> list[int]:
+    """The bits of each float, so that NaN compares too."""
+    return np.asarray(values, dtype=float).reshape(-1).view(np.uint64).tolist()
+
+
+def spy_on_maps(monkeypatch) -> list[str]:
+    """The names of the per-entry libm routines the column kernel maps from now on."""
+    calls = []
+
+    def spied(name):
+        routine = getattr(_COLUMN_LIBM, name)
+        return lambda column: calls.append(name) or routine(column)
+
+    libm = _COLUMN_LIBM._replace(**{name: spied(name) for name in ("exp", "expm1", "cos", "sin")})
+    monkeypatch.setattr(propagator, "_COLUMN_LIBM", libm)
+    monkeypatch.setattr(protocols, "_COLUMN_LIBM", libm)  # which tells columns by identity
+    return calls
+
+
+class TestKernelZeroRates:
+    """A zero rate or d = 0 takes no libm call, with every bit unchanged."""
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_the_identities_hold_bit_for_bit(self, zero):
+        # exp(-0.0*t) is 1.0 + 0.0*t and expm1(0.0*t) is 0.0*t, on floats and columns
+        for t in KERNEL_TIMES:
+            assert float_bits(math.exp(-zero * t)) == float_bits(1.0 + 0.0 * t)
+            assert float_bits(math.expm1(zero * t)) == float_bits(zero * t)
+        t = np.array(KERNEL_TIMES)
+        with np.errstate(invalid="ignore"):  # 0.0 * inf
+            assert float_bits(_COLUMN_LIBM.exp(-zero * t)) == float_bits(1.0 + 0.0 * t)
+            assert float_bits(_COLUMN_LIBM.expm1(zero * t)) == float_bits(zero * t)
+
+    @pytest.mark.parametrize("rates", KERNEL_RATES.values(), ids=list(KERNEL_RATES))
+    def test_column_entries_have_the_float_bits(self, rates):
+        omega2 = 3.0  # underdamped at every rate pair here
+        finite = [t for t in KERNEL_TIMES if t != math.inf]
+        terms = _kernel_terms(omega2, *rates, np.array(finite))
+        rows = [_kernel_terms(omega2, *rates, t) for t in finite]
+        for k, column in enumerate(terms):
+            assert column.shape == (len(finite),)
+            assert float_bits(column) == float_bits([row[k] for row in rows])
+        # without the photon the other three terms keep their bits
+        lean = _kernel_terms(omega2, *rates, np.array(finite), photon=False)
+        assert lean[3] is None
+        assert [float_bits(c) for c in lean[:3]] == [float_bits(c) for c in terms[:3]]
+        # sin(inf) is a libm domain error on both routes alike
+        for t in (math.inf, np.array([1.0, math.inf])):
+            with pytest.raises(ValueError, match="math domain error"), np.errstate(invalid="ignore"):
+                _kernel_terms(omega2, *rates, t)
+
+    def test_lossless_float_terms_keep_their_type_and_shape(self):
+        # a column stays a column, so that _closed_stacks can reshape each term
+        dark, qubit, damped_sinc, photon = _kernel_terms(np.full(6, 3.0), 0.0, 0.0, np.ones(6))
+        assert {c.shape for c in (dark, qubit, damped_sinc, photon)} == {(6,)}
+        assert dark.tolist() == [1.0] * 6
+        assert isinstance(_kernel_terms(3.0, 0.0, 0.0, 2.0)[0], float)
+
+    def test_per_entry_reads_any_1d_column(self):
+        # the memoryview map gives the floats a tolist() copy gives, strided too
+        column = np.linspace(-40.0, 40.0, 401)
+        for view in (column, column[::3], column[::-2]):
+            assert float_bits(_per_entry(math.sin)(view)) == float_bits(
+                [math.sin(x) for x in view.tolist()]
+            )
+
+    def test_lossless_star_columns_map_only_the_two_sines(self, monkeypatch):
+        calls = spy_on_maps(monkeypatch)
+        m = np.arange(2.0, 40.0)
+        _star_columns(m, np.sqrt(m) + 1.0, 0.0, 0.0, 1)
+        assert calls == ["sin", "sin"]
+        # the photon's cos is mapped only where the caller reads the photon
+        calls.clear()
+        _kernel_terms(np.full(3, 3.0), 0.0, 0.0, np.ones(3))
+        assert sorted(calls) == ["cos", "sin", "sin"]
+
+    @pytest.mark.parametrize(
+        "rates, maps",
+        [
+            ((0.05, 0.05), ["exp", "exp", "sin", "sin"]),  # matched: no expm1
+            ((0.0, 0.3), ["exp", "expm1", "sin", "sin"]),  # Gamma = 0: no dark exp
+            ((0.013, 0.17), ["exp", "exp", "expm1", "sin", "sin"]),
+        ],
+    )
+    def test_a_decoherence_table_maps_at_most_five_routines(self, monkeypatch, rates, maps):
+        calls = spy_on_maps(monkeypatch)
+        table = decay_robustness_scan(np.arange(2, 200), *rates)
+        assert len(table) == 2 * 198
+        assert sorted(calls) == maps and "cos" not in calls

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qcm.decoherence import renormalized_trapping_time
-from qcm.model import ConfigurationError, StateVector, initial_state, star_config
+import qcm.protocols as protocols
+from qcm.model import ConfigurationError, StateVector, initial_state, replay_flagged, star_config
 from qcm.propagator import _star_columns, _trap_time, closed_form_propagator, evolve, trapping_time
 from qcm.protocols import (
     _in_unit_interval,
@@ -621,6 +622,33 @@ class TestAnticloneFidelities:
         m, r = star_rows([3], ALL_SCHEMES)
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
             anticlone_fidelities(m, r, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.3, -1e12, 1e300])
+    def test_input_amplitudes_are_initial_states(self, monkeypatch, alpha):
+        # the batch takes qubit 1's two amplitudes without building a register,
+        # with the bits initial_state(pi/2, alpha) gives them
+        seen, step = [], protocols._star_step
+
+        def spy(m, r, ground, excited):
+            seen.append((ground, excited))
+            return step(m, r, ground, excited)
+
+        monkeypatch.setattr(protocols, "_star_step", spy)
+        m, r = star_rows([3, 40], ALL_SCHEMES)
+        assert anticlone_fidelities(m, r, alpha)[1].all()
+        expected = initial_state(np.pi / 2.0, alpha, star_config(2, 1.0)).amplitudes[:2]
+        (amplitudes,) = seen
+        assert np.array(amplitudes, dtype=complex).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.3, -1e12, 1e300])
+    def test_an_overflowing_row_is_replayed_through_run_anticlone(self, alpha):
+        schemes = (W_PLUS, CouplingScheme.custom(1e200), W_MINUS)
+        m, r = star_rows([5], schemes)
+        fidelities, ok = anticlone_fidelities(m, r, alpha)
+        assert ok.tolist() == [True, False, True]
+        assert np.isnan(fidelities[1]).all() and np.isfinite(fidelities[[0, 2]]).all()
+        with pytest.raises(ConfigurationError, match="omega\\^2"):
+            replay_flagged(ok, lambda i: run_anticlone(int(m[i]), schemes[i], alpha))
 
 
 NAMED_AND_CUSTOM = ALL_SCHEMES + tuple(CouplingScheme.custom(r) for r in (0.3, 1.0, 7.5))
