@@ -13,13 +13,14 @@ Identical invocations (including --seed) produce byte-identical output:
 floats are emitted with 17 significant digits ('%.17g'), rows in a fixed
 sorted order.  Each CSV column is classified once, as numbers or text
 (``_printed``).  A CSV table with KERNEL_MIN_CELLS float cells or more takes
-its float cells from one vectorised numpy kernel (``_float_cells``), in
-blocks of rows of about _BLOCK_CELLS float cells, each written into one
-NUL-padded byte table per table, whose padding is stripped once.  The
-kernel prints the cells that '%g' writes in fixed notation; a smaller
-table, and each e-notation cell, zero, nan or inf, goes through '%.17g'
-itself, with identical bytes.  Its integer columns print from their own
-digits (``_int_cells``), each in a slot as wide as its widest cell.
+its float cells from one vectorised numpy kernel (``_float_cells``),
+_BLOCK_CELLS rows of one column at a time.  The kernel prints the cells
+that '%g' writes in fixed notation; a smaller table, and each e-notation
+cell, zero, nan or inf, goes through '%.17g' itself, with identical bytes.
+Its integer columns print from their own digits (``_int_cells``).  Each
+column becomes NUL-padded byte cells, 24 bytes for a float, else as wide
+as its widest cell; the table is those cells side by side, with its commas
+and newlines, and its padding is stripped once.
 Exit codes: 0 success, 1 tolerance or assertion breach, 2 configuration
 error (including a qubit count too large to allocate).
 """
@@ -152,11 +153,12 @@ def format_value(value) -> str:
 #: about 0.24 us a cell; its tables take about 2.2 ms to build in the first
 #: table a process prints, which is what keeps this cut-over high
 KERNEL_MIN_CELLS = 5000
-#: number cells per block of rows in the kernel, so that its arrays stay in
-#: cache.  Measured as above: a block costs about 70 us, a cell about 62 ns,
-#: and the table took 3.0 ms in blocks of 2048, 2.7 ms in blocks of 4096 or
-#: 8192, and 3.4 ms in blocks of 16384 or more; 8192 raises a process's
-#: peak memory by about 0.9 MB over 4096
+#: rows of one float column per ``_float_cells`` call, so that the kernel's
+#: arrays stay in cache.  Measured as above, on blocks of that many cells
+#: taken from rows of all four float columns: a block costs about 70 us, a
+#: cell about 62 ns, and the table took 3.0 ms in blocks of 2048, 2.7 ms in
+#: blocks of 4096 or 8192, and 3.4 ms in blocks of 16384 or more; 8192
+#: raises a process's peak memory by about 0.9 MB over 4096
 _BLOCK_CELLS = 4096
 
 
@@ -327,16 +329,16 @@ def _int_cells(column: np.ndarray) -> np.ndarray:
     return cells[:, 4 * n - width :]
 
 
-def _printed(column, kernel: bool):
-    """How one CSV column prints, for both routes: a 1-D float64 or integer
-    array stays a number column, any other column becomes its text cells,
-    ``format_value``'s.  In a ``kernel`` table the integers must lie within
-    2**53 of zero, whose digits ``_int_cells`` takes in int64."""
+def _printed(column):
+    """How one CSV column prints, for both routes: a 1-D float64 array, or a
+    1-D integer array within 2**53 of zero, whose digits ``_int_cells`` takes
+    in int64, stays a number column; any other column becomes its text
+    cells, ``format_value``'s."""
     if isinstance(column, np.ndarray):
         if column.ndim == 1 and column.dtype == np.float64:
             return column
         if column.ndim == 1 and column.dtype.kind in "iu" and (
-            not kernel or -(2**53) <= column.min(initial=0) and column.max(initial=0) <= 2**53
+            -(2**53) <= column.min(initial=0) and column.max(initial=0) <= 2**53
         ):
             return column
         column = column.tolist()
@@ -358,25 +360,19 @@ def _byte_column(cells) -> np.ndarray | None:
 
 def _csv_text(headers: list[str], columns: list) -> str:
     """The CSV text of a table, each column classified once by ``_printed``.
-    With KERNEL_MIN_CELLS float64 cells or more, the table is put together
-    as NUL-padded bytes, the float cells from ``_float_cells``, the integer
-    cells from ``_int_cells`` and the text cells from ``_byte_column``, and
-    the padding is stripped.
-    Otherwise, or where ``_byte_column`` refuses a text column, every cell
-    goes through one %-template ('%.17g' on a float column, '%s' on any
-    other).  Both give the same bytes."""
+    With KERNEL_MIN_CELLS float64 cells or more, the text columns become
+    byte cells (``_byte_column``) first, so that a refused one costs no
+    float work, and ``_kernel_text`` puts the table together.  Otherwise,
+    or where ``_byte_column`` refuses a text column, every cell goes
+    through one %-template ('%.17g' on a float column, '%s' on any other).
+    Both give the same bytes."""
     rows = len(columns[0]) if columns else 0
+    columns = [_printed(c) for c in columns]
     floats = sum(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
-    kernel = rows > 0 and rows * floats >= KERNEL_MIN_CELLS and sys.byteorder == "little"
-    columns = [_printed(c, kernel) for c in columns]
-    if kernel:
-        fields = {
-            j: _int_cells(c) if isinstance(c, np.ndarray) else _byte_column(c)
-            for j, c in enumerate(columns)
-            if not (isinstance(c, np.ndarray) and c.dtype == np.float64)
-        }
-        if all(field is not None for field in fields.values()):
-            return _kernel_text(headers, columns, fields)
+    if rows > 0 and rows * floats >= KERNEL_MIN_CELLS and sys.byteorder == "little":
+        cells = [c if isinstance(c, np.ndarray) else _byte_column(c) for c in columns]
+        if all(c is not None for c in cells):
+            return _kernel_text(headers, cells)
     specs = [
         "%.17g" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s" for c in columns
     ]
@@ -386,28 +382,26 @@ def _csv_text(headers: list[str], columns: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kernel_text(headers: list[str], columns: list, fields: dict) -> str:
-    """``_csv_text`` through ``_float_cells`` for the float columns, one block
-    of rows at a time, into one NUL-padded byte table; ``fields`` holds the
-    byte cells of the integer and text columns, each slot as wide as its
-    widest cell."""
-    numbers = [j for j in range(len(columns)) if j not in fields]
-    widths = [fields[j].shape[1] if j in fields else 24 for j in range(len(columns))]
-    # each cell's first byte, then the row's end
-    starts = np.cumsum([0] + [width + 1 for width in widths]).tolist()
-    table = np.empty((len(columns[0]), starts[-1]), np.uint8)
-    table[:, np.subtract(starts[1:], 1)] = ord(",")  # each cell, then its comma
-    table[:, -1] = ord("\n")
-    for j, field in fields.items():
-        table[:, starts[j] : starts[j + 1] - 1] = field
-    step = max(1, _BLOCK_CELLS // len(numbers))
-    for first in range(0, len(table), step):
-        block = np.stack([columns[j][first : first + step] for j in numbers], axis=1, dtype=float)
-        cells = _float_cells(block.reshape(-1)).reshape(len(block), len(numbers), 24)
-        for i, j in enumerate(numbers):
-            table[first : first + step, starts[j] : starts[j] + 24] = cells[:, i]
-    text = table.tobytes()
-    del table  # at most two copies of the table at any one time
+def _kernel_text(headers: list[str], columns: list) -> str:
+    """``_csv_text`` of number columns and the byte cells of text columns.
+    Each column becomes its own (rows, width) NUL-padded uint8 cells: a
+    float column through ``_float_cells``, _BLOCK_CELLS rows at a time, an
+    integer column through ``_int_cells``.  The table is those cells side by
+    side, a comma between two and a newline after the last, and its NULs
+    are stripped once."""
+    rows = len(columns[0])
+    comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
+    parts = []
+    for cells in columns:
+        if cells.dtype == np.float64:
+            blocks = range(0, rows, _BLOCK_CELLS)
+            cells = np.concatenate([_float_cells(cells[i : i + _BLOCK_CELLS]) for i in blocks])
+        elif cells.ndim == 1:
+            cells = _int_cells(cells)
+        parts += [cells, comma]
+    parts[-1] = newline
+    text = np.concatenate(parts, axis=1).tobytes()
+    del parts  # the cells, once the table holds them
     return ",".join(headers) + "\n" + text.translate(None, b"\0").decode()
 
 

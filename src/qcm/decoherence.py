@@ -59,7 +59,8 @@ class ConditionalAmplitudes:
     """Closed-form no-click amplitudes of the star configuration at time t.
 
     ``b1`` sits on the input qubit, ``b`` on each of the M-1 partners and
-    ``b_photon`` on the cavity.
+    ``b_photon`` on the cavity.  Their squared norm may exceed 1 by at most
+    1e-12, as a conditional ``StateVector``'s.
     """
 
     m: int
@@ -71,6 +72,10 @@ class ConditionalAmplitudes:
         check_count("m", self.m, 2)
         for name in ("b1", "b", "b_photon"):
             check_scalar(name, getattr(self, name), "iufc")
+        if not self.branch_norm_squared <= 1.0 + 1e-12:
+            raise ConfigurationError(
+                f"conditional amplitudes need norm^2 <= 1, got {self.branch_norm_squared:.15f}"
+            )
 
     @property
     def branch_norm_squared(self) -> float:

@@ -142,7 +142,10 @@ def _no_click_kernel(omega2, gamma_decay: float, kappa: float, t) -> tuple:
     check_non_negative("gamma_decay", gamma_decay)
     check_non_negative("kappa", kappa)
     check_non_negative("time", t)
-    dark, qubit, damped_sinc, photon = _kernel_terms(omega2, gamma_decay, kappa, t)
+    try:
+        dark, qubit, damped_sinc, photon = _kernel_terms(omega2, gamma_decay, kappa, t)
+    except ValueError:  # libm's sin and cos refuse the phase nu*t once it overflows
+        raise ConfigurationError(f"time {t} is too large: the phase nu*t overflows") from None
     return dark, qubit, -1j * damped_sinc, photon
 
 
@@ -301,6 +304,11 @@ def expm_hermitian(matrix: np.ndarray, t) -> np.ndarray:
     for time in t.reshape(-1).tolist():
         check_non_negative("time", time)
     eigvals, vecs = np.linalg.eigh(matrix)
+    with np.errstate(over="ignore"):
+        overflowed = np.isinf(eigvals * t[..., None]).any(axis=-1)
+    if overflowed.any():
+        time = np.broadcast_to(t, overflowed.shape)[overflowed][0]
+        raise ConfigurationError(f"time {time} is too large: the phase eigenvalue*t overflows")
     phases = np.exp(-1j * eigvals * t[..., None])[..., None, :]
     return (vecs * phases) @ np.swapaxes(vecs.conj(), -1, -2)
 

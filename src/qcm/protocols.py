@@ -62,13 +62,11 @@ CLASSIFY_TOL = 1e-10
 TRAPPED_KINDS = ("separable_W", "symmetric_W", "antisymmetric_W", "generic")
 
 
-def _counts_and_sqrt(m, minimum: int) -> tuple:
-    """(m, sqrt) for a closed form in M: a count, or a column of counts checked
-    in one pass, each at least ``minimum``, with the kernel's sqrt for that
-    input (``math.sqrt``, or numpy's on a column)."""
-    libm = _libm(m)
-    check = check_count_column if libm is _COLUMN_LIBM else check_count
-    return check("m", m, minimum), libm.sqrt
+def _checked_counts(m, minimum: int):
+    """m for a closed form in M: a count, or a column of counts checked in
+    one pass, each at least ``minimum``."""
+    check = check_count_column if _libm(m) is _COLUMN_LIBM else check_count
+    return check("m", m, minimum)
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,12 @@ class CouplingScheme:
         are bit-identical to the one-count ratios, as numpy's sqrt and
         libm's are both correctly rounded.
         """
-        return self._ratio(*_counts_and_sqrt(m, 2 if self.tag in ("w_minus", "w_prime") else 1))
+        return self._ratio(_checked_counts(m, 2 if self.tag in ("w_minus", "w_prime") else 1))
 
-    def _ratio(self, m, sqrt=np.sqrt):
-        """``ratio`` at checked counts, with the kernel's sqrt for their type."""
+    def _ratio(self, m):
+        """``ratio`` at checked counts, with the kernel's sqrt for their type
+        (``math.sqrt`` on a count, numpy's on a column)."""
+        sqrt = _libm(m).sqrt
         if self.tag == "identical":
             return 1.0
         if self.tag == "w_plus":
@@ -150,10 +150,10 @@ class ProtocolReport:
     """Row type of the protocol scan tables.
 
     ``a1`` and ``a`` are the trapped branch amplitudes on the input qubit
-    and on each partner; ``fidelities`` holds the per-qubit copy fidelities
-    of an anti-cloning run, as a read-only float64 array checked in one
-    vectorised pass, and is None for W-state generation (which has no
-    reference phase to copy against).  Reports compare and hash by identity.
+    and on each partner; ``fidelities`` holds the M per-qubit copy
+    fidelities of an anti-cloning run, as a read-only 1-D float64 array
+    checked in one vectorised pass, and is None for W-state generation
+    (which has no reference phase to copy against).  Reports compare and hash by identity.
     """
 
     m: int
@@ -175,6 +175,11 @@ class ProtocolReport:
         check_label("classification", self.classification, TRAPPED_KINDS)
         if self.fidelities is not None:
             fidelities = np.array(self.fidelities, dtype=float)
+            if fidelities.shape != (self.m,):
+                raise ConfigurationError(
+                    f"fidelities must be a 1-D array of m = {self.m} entries, "
+                    f"got shape {fidelities.shape}"
+                )
             fidelities.flags.writeable = False
             object.__setattr__(self, "fidelities", fidelities)
             ok = _in_unit_interval(fidelities)
@@ -433,18 +438,19 @@ def fidelity_curve(m, scheme: CouplingScheme) -> tuple:
     value, as in ``CouplingScheme.ratio``.
     """
     check_scheme(scheme)
-    m, sqrt = _counts_and_sqrt(m, 2)
+    m = _checked_counts(m, 2)
     if scheme.tag != "custom":
-        return _named_fidelities(m, scheme.tag, sqrt)
+        return _named_fidelities(m, scheme.tag)
     if isinstance(m, np.ndarray):
         raise ConfigurationError("a count column needs a named scheme, not the custom scheme")
     a1, a = trapped_amplitudes(m, scheme.ratio(m))
     return 0.5 * (1.0 - a), 0.5 * (1.0 - a1)
 
 
-def _named_fidelities(m, tag: str, sqrt=np.sqrt) -> tuple:
+def _named_fidelities(m, tag: str) -> tuple:
     """``fidelity_curve`` of the named scheme ``tag`` at checked counts, with
-    the kernel's sqrt for their type."""
+    the kernel's sqrt for their type, as ``CouplingScheme._ratio``."""
+    sqrt = _libm(m).sqrt
     if tag == "identical":
         return 0.5 * (1.0 + 2.0 / m), 1.0 / m
     if tag == "w_plus":

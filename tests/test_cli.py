@@ -345,8 +345,8 @@ class TestAnticloneCommand:
             f_target, f_input = exact_curve(m, scheme)
             return moved(m, scheme.tag, f_target), f_input
 
-        def moved_named(m, tag, *sqrt):  # the column of counts of the table
-            f_target, f_input = exact_named(m, tag, *sqrt)
+        def moved_named(m, tag):  # the column of counts of the table
+            f_target, f_input = exact_named(m, tag)
             return moved(m, tag, f_target), f_input
 
         monkeypatch.setattr(cli, "fidelity_curve", moved_curve)
@@ -923,8 +923,8 @@ class TestFloatKernel:
     )
     def test_tables_at_the_cut_over(self, capsys, monkeypatch, above, edge):
         # two float columns; with ``edge``, a table of edge rows past a multiple
-        # of the kernel's rows per block, for its two float columns
-        step = cli._BLOCK_CELLS // 2
+        # of the kernel's rows per block, which it takes from each float column
+        step = cli._BLOCK_CELLS
         if edge is None:
             rows = -(-cli.KERNEL_MIN_CELLS // 2) - (not above)
         else:
@@ -947,7 +947,8 @@ class TestFloatKernel:
         # the integer column prints from its own digits, once for the whole table
         assert counts == [rows] * above
         if edge is not None:
-            assert calls == [2 * step] * (rows // step) + [2 * (rows % step)] * (rows % step > 0)
+            # each float column in blocks of step rows, then one for the rest
+            assert calls == ([step] * (rows // step) + [rows % step] * (rows % step > 0)) * 2
 
     @pytest.mark.parametrize(
         "column, kernel",
@@ -997,6 +998,26 @@ class TestFloatKernel:
         columns = [np.linspace(0.1, 0.4, 4), bound - np.sign(bound) * np.arange(4)]
         assert table_text(capsys, ["x", "m"], columns) == reference_csv(["x", "m"], columns)
         assert (calls, counts) == ([4], [4])
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            pytest.param(np.array([2**53 + 1, -(2**63), 2**63 - 1, 0]), id="int64"),
+            pytest.param(np.array([0, 1, 2**53 + 1, 2**64 - 1], np.uint64), id="uint64"),
+        ],
+    )
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_integers_past_two_to_the_53_are_text(self, capsys, monkeypatch, column, kernel):
+        # one rule on both routes: the column prints its str cells, through the
+        # template's '%s' or as the kernel's byte cells, never from int64 digits
+        if kernel:
+            monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
+        calls = spy_on_kernel(monkeypatch)
+        counts = spy_on_kernel(monkeypatch, "_int_cells")
+        columns = [np.linspace(0.1, 0.4, 4), column]
+        assert cli._printed(column) == list(map(str, column.tolist()))
+        assert table_text(capsys, ["x", "m"], columns) == reference_csv(["x", "m"], columns)
+        assert (calls, counts) == ([4] * kernel, [])
 
     def test_counts_up_to_two_to_the_53_take_the_kernel(self, capsys, monkeypatch):
         # the count column ends at 2**53, and still prints through the kernel

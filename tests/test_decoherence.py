@@ -51,6 +51,17 @@ def branch_vector(amps):
 
 
 class TestConditionalAmplitudes:
+    @pytest.mark.parametrize("b", [2.0, 0.5 + 1e-6, math.nan, math.inf])
+    def test_a_norm_past_one_is_refused(self, b):
+        # the record used to build, norm^2 16, and only to_state_vector() failed
+        message = r"need norm\^2 <= 1, got (16\.0|1\.0000|nan|inf)"
+        with pytest.raises(ConfigurationError, match=message):
+            ConditionalAmplitudes(3, b, b, b)
+        # StateVector's bound for a conditional state: a rounding above 1 passes
+        edge = ConditionalAmplitudes(2, 1.0, 5e-7, 0.0)
+        assert 1.0 < edge.branch_norm_squared <= 1.0 + 1e-12
+        assert edge.to_state_vector().normalized is False
+
     def test_initial_values(self):
         amps = conditional_amplitudes(4, 2.0, 0.05, 0.01, 0.0)
         assert amps.b1 == 1.0
@@ -602,7 +613,9 @@ class TestDecayTable:
     def test_squares_are_products(self):
         # where libm pow(x, 2) rounds otherwise than x * x, the squares are still products
         draws = np.random.default_rng(21).uniform(0.0, 1.0, 200_000).tolist()
-        odd = [x for x in draws if x ** 2 != x * x] or draws
+        # a quarter of each, so that b1^2 + 6*b^2 + b_photon^2 < 1/2 is a norm the record holds
+        quarters = [x / 4.0 for x in draws]
+        odd = [x for x in quarters if x ** 2 != x * x] or quarters
         for b1, b, b_photon in zip(odd[0:30:3], odd[1:30:3], odd[2:30:3]):
             amps = ConditionalAmplitudes(m=7, b1=b1, b=-b, b_photon=1j * b_photon)
             assert amps.branch_norm_squared == b1 * b1 + 6 * (b * b) + b_photon * b_photon

@@ -95,7 +95,8 @@ DECAY_REPORT = dict(m=3, r=1.5, tau_star_c=1.0, fidelity=0.9, p_no_click=0.95)
 
 RATE = {"gamma_decay": (NON_NEGATIVE, "gamma_decay"), "kappa": (NON_NEGATIVE, "kappa")}
 STAR = {"m": (count(2), "m"), "r": (POSITIVE, "coupling ratio")}
-TIME = {"t": (NON_NEGATIVE, "time")}
+#: a time past about 1e308 / nu overflows the phase nu*t, which libm's sin and cos refuse
+TIME = {"t": (NON_NEGATIVE + [1e308], "time")}
 
 #: (qcm name, callable, good keyword arguments, {argument: (bad values, message label)})
 SCALAR_ARGUMENTS = [

@@ -753,6 +753,18 @@ class TestProtocolReport:
         with pytest.raises(ValueError):
             report.fidelities[0] = 0.5
 
+    @pytest.mark.parametrize(
+        "fidelities, shape",
+        [
+            pytest.param(np.array([]), r"\(0,\)", id="empty"),  # argmin of an empty sequence
+            pytest.param(np.full((3, 1), 0.5), r"\(3, 1\)", id="2-D"),  # ambiguous truth value
+            pytest.param(np.full(4, 0.5), r"\(4,\)", id="wrong_length"),  # used to pass
+        ],
+    )
+    def test_fidelities_are_one_per_qubit(self, fidelities, shape):
+        with pytest.raises(ConfigurationError, match=rf"m = 3 entries, got shape {shape}"):
+            ProtocolReport(3, "custom", 1.0, 1.0, 0.0, 0.0, "generic", fidelities=fidelities)
+
     def test_out_of_range_fidelity_named_briefly(self):
         fidelities = np.full(10**5, 0.5)
         fidelities[[7, 99]] = 1.5, -0.5
