@@ -9,9 +9,11 @@ Commands:
     decoherence  no-click fidelity and survival probability versus qubit count
     scan         coupling-ratio sweep at fixed M plus the special ratios
 
-Identical invocations (including --seed) produce byte-identical output:
-floats are emitted with 17 significant digits ('%.17g'), rows in a fixed
-sorted order.  Each CSV column is classified once, as numbers or text
+Identical invocations (including --seed) produce byte-identical output,
+rows in a fixed sorted order.  CSV prints floats with 17 significant digits
+('%.17g'); JSON prints ``json.dumps``' shortest repr that round-trips, so
+r = 1 + sqrt(2) reads 2.4142135623730949 in CSV and 2.414213562373095 in
+JSON.  Each CSV column is classified once, as numbers or text
 (``_printed``).  A CSV table with KERNEL_MIN_CELLS float cells or more takes
 its float cells from one vectorised numpy kernel (``_float_cells``),
 _BLOCK_CELLS rows of one column at a time.  The kernel prints the cells
@@ -148,17 +150,22 @@ def format_value(value) -> str:
 
 #: a CSV table with fewer float64 cells than this formats every cell through
 #: one %-template.  Measured on a 2-vCPU x86-64 host (Python 3.11, numpy
-#: 2.4) on the 3998-row `decoherence --m-range 2:2000` table (19990 number
-#: cells): 7.5 ms on the template, 2.8 ms on the kernel, so the kernel saves
-#: about 0.24 us a cell; its tables take about 2.2 ms to build in the first
-#: table a process prints, which is what keeps this cut-over high
+#: 2.4): the 3998-row `decoherence --m-range 2:2000` table (four float
+#: columns, 15992 float cells) takes 7.7-8.6 ms on the template and 2.3-2.4
+#: ms on the kernel, about 0.35 us saved a cell.  But each ``_float_cells``
+#: call costs 55-80 us on 5 rows (290-390 us on 3998), so a 5-row table of
+#: seven float columns takes 0.43-0.47 ms on the kernel against about 20 us
+#: on the template; and ``_kernel_tables`` takes 1.9-2.7 ms to build in a
+#: fresh process (0.9-1.3 ms to rebuild, about 0.5 ms of it the layout
+#: table).  So the kernel pays only on large tables
 KERNEL_MIN_CELLS = 5000
 #: rows of one float column per ``_float_cells`` call, so that the kernel's
-#: arrays stay in cache.  Measured as above, on blocks of that many cells
-#: taken from rows of all four float columns: a block costs about 70 us, a
-#: cell about 62 ns, and the table took 3.0 ms in blocks of 2048, 2.7 ms in
-#: blocks of 4096 or 8192, and 3.4 ms in blocks of 16384 or more; 8192
-#: raises a process's peak memory by about 0.9 MB over 4096
+#: arrays stay in cache.  Measured as above on the 99999-row `wstate
+#: --m-range 2:100000 --scheme w_minus` table (four float columns): about
+#: 98-106 ms in chunks of 2048 to 16384 rows, and 105-109 ms with each
+#: column in one call; the traced peak memory is 46.2 MB at every size, as
+#: the table's text dominates it.  No benchmark workload prints a float
+#: column longer than 3998 rows, so there this never splits a column
 _BLOCK_CELLS = 4096
 
 

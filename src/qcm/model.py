@@ -140,6 +140,24 @@ def check_odd_index(m_odd) -> int:
     return index
 
 
+def _frozen_array(name: str, values, dtype: type) -> np.ndarray:
+    """The input rule for a record's array field: ``values`` as a read-only
+    copy of ``dtype``, float or complex.  Its numpy dtype kind must be int or
+    float, or complex too for a complex field; a bool, a str, bytes, an
+    object, a time or a ragged sequence raises a ConfigurationError that
+    names the field."""
+    number, kinds = ("complex", "iufc") if dtype is complex else ("real", "iuf")
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        raise ConfigurationError(f"{name} must be {number}, got a ragged sequence") from None
+    if array.dtype.kind not in kinds:
+        raise ConfigurationError(f"{name} must be {number}, got {array.dtype}")
+    array = np.array(array, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 def replay_flagged(ok: np.ndarray, route) -> None:
     """Call ``route(i)`` on every row i that ``ok`` does not pass, in row order.
 
@@ -186,15 +204,11 @@ class SystemConfig:
     omega: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        couplings = np.asarray(self.couplings)
-        if couplings.dtype.kind == "c":
-            raise ConfigurationError(f"couplings must be real, got {couplings.dtype}")
-        couplings = np.array(couplings, dtype=float)
+        couplings = _frozen_array("couplings", self.couplings, float)
         if couplings.ndim != 1 or couplings.size < 1:
             raise ConfigurationError(
                 f"need a 1-D sequence of at least one coupling, got shape {couplings.shape}"
             )
-        couplings.flags.writeable = False
         (omega,) = _check_registers([couplings])
         check_non_negative("gamma_decay", self.gamma_decay)
         check_non_negative("kappa", self.kappa)
@@ -259,12 +273,11 @@ class StateVector:
     """Complex amplitudes over the M+2 basis states, in basis order.
 
     Conditional (no-click) states are sub-normalized; ``normalized=False``
-    marks them and relaxes the unit-norm invariant to norm <= 1.
+    marks them and relaxes the unit-norm invariant to norm <= 1.  The flag
+    is a Python or numpy bool.
     ``norm_squared`` is derived from the amplitudes when they are checked;
-    it is neither an argument nor assignable.  The amplitudes are a
-    read-only complex128 copy, except that a read-only complex128 array
-    owning its memory is kept as it is.  States compare and hash by
-    identity.
+    it is neither an argument nor assignable.  The amplitudes are always
+    a read-only complex128 copy.  States compare and hash by identity.
     """
 
     amplitudes: np.ndarray
@@ -272,17 +285,13 @@ class StateVector:
     norm_squared: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        amps = self.amplitudes
-        if not (
-            type(amps) is np.ndarray and amps.dtype == np.complex128
-            and amps.flags.owndata and not amps.flags.writeable
-        ):
-            amps = np.array(amps, dtype=complex)
+        if not isinstance(self.normalized, (bool, np.bool_)):
+            raise ConfigurationError(f"normalized must be a bool, got {self.normalized!r}")
+        amps = _frozen_array("amplitudes", self.amplitudes, complex)
         if amps.ndim != 1 or amps.size < 3:
             raise ValueError("amplitudes must be a vector over >= 3 basis states")
         if not np.isfinite(amps.view(float)).all():
             raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         n2 = float((abs(amps) ** 2).sum())
         object.__setattr__(self, "norm_squared", n2)
@@ -319,11 +328,10 @@ class GeneratorMatrix:
 
 def _freeze_matrix(record, name: str, check) -> None:
     """Freeze ``record.matrix`` as a complex copy, square of size >= 2, that passes ``check``."""
-    mat = np.array(record.matrix, dtype=complex)
+    mat = _frozen_array(name, record.matrix, complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
         raise ValueError(f"{name} must be square of dimension >= 2, got {mat.shape}")
     check(mat)
-    mat.flags.writeable = False
     object.__setattr__(record, "matrix", mat)
 
 
@@ -389,7 +397,6 @@ def initial_state(theta: float, alpha: float, config: SystemConfig) -> StateVect
     ground, excited = _input_amplitudes(theta, alpha)
     amps = np.zeros(config.m + 2, dtype=complex)
     amps[0], amps[1] = ground, excited
-    amps.flags.writeable = False  # so that StateVector keeps it
     return StateVector(amplitudes=amps, normalized=True)
 
 

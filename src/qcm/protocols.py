@@ -40,6 +40,7 @@ import numpy as np
 from .model import (
     ConfigurationError,
     StateVector,
+    _frozen_array,
     _input_amplitudes,
     _star_omega_squared,
     check_count,
@@ -174,13 +175,12 @@ class ProtocolReport:
         check_finite("a", self.a)
         check_label("classification", self.classification, TRAPPED_KINDS)
         if self.fidelities is not None:
-            fidelities = np.array(self.fidelities, dtype=float)
+            fidelities = _frozen_array("fidelities", self.fidelities, float)
             if fidelities.shape != (self.m,):
                 raise ConfigurationError(
                     f"fidelities must be a 1-D array of m = {self.m} entries, "
                     f"got shape {fidelities.shape}"
                 )
-            fidelities.flags.writeable = False
             object.__setattr__(self, "fidelities", fidelities)
             ok = _in_unit_interval(fidelities)
             first = ok.argmin()  # the first value outside [0, 1], else the first one

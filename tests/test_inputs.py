@@ -8,6 +8,10 @@ with no warning on the way.  Arguments documented as count columns keep
 their 1-D columns but refuse other arrays; the qubit index of
 ``reduced_qubit_density`` is an index and raises IndexError.  A label, a
 scheme tag or a classification, must be one of its str values.
+
+The array fields of the records take one rule too: entries of a numpy int or
+float kind, or complex for a complex field, stored as a read-only copy.
+Bools, str, bytes, objects, times and ragged sequences fail by field name.
 """
 
 import importlib
@@ -24,7 +28,10 @@ from qcm import (
     ConfigurationError,
     CouplingScheme,
     DecoherenceReport,
+    GeneratorMatrix,
+    PropagatorMatrix,
     ProtocolReport,
+    StateVector,
     SystemConfig,
     W_PLUS,
     build_hamiltonian,
@@ -329,3 +336,68 @@ def test_real_scalars_pass(name, call, good, arguments):
         if np.ndim(value) == 0 and not isinstance(value, complex):
             call(**{**good, argument: np.asarray(value)})
             call(**{**good, argument: np.asarray(value)[()]})
+
+
+#: (record, good keyword arguments, array field, label of its messages, whether complex)
+ARRAY_FIELDS = [
+    (SystemConfig, dict(couplings=[2, 1]), "couplings", "couplings", False),
+    (StateVector, dict(amplitudes=[0, 1, 0]), "amplitudes", "amplitudes", True),
+    (GeneratorMatrix, dict(matrix=[[0, 1], [1, 0]], kind="hermitian"), "matrix", "generator", True),
+    (PropagatorMatrix, dict(matrix=[[0, 1], [1, 0]]), "matrix", "propagator", True),
+    (ProtocolReport, REPORT | dict(fidelities=[1, 0, 1]), "fidelities", "fidelities", False),
+]
+
+
+def _not_numbers(good, complex_field: bool) -> dict:
+    """Values of the good value's shape that numpy holds as no numbers of the
+    field, and a ragged sequence, by name."""
+    array = np.asarray(good)
+    bad = {
+        "bool": array.astype(bool),
+        "str": array.astype(str).tolist(),
+        "bytes": array.astype(bytes),
+        "object": array.astype(object),
+        "timedelta64": array.astype("m8[s]"),
+        "ragged": [good[0], good],
+        "int_past_uint64": np.full(array.shape, 2**64, object).tolist(),  # numpy holds objects
+    }
+    if not complex_field:
+        bad["complex"] = array + 0j
+    return bad
+
+
+ARRAY_CASES = [
+    pytest.param(record, good, argument, bad, label, id=f"{record.__name__}-{argument}-{kind}")
+    for record, good, argument, label, complex_field in ARRAY_FIELDS
+    for kind, bad in _not_numbers(good[argument], complex_field).items()
+] + [
+    pytest.param(record, good, argument, None, label, id=f"{record.__name__}-{argument}-None")
+    for record, good, argument, label, _ in ARRAY_FIELDS
+    if record is not ProtocolReport  # a report without fidelities is a W-state report
+]
+
+
+@pytest.mark.parametrize("record, good, argument, bad, label", ARRAY_CASES)
+def test_bad_array_fails_by_name(record, good, argument, bad, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError) as caught:
+            record(**{**good, argument: bad})
+    assert re.match(rf"{re.escape(label)}\b", str(caught.value)), str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "record, good, argument, label, complex_field",
+    [pytest.param(*row, id=row[0].__name__) for row in ARRAY_FIELDS],
+)
+def test_number_arrays_pass_as_a_read_only_copy(record, good, argument, label, complex_field):
+    # ints, narrow floats and (for a complex field) complex entries keep their values,
+    # and the record keeps them when the caller's array changes
+    dtype = complex if complex_field else float
+    kinds = [np.int64, np.uint8, np.float32, np.float64] + [np.complex64] * complex_field
+    for kind in kinds:
+        mine = np.asarray(good[argument]).astype(kind)
+        stored = getattr(record(**{**good, argument: mine}), argument)
+        assert stored.dtype == dtype and not stored.flags.writeable
+        mine.flat[0] = 3
+        np.testing.assert_array_equal(stored, np.asarray(good[argument], dtype))

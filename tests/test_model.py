@@ -173,10 +173,17 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
-    def test_only_a_frozen_owning_complex_vector_is_kept(self):
+    def test_amplitudes_are_always_a_copy(self):
+        # a caller's frozen array is copied too: writing to it after re-enabling
+        # writes moves neither the record nor its norm
         frozen = np.array([1.0, 0.0, 0.0], dtype=complex)
         frozen.flags.writeable = False
-        assert StateVector(frozen).amplitudes is frozen
+        state = StateVector(frozen)
+        assert state.amplitudes is not frozen
+        frozen.flags.writeable = True
+        frozen[1] = 3.0
+        np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0, 0.0])
+        assert state.norm_squared == 1.0
         # a caller's writable array is copied, and left writable
         mine = np.array([1.0, 0.0, 0.0], dtype=complex)
         state = StateVector(mine)
@@ -188,6 +195,14 @@ class TestStateVector:
         for other in (view, real):
             other.flags.writeable = False
             assert StateVector(other).amplitudes is not other
+
+    def test_normalized_must_be_a_bool(self):
+        for flag in (True, False, np.True_, np.False_):
+            assert StateVector(np.array([0.6, 0.0, 0.8]), normalized=flag).normalized is flag
+        # None and 0 used to build a record with that flag; "no" was truthy
+        for bad in (None, 0, 1, 0.0, "no", "", np.array(True), [True]):
+            with pytest.raises(ConfigurationError, match="^normalized must be a bool"):
+                StateVector(np.array([0.5, 0.0, 0.0]), normalized=bad)
 
     def test_non_finite_amplitudes_rejected(self):
         for bad in (np.nan, complex(0.0, np.inf), complex(0.6, np.nan), -np.inf):
