@@ -415,11 +415,11 @@ def _kernel_text(headers: list[str], columns: list) -> str:
 def write_table(headers: list[str], columns: list, args: argparse.Namespace):
     """Emit columns (one sequence or array per header, of equal lengths) as
     CSV (fixed header) or a JSON array of row objects.  A header without its
-    column, or a column of another length, raises ValueError: both routes
-    would drop rows or cells silently."""
+    column, or a column of another length, raises ConfigurationError: both
+    routes would drop rows or cells silently."""
     lengths = [len(c) for c in columns]
     if len(headers) != len(columns) or len(set(lengths)) > 1:
-        raise ValueError(
+        raise ConfigurationError(
             f"a table needs one column per header, all of one length: got {len(headers)} "
             f"headers and columns of lengths {lengths}"
         )

@@ -37,7 +37,7 @@ import numpy as np
 
 from .model import ConfigurationError, StateVector, _star_omega_squared, check_count
 from .model import check_count_column, check_iterable, check_positive, check_scalar, replay_flagged
-from .model import check_label, sorted_distinct
+from .model import UNIT_NORM_SLACK, ZERO_NORM_FLOOR, check_label, sorted_distinct
 from .propagator import (  # noqa: F401 OverdampedRegimeError is re-exported
     OverdampedRegimeError,
     _branch_norm_squared,
@@ -60,7 +60,7 @@ class ConditionalAmplitudes:
 
     ``b1`` sits on the input qubit, ``b`` on each of the M-1 partners and
     ``b_photon`` on the cavity.  Their squared norm may exceed 1 by at most
-    1e-12, as a conditional ``StateVector``'s.
+    ``UNIT_NORM_SLACK`` (1e-12), as a conditional ``StateVector``'s.
     """
 
     m: int
@@ -72,7 +72,7 @@ class ConditionalAmplitudes:
         check_count("m", self.m, 2)
         for name in ("b1", "b", "b_photon"):
             check_scalar(name, getattr(self, name), "iufc")
-        if not self.branch_norm_squared <= 1.0 + 1e-12:
+        if not self.branch_norm_squared <= 1.0 + UNIT_NORM_SLACK:
             raise ConfigurationError(
                 f"conditional amplitudes need norm^2 <= 1, got {self.branch_norm_squared:.15f}"
             )
@@ -201,7 +201,7 @@ def _decay_columns(m: np.ndarray, r: np.ndarray, gamma_decay: float, kappa: floa
         a1, a = _trapped_amplitudes(m, r, omega2)
         fidelity = np.minimum(abs(a1 * b1 + (m - 1.0) * a * b) / np.sqrt(p), 1.0)
     # a row with no trapping instant has p = NaN, which fails every comparison
-    ok = (p > 1e-300) & (fidelity >= 0.0) & (fidelity <= 1.0)
+    ok = (p > ZERO_NORM_FLOOR) & (fidelity >= 0.0) & (fidelity <= 1.0)
     # without decay the norm may round past 1: the probability, as the fidelity, is clamped
     return tau, fidelity, np.minimum(p, 1.0), ok
 
@@ -228,8 +228,8 @@ def _raise_for_row(m, r, gamma_decay, kappa, m_odd, fidelity, p):
     """
     tau_c = renormalized_trapping_time(m, r, gamma_decay, kappa, m_odd)
     conditional_amplitudes(m, r, gamma_decay, kappa, tau_c)
-    if p <= 1e-300:
-        raise ValueError("conditional state has zero norm")
+    if p <= ZERO_NORM_FLOOR:
+        raise ConfigurationError("conditional state has zero norm")
     DecoherenceReport(m=m, r=r, tau_star_c=tau_c, fidelity=fidelity, p_no_click=p)
 
 

@@ -28,7 +28,16 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Raised when a system configuration violates its invariants."""
+    """Raised for every input qcm refuses: a scalar or an array outside its
+    rule, a record whose shape, entries or norm break its invariants, and a
+    qubit index outside 1..M."""
+
+
+#: how far a normalized state's norm^2 may stray from 1, and a conditional
+#: state's norm^2 exceed it, by rounding
+UNIT_NORM_SLACK = 1e-12
+#: a state whose norm^2 is at most this floor has none to renormalize by
+ZERO_NORM_FLOOR = 1e-300
 
 
 # Scalar input checks shared by every module.  Plain-float comparisons and
@@ -289,17 +298,17 @@ class StateVector:
             raise ConfigurationError(f"normalized must be a bool, got {self.normalized!r}")
         amps = _frozen_array("amplitudes", self.amplitudes, complex)
         if amps.ndim != 1 or amps.size < 3:
-            raise ValueError("amplitudes must be a vector over >= 3 basis states")
+            raise ConfigurationError("amplitudes must be a vector over >= 3 basis states")
         if not np.isfinite(amps.view(float)).all():
-            raise ValueError("amplitudes must be finite")
+            raise ConfigurationError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
         n2 = float((abs(amps) ** 2).sum())
         object.__setattr__(self, "norm_squared", n2)
         if self.normalized:
-            if abs(n2 - 1.0) > 1e-12:
-                raise ValueError(f"normalized state has |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
-        elif n2 > 1.0 + 1e-12:
-            raise ValueError(f"conditional state has norm^2 = {n2:.15f} > 1")
+            if abs(n2 - 1.0) > UNIT_NORM_SLACK:
+                raise ConfigurationError(f"normalized state has |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
+        elif n2 > 1.0 + UNIT_NORM_SLACK:
+            raise ConfigurationError(f"conditional state has norm^2 = {n2:.15f} > 1")
 
     @property
     def m(self) -> int:
@@ -330,7 +339,7 @@ def _freeze_matrix(record, name: str, check) -> None:
     """Freeze ``record.matrix`` as a complex copy, square of size >= 2, that passes ``check``."""
     mat = _frozen_array(name, record.matrix, complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
-        raise ValueError(f"{name} must be square of dimension >= 2, got {mat.shape}")
+        raise ConfigurationError(f"{name} must be square of dimension >= 2, got {mat.shape}")
     check(mat)
     object.__setattr__(record, "matrix", mat)
 
@@ -342,22 +351,22 @@ def _check_generators(matrix: np.ndarray, kind: str) -> None:
     every same-shape block, where the functions' wrappers cost a third.
     """
     if not np.isfinite(matrix).all():
-        raise ValueError("generator must have finite entries")
+        raise ConfigurationError("generator must have finite entries")
     difference = matrix - matrix.swapaxes(-1, -2).conj()
     if kind == "hermitian":
         defect = abs(difference).max()
         if defect > 1e-14:
-            raise ValueError(f"hermitian generator has defect {defect:.3e}")
+            raise ConfigurationError(f"hermitian generator has defect {defect:.3e}")
     elif kind == "dissipative":
         anti = difference / 2.0
         off_diagonal = ~np.eye(matrix.shape[-1], dtype=bool)
         if np.any(anti[..., off_diagonal]) or np.any(np.diagonal(anti, 0, -2, -1).imag > 0.0):
-            raise ValueError(
+            raise ConfigurationError(
                 "dissipative generator must have anti-Hermitian part "
                 "-i*diag with non-negative rates"
             )
     else:
-        raise ValueError(f"unknown generator kind {kind!r}")
+        raise ConfigurationError(f"unknown generator kind {kind!r}")
 
 
 def _generators(couplings: np.ndarray, rates: np.ndarray | None = None) -> np.ndarray:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    UNIT_NORM_SLACK,
     ConfigurationError,
     GeneratorMatrix,
     StateVector,
@@ -54,7 +55,7 @@ class PropagatorMatrix:
 def _check_propagators(u: np.ndarray) -> None:
     """``PropagatorMatrix``'s check on one propagator or each of a stack."""
     if not np.all(np.isfinite(u)):
-        raise ValueError("propagator has non-finite entries")
+        raise ConfigurationError("propagator has non-finite entries")
 
 
 class OverdampedRegimeError(ConfigurationError):
@@ -266,7 +267,7 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     unchanged; under decay the no-click result is flagged as not normalized.
     """
     if state.m != config.m:
-        raise ValueError(f"state is for M={state.m} qubits, config for M={config.m}")
+        raise ConfigurationError(f"state is for M={state.m} qubits, config for M={config.m}")
     g = config.couplings
     dark, qubit, edge, photon = _no_click_kernel(
         config.omega * config.omega, config.gamma_decay, config.kappa, t
@@ -318,9 +319,9 @@ def evolve_oracle_expm(generator: GeneratorMatrix, state: StateVector, t: float)
     Independent of the closed form: no trigonometric identity is shared.
     """
     if generator.kind != "hermitian":
-        raise ValueError("eigendecomposition oracle requires a hermitian generator")
+        raise ConfigurationError("eigendecomposition oracle requires a hermitian generator")
     if state.m != generator.m:
-        raise ValueError(f"state is for M={state.m} qubits, generator for M={generator.m}")
+        raise ConfigurationError(f"state is for M={state.m} qubits, generator for M={generator.m}")
     check_non_negative("time", t)
     u = expm_hermitian(generator.matrix, t)
     amps = np.array(state.amplitudes)
@@ -394,22 +395,23 @@ def rk4_propagate_many(
     sliced back.  Results are identical to per-instance ``rk4_propagate``
     calls up to floating-point summation order.
     """
-    if len(generators) != len(amplitude_vectors):
-        raise ValueError("generators and amplitude vectors must pair up")
+    count = len(generators)
+    if count != len(amplitude_vectors):
+        raise ConfigurationError("generators and amplitude vectors must pair up")
     times = np.asarray(times, dtype=float)
-    if times.shape != (len(generators),):
-        raise ValueError(f"need one time per generator, got {times.size} for {len(generators)}")
-    if len(generators) == 0:
+    if times.shape != (count,):
+        raise ConfigurationError(f"need one time per generator, got {times.size} for {count}")
+    if count == 0:
         return []
     dims = [g.shape[0] for g in generators]
     d_max = max(dims)
-    g = np.zeros((len(generators), d_max, d_max), dtype=complex)
-    psi = np.zeros((len(generators), d_max), dtype=complex)
+    g = np.zeros((count, d_max, d_max), dtype=complex)
+    psi = np.zeros((count, d_max), dtype=complex)
     for i, (gen, vec) in enumerate(zip(generators, amplitude_vectors)):
         g[i, : dims[i], : dims[i]] = gen
         psi[i, : dims[i]] = vec
     out = rk4_propagate(g, psi, times, dt)
-    return [out[i, : dims[i]] for i in range(len(generators))]
+    return [out[i, : dims[i]] for i in range(count)]
 
 
 def evolve_oracle_rk4(
@@ -424,16 +426,14 @@ def evolve_oracle_rk4(
     output is a sub-normalized conditional state and is flagged as such.
     """
     if state.m != generator.m:
-        raise ValueError(f"state is for M={state.m} qubits, generator for M={generator.m}")
+        raise ConfigurationError(f"state is for M={state.m} qubits, generator for M={generator.m}")
     amps = np.array(state.amplitudes)
     amps[1:] = rk4_propagate(generator.matrix, amps[1:], float(t), dt)
     # a coarse step drifts the norm below 1 even for a hermitian generator,
     # so the flag follows the measured norm rather than the generator kind
     norm2 = float(np.sum(np.abs(amps) ** 2))
-    normalized = (
-        state.normalized and generator.kind == "hermitian" and abs(norm2 - 1.0) <= 1e-12
-    )
-    return StateVector(amplitudes=amps, normalized=normalized)
+    unitary = state.normalized and generator.kind == "hermitian"
+    return StateVector(amplitudes=amps, normalized=unitary and abs(norm2 - 1.0) <= UNIT_NORM_SLACK)
 
 
 def trapping_time(config: SystemConfig, m_odd: int = 1) -> float:

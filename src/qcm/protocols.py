@@ -38,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    UNIT_NORM_SLACK,
+    ZERO_NORM_FLOOR,
     ConfigurationError,
     StateVector,
     _frozen_array,
@@ -185,7 +187,7 @@ class ProtocolReport:
             ok = _in_unit_interval(fidelities)
             first = ok.argmin()  # the first value outside [0, 1], else the first one
             if not ok[first]:
-                raise ValueError(
+                raise ConfigurationError(
                     f"fidelity of qubit {first + 1} outside [0, 1]: {fidelities[first]}"
                 )
 
@@ -267,17 +269,18 @@ def _star_step(m: np.ndarray, r: np.ndarray, ground, excited) -> tuple:
     and excited amplitudes of ``initial_state``.  Returns omega^2, the
     trapped amplitudes (x1, x, photon) on qubit 1, on each partner and on
     the cavity, their squared norm n2, and ``ok``: False on a row whose
-    ratio is not > 0 or whose norm is not 1 to 1e-12.  A NaN fails every
-    comparison, so ``ok`` also rejects a row with no trapping instant or
-    with amplitudes that are not finite.  The M-1 partners couple alike, so
-    the propagator's first column (``_star_columns``) holds every amplitude.
-    The caller runs this under ``np.errstate``: a row that fails its checks
-    may overflow on the way.
+    ratio is not > 0 or whose norm is not 1 to ``UNIT_NORM_SLACK``, as
+    ``StateVector`` checks it.  A NaN fails every comparison, so ``ok``
+    also rejects a row with no trapping instant or with amplitudes that are
+    not finite.  The M-1 partners couple alike, so the propagator's first
+    column (``_star_columns``) holds every amplitude.  The caller runs this
+    under ``np.errstate``: a row that fails its checks may overflow on the
+    way.
     """
     omega2, _, column = _star_columns(m, r, 0.0, 0.0, 1)
     x1, x, photon = (excited * b for b in column)
     n2 = abs(ground) * abs(ground) + _branch_norm_squared(m, abs(x1), abs(x), abs(photon))
-    return omega2, (x1, x, photon), n2, (r > 0.0) & (abs(n2 - 1.0) <= 1e-12)
+    return omega2, (x1, x, photon), n2, (r > 0.0) & (abs(n2 - 1.0) <= UNIT_NORM_SLACK)
 
 
 def w_state_columns(m: np.ndarray, r: np.ndarray, m_odd: int = 1) -> tuple:
@@ -316,13 +319,11 @@ def reduced_qubit_density(state: StateVector, j: int | np.ndarray) -> np.ndarray
     """
     m = state.m
     index = np.asarray(j)
-    integers = index.dtype.kind in "iu"
-    if not (integers and index.min(initial=1) >= 1 and index.max(initial=m) <= m):
-        raise IndexError(f"qubit index {j} is not an integer in 1..{m}")
-    c = state.amplitudes
-    if state.norm_squared <= 1e-300:
-        raise ValueError("cannot reduce a zero-norm state")
-    return _qubit_densities(c[0], c[index], state.norm_squared)
+    if not (index.dtype.kind in "iu" and index.min(initial=1) >= 1 and index.max(initial=m) <= m):
+        raise ConfigurationError(f"qubit index {j} is not an integer in 1..{m}")
+    if state.norm_squared <= ZERO_NORM_FLOOR:
+        raise ConfigurationError("cannot reduce a zero-norm state")
+    return _qubit_densities(state.amplitudes[0], state.amplitudes[index], state.norm_squared)
 
 
 def _qubit_densities(ground, qubits, norm_squared) -> np.ndarray:

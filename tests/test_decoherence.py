@@ -16,6 +16,7 @@ from qcm.decoherence import (
     renormalized_trapping_time,
 )
 from qcm.model import (
+    ZERO_NORM_FLOOR,
     ConfigurationError,
     build_dissipative_hamiltonian,
     initial_state,
@@ -459,8 +460,8 @@ def scalar_row(m, r, gamma_decay, kappa, m_odd=1):
     tau = renormalized_trapping_time(m, r, gamma_decay, kappa, m_odd)
     amps = conditional_amplitudes(m, r, gamma_decay, kappa, tau)
     p = amps.branch_norm_squared
-    if p <= 1e-300:
-        raise ValueError("conditional state has zero norm")
+    if p <= ZERO_NORM_FLOOR:
+        raise ConfigurationError("conditional state has zero norm")
     a1, a = trapped_amplitudes(m, r)
     fidelity = min(abs(a1 * amps.b1 + (m - 1) * a * amps.b) / math.sqrt(p), 1.0)
     p = min(p, 1.0)  # the probability is clamped, after the fidelity took the norm

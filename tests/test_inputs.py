@@ -5,19 +5,24 @@ a value below the argument's range, a fractional or bool count, an array
 with an axis where a scalar is documented, a complex value and any other
 object each raise a ConfigurationError whose message names the argument,
 with no warning on the way.  Arguments documented as count columns keep
-their 1-D columns but refuse other arrays; the qubit index of
-``reduced_qubit_density`` is an index and raises IndexError.  A label, a
-scheme tag or a classification, must be one of its str values.
+their 1-D columns but refuse other arrays.  A label, a scheme tag or a
+classification, must be one of its str values.
 
 The array fields of the records take one rule too: entries of a numpy int or
 float kind, or complex for a complex field, stored as a read-only copy.
 Bools, str, bytes, objects, times and ragged sequences fail by field name.
+
+Every other refusal is a ConfigurationError as well, with its own message: a
+record's shape, finiteness and norm checks, a state and a config or
+generator of different sizes, a qubit index outside 1..M and a zero norm.
 """
 
+import argparse
 import importlib
 import re
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,7 @@ from qcm import (
     StateVector,
     SystemConfig,
     W_PLUS,
+    build_dissipative_hamiltonian,
     build_hamiltonian,
     classify_trapped_state,
     closed_form_propagator,
@@ -54,6 +60,8 @@ from qcm import (
     trapped_amplitudes,
     trapping_time,
 )
+from qcm.cli import write_table
+from qcm.propagator import evolve_oracle_rk4, expm_hermitian, rk4_propagate_many
 
 CONFIG = star_config(3, 1.5, gamma_decay=0.01, kappa=0.02)
 LOSSLESS = star_config(3, 1.5)
@@ -317,10 +325,9 @@ CASES += [
 
 @pytest.mark.parametrize("call, good, argument, bad, label", CASES)
 def test_bad_scalar_fails_by_name(call, good, argument, bad, label):
-    error = IndexError if argument == "j" else ConfigurationError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error) as caught:
+        with pytest.raises(ConfigurationError) as caught:
             call(**{**good, argument: bad})
     assert re.match(rf"(need )?{re.escape(label)}\b", str(caught.value)), str(caught.value)
 
@@ -401,3 +408,189 @@ def test_number_arrays_pass_as_a_read_only_copy(record, good, argument, label, c
         assert stored.dtype == dtype and not stored.flags.writeable
         mine.flat[0] = 3
         np.testing.assert_array_equal(stored, np.asarray(good[argument], dtype))
+
+
+HERMITIAN = build_hamiltonian(LOSSLESS)
+TWO_QUBITS = initial_state(0.3, 0.4, star_config(2, 1.0))
+
+#: (case id, callable, arguments, message) of the values a record or a routine
+#: refuses for their shape, their entries, their norm or an index, though
+#: each is of a type it takes
+INVARIANT_CASES = [
+    *(
+        (f"amplitudes-{name}", StateVector, dict(amplitudes=bad), message)
+        for name, bad, message in (
+            ("two", [1.0, 0.0], "amplitudes must be a vector over >= 3 basis states"),
+            ("matrix", np.eye(3), "amplitudes must be a vector over >= 3 basis states"),
+            ("nan", [np.nan, 0, 0], "amplitudes must be finite"),
+            ("inf", [1, complex(0, np.inf), 0], "amplitudes must be finite"),
+            ("norm", [1, 1, 0], "normalized state has |norm^2 - 1| = 1.000e+00"),
+        )
+    ),
+    # just past the unit-norm slack, each way
+    (
+        "normalized-slack",
+        StateVector,
+        dict(amplitudes=[np.sqrt(1.0 - 3e-12), 0, 0]),
+        "normalized state has |norm^2 - 1| = 3.000e-12",
+    ),
+    (
+        "conditional-slack",
+        StateVector,
+        dict(amplitudes=[np.sqrt(1.0 + 3e-12), 0, 0], normalized=False),
+        "conditional state has norm^2 = 1.000000000003000 > 1",
+    ),
+    *(
+        (
+            f"{label}-{'x'.join(map(str, shape))}",
+            record,
+            dict(matrix=np.ones(shape), **kind),
+            f"{label} must be square of dimension >= 2, got {shape}",
+        )
+        for record, label, kind in (
+            (GeneratorMatrix, "generator", dict(kind="hermitian")),
+            (PropagatorMatrix, "propagator", {}),
+        )
+        for shape in ((1, 1), (2, 3), (3,))
+    ),
+    (
+        "generator-nan",
+        GeneratorMatrix,
+        dict(matrix=[[np.nan, 0], [0, 0]], kind="hermitian"),
+        "generator must have finite entries",
+    ),
+    (
+        "generator-defect",
+        GeneratorMatrix,
+        dict(matrix=[[0, 1], [0, 0]], kind="hermitian"),
+        "hermitian generator has defect 1.000e+00",
+    ),
+    *(
+        (
+            f"generator-{name}",
+            GeneratorMatrix,
+            dict(matrix=matrix, kind="dissipative"),
+            "dissipative generator must have anti-Hermitian part -i*diag with non-negative rates",
+        )
+        for name, matrix in (("gain", [[0.1j, 1], [1, 0]]), ("off-diagonal", [[0, 1], [0.5, 0]]))
+    ),
+    (
+        "generator-kind",
+        GeneratorMatrix,
+        dict(matrix=[[0, 1], [1, 0]], kind="unitary"),
+        "unknown generator kind 'unitary'",
+    ),
+    (
+        "propagator-inf",
+        PropagatorMatrix,
+        dict(matrix=[[np.inf, 0], [0, 1]]),
+        "propagator has non-finite entries",
+    ),
+    (
+        "expm_hermitian",
+        expm_hermitian,
+        dict(matrix=np.array([[0, 1], [0, 0]]), t=0.5),
+        "hermitian generator has defect 1.000e+00",
+    ),
+    (
+        "evolve-size",
+        evolve,
+        dict(state=TWO_QUBITS, config=CONFIG, t=0.5),
+        "state is for M=2 qubits, config for M=3",
+    ),
+    (
+        "evolve_oracle_expm-kind",
+        evolve_oracle_expm,
+        dict(generator=build_dissipative_hamiltonian(CONFIG), state=STATE, t=0.5),
+        "eigendecomposition oracle requires a hermitian generator",
+    ),
+    *(
+        (
+            f"{f.__name__}-size",
+            f,
+            dict(generator=HERMITIAN, state=TWO_QUBITS, t=0.5),
+            "state is for M=2 qubits, generator for M=3",
+        )
+        for f in (evolve_oracle_expm, evolve_oracle_rk4)
+    ),
+    (
+        "rk4_propagate_many-pairs",
+        rk4_propagate_many,
+        dict(generators=[HERMITIAN.matrix], amplitude_vectors=[], times=[0.5]),
+        "generators and amplitude vectors must pair up",
+    ),
+    (
+        "rk4_propagate_many-times",
+        rk4_propagate_many,
+        dict(
+            generators=[HERMITIAN.matrix] * 2,
+            amplitude_vectors=[STATE.amplitudes[1:]] * 2,
+            times=[0.5],
+        ),
+        "need one time per generator, got 1 for 2",
+    ),
+    *(
+        (
+            f"fidelities-{value}",
+            ProtocolReport,
+            REPORT | dict(fidelities=[1.0, value, 0.5]),
+            f"fidelity of qubit 2 outside [0, 1]: {value}",
+        )
+        for value in (1.5, -0.5, np.nan, np.inf)
+    ),
+    (
+        "reduced_qubit_density-index",
+        reduced_qubit_density,
+        dict(state=STATE, j=np.array([1, 4])),
+        "qubit index [1 4] is not an integer in 1..3",
+    ),
+    (
+        "reduced_qubit_density-zero",
+        reduced_qubit_density,
+        dict(state=StateVector(np.zeros(5), normalized=False), j=1),
+        "cannot reduce a zero-norm state",
+    ),
+    # decay this fast leaves no norm at the trapping instant
+    (
+        "decay_robustness_scan-zero",
+        decay_robustness_scan,
+        dict(m_values=[2, 3], gamma_decay=5000.0, kappa=5000.0),
+        "conditional state has zero norm",
+    ),
+    (
+        "decohered_fidelity-zero",
+        decohered_fidelity,
+        dict(m=2, r=1.0, gamma_decay=5000.0, kappa=5000.0),
+        "conditional state has zero norm",
+    ),
+    (
+        "write_table",
+        write_table,
+        dict(headers=["m", "r"], columns=[[2, 3]], args=argparse.Namespace(format="csv")),
+        "a table needs one column per header, all of one length: got 2 headers and columns "
+        "of lengths [2]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, arguments, message", [pytest.param(*row[1:], id=row[0]) for row in INVARIANT_CASES]
+)
+def test_broken_invariant_fails_with_its_message(call, arguments, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            call(**arguments)
+
+
+def test_every_refusal_in_qcm_is_a_configuration_error():
+    # every refused input is a ConfigurationError; FloatingPointError marks a
+    # numerical failure of the RK4 oracle, not a refused input
+    for path in Path(qcm.__file__).parent.glob("*.py"):
+        raised = set(re.findall(r"raise (\w+)\(", path.read_text()))
+        assert raised <= {
+            "ConfigurationError",
+            "OverdampedRegimeError",  # a ConfigurationError
+            "FloatingPointError",
+            "CheckFailure",  # a check out of tolerance, exit 1
+        }, path.name
