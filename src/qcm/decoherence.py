@@ -18,15 +18,18 @@ loses while waiting.
 and m_odd are checked once, and every row goes through the same kernel
 formulas as one float would.  The kernel's routines follow the input: on a
 column numpy does the IEEE arithmetic and the correctly rounded sqrt, and
-exp, expm1 and sin go through ``math`` entry by entry, since numpy's
-versions may round differently.  A table maps at most five routines over
-its columns: two exps, expm1 and two sines.  It takes no cos, as it reads
-no photon term, and no exp of a zero rate or expm1 at equal rates, whose
-values are known to the bit.  A square is the IEEE product x * x, the same bits on a
-float and on a column.  Every entry is therefore
-bit-identical to the scalar route, and ``decohered_fidelity`` is the
-one-row case.  The table's fidelity is taken against the trapped
-amplitudes a1 and a of ``qcm.protocols``, from the same expression.
+exp, expm1 and sin go through ``math``, since numpy's versions may round
+differently.  A table maps exp and expm1 entry by entry, at most two exps
+and one expm1, and each of its two sines once per distinct phase: at the
+trapping instant nu*tau is m_odd*pi up to rounding, so a sine maps at most
+three values for a whole table of 128 rows or more.  It takes no cos, as
+it reads no photon term, no exp of a zero rate, one exp for equal rates
+(whose two exponents are the same float) and no expm1 there: those values
+are known to the bit.  A square is the IEEE product x * x, the same bits
+on a float and on a column.  Every entry is therefore bit-identical to the
+scalar route, and ``decohered_fidelity`` is the one-row case.  The table's
+fidelity is taken against the trapped amplitudes a1 and a of
+``qcm.protocols``, from the same expression.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from .model import (
     check_non_negative,
     check_odd_index,
     check_positive,
+    sorted_distinct,
 )
 
 
@@ -75,6 +76,34 @@ def _per_entry(routine):
     return lambda column: np.fromiter(map(routine, memoryview(column)), float, column.size)
 
 
+#: the shortest column that ``_per_distinct`` sorts: below about 110 entries
+#: the sort costs more than the libm calls it saves, even at three keys
+#: (x86-64, glibc 2.36, numpy 2.4)
+DISTINCT_MIN_ENTRIES = 128
+
+
+def _per_distinct(routine):
+    """``routine`` applied once per distinct bit pattern of a 1-D float64 column.
+
+    The column's int64 view is sorted into its distinct keys, ``_per_entry``
+    maps those, and ``np.searchsorted`` gathers the results back; a column
+    shorter than ``DISTINCT_MIN_ENTRIES`` is mapped entry by entry.  The
+    same libm call on the same float gives the same bits, so every entry is
+    the one ``_per_entry`` gives: +-0.0 and NaN payloads are distinct keys,
+    and an entry the routine refuses (sin of +-inf) raises the same error.
+    """
+    per_entry = _per_entry(routine)
+
+    def mapped(column):
+        if column.size < DISTINCT_MIN_ENTRIES:
+            return per_entry(column)
+        bits = column.view(np.int64)
+        keys = sorted_distinct(bits)
+        return per_entry(keys.view(float))[np.searchsorted(keys, bits)]
+
+    return mapped
+
+
 _Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt")
 
 #: the kernel's libm routines on Python floats; a square is the product x * x,
@@ -82,10 +111,13 @@ _Libm = namedtuple("_Libm", "exp expm1 cos sin sqrt")
 _FLOAT_LIBM = _Libm(math.exp, math.expm1, math.cos, math.sin, math.sqrt)
 
 #: the same routines on float64 columns: IEEE arithmetic and the correctly
-#: rounded sqrt run in numpy, every other libm call entry by entry.  The
-#: kernel maps one only where its value is unknown and read: no exp of a
-#: zero rate, no expm1 at equal rates, no photon cos where it is dropped
-_COLUMN_LIBM = _Libm(*map(_per_entry, _FLOAT_LIBM[:4]), np.sqrt)
+#: rounded sqrt run in numpy, every other libm call entry by entry, and sin
+#: once per distinct phase: at a trapping instant nu*tau is m_odd*pi (half
+#: of it for the half-angle sine) up to rounding, so a star column of any
+#: length holds at most three of each.  The kernel maps a routine only where
+#: its value is unknown and read: no exp of a zero rate, one exp for equal
+#: rates and no expm1 there, no photon cos where it is dropped
+_COLUMN_LIBM = _Libm(*map(_per_entry, _FLOAT_LIBM[:3]), _per_distinct(math.sin), np.sqrt)
 
 
 def _libm(x) -> _Libm:
@@ -160,14 +192,17 @@ def _kernel_terms(omega2, gamma_decay: float, kappa: float, t, photon: bool = Tr
     its cos(nu*t) is never taken.  A zero rate takes no exp and equal rates
     (d = 0) no expm1: exp(-0.0*t) is 1.0 + 0.0*t and expm1(0.0*t) is 0.0*t,
     bit for bit, for every t (0, subnormal, inf and NaN included), on floats
-    and on columns.  So a lossless column maps only the two sines, and the
-    cos with ``photon``.
+    and on columns.  Equal rates take one exp: where Gamma + kappa is
+    finite, -(Gamma + kappa)/2 is exactly -Gamma, so E is dark to the bit.
+    So a lossless column maps only the two sines (once per distinct phase),
+    and the cos with ``photon``.
     """
     exp, expm1, cos, sin, sqrt = libm = _libm(t)
     d = (kappa - gamma_decay) / 2.0
     nu2 = omega2 - d * d
     dark = exp(-gamma_decay * t) if gamma_decay else 1.0 + 0.0 * t
-    joint = decay = exp(-(gamma_decay + kappa) / 2.0 * t) if gamma_decay or kappa else dark
+    matched = gamma_decay == kappa and gamma_decay + kappa < math.inf
+    joint = decay = dark if matched else exp(-(gamma_decay + kappa) / 2.0 * t)
     if libm is _COLUMN_LIBM or nu2 > 0.0:
         nu = sqrt(nu2)
         sinc, half = sin(nu * t) / nu, sin(nu * t / 2.0)
@@ -218,9 +253,11 @@ def _star_columns(m, r, gamma_decay: float, kappa: float, m_odd) -> tuple:
     (NaN where none exists) and (b1, b, r*E*S) the excited input's
     propagator column there (``_star_column``; the photon amplitude is
     -i*r*E*S).  The photon's own term is dropped, so its cos is never
-    mapped: a lossless call maps only the two sines of ``_kernel_terms``.
-    Rows are unchecked, and the caller runs this under ``np.errstate``: a
-    row that fails its checks may overflow on the way.
+    mapped, and each of the two sines of ``_kernel_terms`` maps at most
+    three distinct phases once there are ``DISTINCT_MIN_ENTRIES`` rows.  A
+    lossless call maps nothing else.  Rows are unchecked, and the caller
+    runs this under ``np.errstate``: a row that fails its checks may
+    overflow on the way.
     """
     omega2 = r * r + (m - 1.0)
     tau = _trap_time(omega2, gamma_decay, kappa, m_odd)
@@ -292,6 +329,21 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     return StateVector(amplitudes=amps, normalized=state.normalized and lossless)
 
 
+def _stack_shapes_fit(square: tuple, times: tuple, *vectors: tuple) -> bool:
+    """Whether ``square`` is (..., d, d), each of ``vectors`` is (..., d), and
+    the leading axes of all of them broadcast with ``times``."""
+    d = square[-1:]
+    if len(square) < 2 or square[-2:-1] != d or any(v[-1:] != d for v in vectors):
+        return False
+    lead = {square[:-2], times, *(v[:-1] for v in vectors)}
+    if len(lead) > 1:  # qcm check passes equal shapes, which need no broadcast
+        try:
+            np.broadcast_shapes(*lead)
+        except ValueError:
+            return False
+    return True
+
+
 def expm_hermitian(matrix: np.ndarray, t) -> np.ndarray:
     """exp(-i*matrix*t) for Hermitian ``matrix`` (or a stack, t (...,)) via eigh.
 
@@ -299,8 +351,12 @@ def expm_hermitian(matrix: np.ndarray, t) -> np.ndarray:
     since eigh reads only one triangle of whatever it is given.
     """
     matrix = np.asarray(matrix)
-    _check_generators(matrix, "hermitian")
     t = np.asarray(t, dtype=float)
+    if not _stack_shapes_fit(matrix.shape, t.shape):
+        raise ConfigurationError(
+            f"shapes {matrix.shape} and {t.shape} do not fit matrices (..., d, d) and times (...)"
+        )
+    _check_generators(matrix, "hermitian")
     for time in t.reshape(-1).tolist():
         check_non_negative("time", time)
     eigvals, vecs = np.linalg.eigh(matrix)
@@ -355,6 +411,11 @@ def rk4_propagate(
     g = np.asarray(generator, dtype=complex)
     psi = np.array(amplitudes, dtype=complex)
     t_arr = np.asarray(t, dtype=float)
+    if not _stack_shapes_fit(g.shape, t_arr.shape, psi.shape):
+        raise ConfigurationError(
+            f"shapes {g.shape}, {psi.shape} and {t_arr.shape} do not fit generators "
+            "(..., d, d), amplitudes (..., d) and times (...)"
+        )
     if np.any(t_arr < 0.0) or not np.all(np.isfinite(t_arr)):
         raise ConfigurationError("times must be finite and >= 0")
     with np.errstate(over="ignore"):
@@ -403,7 +464,15 @@ def rk4_propagate_many(
         raise ConfigurationError(f"need one time per generator, got {times.size} for {count}")
     if count == 0:
         return []
-    dims = [g.shape[0] for g in generators]
+    dims = []
+    for i, (gen, vec) in enumerate(zip(generators, amplitude_vectors)):
+        square, vector = np.asarray(gen).shape, np.asarray(vec).shape
+        if len(vector) != 1 or square != vector * 2:
+            raise ConfigurationError(
+                f"instance {i}: shapes {square} and {vector} do not fit a generator (d, d) "
+                "and amplitudes (d,)"
+            )
+        dims += vector
     d_max = max(dims)
     g = np.zeros((count, d_max, d_max), dtype=complex)
     psi = np.zeros((count, d_max), dtype=complex)

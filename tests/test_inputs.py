@@ -61,7 +61,7 @@ from qcm import (
     trapping_time,
 )
 from qcm.cli import write_table
-from qcm.propagator import evolve_oracle_rk4, expm_hermitian, rk4_propagate_many
+from qcm.propagator import evolve_oracle_rk4, expm_hermitian, rk4_propagate, rk4_propagate_many
 
 CONFIG = star_config(3, 1.5, gamma_decay=0.01, kappa=0.02)
 LOSSLESS = star_config(3, 1.5)
@@ -411,6 +411,8 @@ def test_number_arrays_pass_as_a_read_only_copy(record, good, argument, label, c
 
 
 HERMITIAN = build_hamiltonian(LOSSLESS)
+#: a stack of two 2x2 generators
+PAIR = np.stack([np.eye(2)] * 2)
 TWO_QUBITS = initial_state(0.3, 0.4, star_config(2, 1.0))
 
 #: (case id, callable, arguments, message) of the values a record or a routine
@@ -491,6 +493,53 @@ INVARIANT_CASES = [
         expm_hermitian,
         dict(matrix=np.array([[0, 1], [0, 0]]), t=0.5),
         "hermitian generator has defect 1.000e+00",
+    ),
+    # the oracle routines name every shape they are given
+    *(
+        (
+            f"expm_hermitian-{name}",
+            expm_hermitian,
+            dict(matrix=matrix, t=t),
+            f"shapes {shapes} do not fit matrices (..., d, d) and times (...)",
+        )
+        for name, matrix, t, shapes in (
+            ("vector", np.ones(2), 0.5, "(2,) and ()"),
+            ("not-square", np.ones((2, 3)), 0.5, "(2, 3) and ()"),
+            ("times", PAIR, np.ones(3), "(2, 2, 2) and (3,)"),
+        )
+    ),
+    *(
+        (
+            f"rk4_propagate-{name}",
+            rk4_propagate,
+            dict(generator=generator, amplitudes=amplitudes, t=t),
+            f"shapes {shapes} do not fit generators (..., d, d), amplitudes (..., d) and "
+            "times (...)",
+        )
+        for name, generator, amplitudes, t, shapes in (
+            ("not-square", np.ones((2, 3)), np.ones(3), 0.5, "(2, 3), (3,) and ()"),
+            ("amplitudes", np.eye(2), np.ones(3), 0.5, "(2, 2), (3,) and ()"),
+            ("scalar", np.eye(2), 1.0, 0.5, "(2, 2), () and ()"),
+            ("stacks", PAIR, np.ones((3, 2)), 0.5, "(2, 2, 2), (3, 2) and ()"),
+            ("times", PAIR, np.ones((2, 2)), np.ones(3), "(2, 2, 2), (2, 2) and (3,)"),
+        )
+    ),
+    *(
+        (
+            f"rk4_propagate_many-{name}",
+            rk4_propagate_many,
+            dict(
+                generators=[HERMITIAN.matrix, generator],
+                amplitude_vectors=[STATE.amplitudes[1:], amplitudes],
+                times=[0.5, 0.5],
+            ),
+            f"instance 1: shapes {shapes} do not fit a generator (d, d) and amplitudes (d,)",
+        )
+        for name, generator, amplitudes, shapes in (
+            ("not-square", np.ones((2, 3)), np.ones(3), "(2, 3) and (3,)"),
+            ("amplitudes", np.eye(2), np.ones(3), "(2, 2) and (3,)"),
+            ("stack", PAIR, np.ones((2, 2)), "(2, 2, 2) and (2, 2)"),
+        )
     ),
     (
         "evolve-size",

@@ -13,12 +13,14 @@ from qcm.model import (
     initial_state,
     star_config,
 )
+import qcm.cli as cli
 import qcm.propagator as propagator
 import qcm.protocols as protocols
 from qcm.propagator import (
     PropagatorMatrix,
     _COLUMN_LIBM,
     _kernel_terms,
+    _per_distinct,
     _per_entry,
     _star_columns,
     _trap_time,
@@ -569,22 +571,36 @@ def float_bits(values) -> list[int]:
     return np.asarray(values, dtype=float).reshape(-1).view(np.uint64).tolist()
 
 
-def spy_on_maps(monkeypatch) -> list[str]:
-    """The names of the per-entry libm routines the column kernel maps from now on."""
-    calls = []
+def spy_on_entries(monkeypatch) -> list[list]:
+    """[routine name, entries mapped, column length] of each column the kernel
+    maps from now on.  The column routines are rebuilt as ``propagator``
+    builds them, around ``math`` routines that count their calls."""
+    maps = []
 
-    def spied(name):
-        routine = getattr(_COLUMN_LIBM, name)
-        return lambda column: calls.append(name) or routine(column)
+    def spied(name, mapping):
+        routine = getattr(math, name)
 
-    libm = _COLUMN_LIBM._replace(**{name: spied(name) for name in ("exp", "expm1", "cos", "sin")})
+        def counted(x):
+            maps[-1][1] += 1
+            return routine(x)
+
+        mapped = mapping(counted)
+        return lambda column: maps.append([name, 0, column.size]) or mapped(column)
+
+    names, mappings = _COLUMN_LIBM._fields[:4], (_per_entry,) * 3 + (_per_distinct,)
+    # each spy maps its routine as propagator's own column libm does
+    assert [r.__qualname__.split(".")[0] for r in _COLUMN_LIBM[:4]] == [
+        mapping.__name__ for mapping in mappings
+    ]
+    libm = propagator._Libm(*map(spied, names, mappings), np.sqrt)
     monkeypatch.setattr(propagator, "_COLUMN_LIBM", libm)
     monkeypatch.setattr(protocols, "_COLUMN_LIBM", libm)  # which tells columns by identity
-    return calls
+    return maps
 
 
 class TestKernelZeroRates:
-    """A zero rate or d = 0 takes no libm call, with every bit unchanged."""
+    """A zero rate or d = 0 takes no libm call, equal rates one exp, and a
+    trapping instant one sine per distinct phase, with every bit unchanged."""
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_the_identities_hold_bit_for_bit(self, zero):
@@ -630,26 +646,88 @@ class TestKernelZeroRates:
                 [math.sin(x) for x in view.tolist()]
             )
 
-    def test_lossless_star_columns_map_only_the_two_sines(self, monkeypatch):
-        calls = spy_on_maps(monkeypatch)
-        m = np.arange(2.0, 40.0)
-        _star_columns(m, np.sqrt(m) + 1.0, 0.0, 0.0, 1)
-        assert calls == ["sin", "sin"]
-        # the photon's cos is mapped only where the caller reads the photon
-        calls.clear()
+    @pytest.mark.parametrize("m_odd", [1, 3, 101])
+    def test_lossless_star_columns_map_few_sines(self, monkeypatch, m_odd):
+        maps = spy_on_entries(monkeypatch)
+        m = np.arange(2.0, 2001.0)
+        _star_columns(m, np.sqrt(m) + 1.0, 0.0, 0.0, m_odd)
+        # nu*tau is m_odd*pi up to rounding: few phases, and no other routine
+        assert [name for name, *_ in maps] == ["sin", "sin"]
+        assert all(entries <= 3 and size == m.size for _, entries, size in maps)
+        # a column too short to repay the sort maps every entry
+        maps.clear()
+        short = m[: propagator.DISTINCT_MIN_ENTRIES - 1]
+        _star_columns(short, np.sqrt(short) + 1.0, 0.0, 0.0, m_odd)
+        assert maps == [["sin", short.size, short.size]] * 2
+        # the photon's cos is mapped only where the caller reads the photon, and
+        # a column at other times maps every entry, equal or not
+        maps.clear()
         _kernel_terms(np.full(3, 3.0), 0.0, 0.0, np.ones(3))
-        assert sorted(calls) == ["cos", "sin", "sin"]
+        assert sorted(maps) == [["cos", 3, 3], ["sin", 3, 3], ["sin", 3, 3]]
 
+    @pytest.mark.parametrize("m_odd", [1, 3])
     @pytest.mark.parametrize(
-        "rates, maps",
+        "rates, per_entry",
         [
-            ((0.05, 0.05), ["exp", "exp", "sin", "sin"]),  # matched: no expm1
-            ((0.0, 0.3), ["exp", "expm1", "sin", "sin"]),  # Gamma = 0: no dark exp
-            ((0.013, 0.17), ["exp", "exp", "expm1", "sin", "sin"]),
+            pytest.param((0.05, 0.05), ["exp"], id="matched"),  # one exp, no expm1
+            pytest.param((5e-324, 5e-324), ["exp"], id="subnormal"),
+            pytest.param((0.0, 0.3), ["exp", "expm1"], id="no_dark_exp"),
+            pytest.param((0.013, 0.17), ["exp", "exp", "expm1"], id="unequal"),
         ],
     )
-    def test_a_decoherence_table_maps_at_most_five_routines(self, monkeypatch, rates, maps):
-        calls = spy_on_maps(monkeypatch)
-        table = decay_robustness_scan(np.arange(2, 200), *rates)
-        assert len(table) == 2 * 198
-        assert sorted(calls) == maps and "cos" not in calls
+    def test_decoherence_tables_map_few_sines(self, monkeypatch, rates, per_entry, m_odd):
+        maps = spy_on_entries(monkeypatch)
+        table = decay_robustness_scan(np.arange(2, 2001), *rates, m_odd=m_odd)
+        assert len(table) == 2 * 1999
+        assert sorted(name for name, *_ in maps) == per_entry + ["sin", "sin"]
+        for name, entries, size in maps:
+            assert size == len(table)
+            assert entries <= 3 if name == "sin" else entries == size
+
+    def test_check_stacks_map_every_entry(self, monkeypatch, capsys):
+        # qcm check's random times have distinct phases, so even a column long
+        # enough to be sorted maps one call per entry, and no more
+        maps = spy_on_entries(monkeypatch)
+        assert cli.main(["check", "--trials", "50"]) == 0
+        assert sorted({name for name, *_ in maps}) == ["cos", "sin"]
+        assert all(entries == size > 0 for _, entries, size in maps)
+        assert max(size for *_, size in maps) >= propagator.DISTINCT_MIN_ENTRIES
+
+    @pytest.mark.parametrize("rate, exps", [(5e-324, 1), (1e308, 2)])
+    def test_matched_rates_take_one_exp(self, monkeypatch, rate, exps):
+        # -(Gamma + kappa)/2 is -Gamma to the bit while Gamma + kappa is finite;
+        # past it E = exp(-inf*t) is not dark, and the kernel takes its own exp
+        t = [0.0, 5e-324, 1e-308, 0.5, 2.0, 1e300]
+        dark = [math.exp(-rate * x) for x in t]
+        joint = [math.exp(-(rate + rate) / 2.0 * x) for x in t]
+        assert (float_bits(dark) == float_bits(joint)) == (exps == 1)
+        maps = spy_on_entries(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):  # -inf*0.0 is NaN on both routes
+            terms = _kernel_terms(np.full(len(t), 3.0), rate, rate, np.array(t))
+        assert [name for name, *_ in maps].count("exp") == exps
+        rows = [_kernel_terms(3.0, rate, rate, x) for x in t]
+        for k, column in enumerate(terms):
+            assert float_bits(column) == float_bits([row[k] for row in rows])
+
+    @pytest.mark.parametrize("routine", [math.sin, math.cos])
+    def test_per_distinct_map_is_the_per_entry_map(self, routine):
+        rng = np.random.default_rng(43)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.pi])
+        payloads = np.array(
+            [0x7FF0000000000001, 0x7FF8000000000123, 0xFFF0000000000ABC, 0xFFF8000000000000],
+            dtype=np.uint64,
+        )  # signalling and quiet NaNs of both signs
+        pool = np.concatenate(
+            [rng.integers(-(2**63), 2**63, 600), specials.view(np.int64), payloads.view(np.int64)]
+        )
+        pool = pool[(pool & 0x7FFFFFFFFFFFFFFF) != 0x7FF0000000000000]  # no +-inf
+        column = rng.choice(pool, 3000).view(float)  # with repeats, so that entries share keys
+        assert np.isnan(column).any() and (abs(column) < 2.2250738585072014e-308).any()
+        for view in (column, column[::3], column[::-2], column[:100]):
+            assert float_bits(_per_distinct(routine)(view)) == float_bits(_per_entry(routine)(view))
+        # +-inf is libm's domain error on both routes alike
+        for inf in (math.inf, -math.inf):
+            column[1234] = inf
+            for route in (_per_entry, _per_distinct):
+                with pytest.raises(ValueError, match="^math domain error$"):
+                    route(routine)(column)
