@@ -284,9 +284,13 @@ class StateVector:
     Conditional (no-click) states are sub-normalized; ``normalized=False``
     marks them and relaxes the unit-norm invariant to norm <= 1.  The flag
     is a Python or numpy bool.
-    ``norm_squared`` is derived from the amplitudes when they are checked;
-    it is neither an argument nor assignable.  The amplitudes are always
-    a read-only complex128 copy.  States compare and hash by identity.
+    ``norm_squared`` is derived from the amplitudes when they are checked,
+    as one pairwise sum of re^2 + im^2 over their float view; it is neither
+    an argument nor assignable.  Only a sum that is not finite calls for the
+    per-entry finiteness check, so a NaN or an infinite entry fails as not
+    finite, and finite entries whose squares overflow fail the norm bound.
+    The amplitudes are always a read-only complex128 copy.  States compare
+    and hash by identity.
     """
 
     amplitudes: np.ndarray
@@ -299,10 +303,11 @@ class StateVector:
         amps = _frozen_array("amplitudes", self.amplitudes, complex)
         if amps.ndim != 1 or amps.size < 3:
             raise ConfigurationError("amplitudes must be a vector over >= 3 basis states")
-        if not np.isfinite(amps.view(float)).all():
+        with np.errstate(over="ignore"):  # finite entries of 1e200 square past the float range
+            n2 = float(np.square(amps.view(float)).sum())
+        if not math.isfinite(n2) and not np.isfinite(amps.view(float)).all():
             raise ConfigurationError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
-        n2 = float((abs(amps) ** 2).sum())
         object.__setattr__(self, "norm_squared", n2)
         if self.normalized:
             if abs(n2 - 1.0) > UNIT_NORM_SLACK:

@@ -192,8 +192,9 @@ def _kernel_terms(omega2, gamma_decay: float, kappa: float, t, photon: bool = Tr
     its cos(nu*t) is never taken.  A zero rate takes no exp and equal rates
     (d = 0) no expm1: exp(-0.0*t) is 1.0 + 0.0*t and expm1(0.0*t) is 0.0*t,
     bit for bit, for every t (0, subnormal, inf and NaN included), on floats
-    and on columns.  Equal rates take one exp: where Gamma + kappa is
-    finite, -(Gamma + kappa)/2 is exactly -Gamma, so E is dark to the bit.
+    and on columns.  Equal rates take one exp: -(Gamma + kappa)/2, and
+    -(Gamma/2 + kappa/2) where the sum overflows, is exactly -Gamma, so E
+    is dark to the bit.
     So a lossless column maps only the two sines (once per distinct phase),
     and the cos with ``photon``.
     """
@@ -201,8 +202,11 @@ def _kernel_terms(omega2, gamma_decay: float, kappa: float, t, photon: bool = Tr
     d = (kappa - gamma_decay) / 2.0
     nu2 = omega2 - d * d
     dark = exp(-gamma_decay * t) if gamma_decay else 1.0 + 0.0 * t
-    matched = gamma_decay == kappa and gamma_decay + kappa < math.inf
-    joint = decay = dark if matched else exp(-(gamma_decay + kappa) / 2.0 * t)
+    # E's rate (Gamma + kappa)/2, halved first where the sum overflows, lest
+    # E = exp(-inf*t) be NaN at t = 0; equal rates give exactly Gamma either way
+    total = gamma_decay + kappa
+    rate = total / 2.0 if total < math.inf else gamma_decay / 2.0 + kappa / 2.0
+    joint = decay = dark if gamma_decay == kappa else exp(-rate * t)
     if libm is _COLUMN_LIBM or nu2 > 0.0:
         nu = sqrt(nu2)
         sinc, half = sin(nu * t) / nu, sin(nu * t / 2.0)
@@ -309,15 +313,16 @@ def evolve(state: StateVector, config: SystemConfig, t: float) -> StateVector:
     dark, qubit, edge, photon = _no_click_kernel(
         config.omega * config.omega, config.gamma_decay, config.kappa, t
     )
-    amps = np.array(state.amplitudes)
-    x, p = amps[1:-1], amps[-1]
+    x, p = state.amplitudes[1:-1], state.amplitudes[-1]
     s = g @ x
-    # x <- dark*x + qubit*(g*s) + edge*(g*p), in place through one buffer:
-    # only the factors of a product swap places, so each entry keeps the bits
-    # of that sum.  qubit*(g*s) keeps the product order of U[j, k] =
-    # qubit*(g_j*g_k), so the excited-input column is bit-identical to
-    # closed_form_propagator's
-    x *= dark
+    amps = np.empty_like(state.amplitudes)
+    amps[0] = state.amplitudes[0]
+    # x <- dark*x + qubit*(g*s) + edge*(g*p), in place through the output
+    # buffer that dark*x is written into: only the factors of a product swap
+    # places, so each entry keeps the bits of that sum.  qubit*(g*s) keeps the
+    # product order of U[j, k] = qubit*(g_j*g_k), so the excited-input column
+    # is bit-identical to closed_form_propagator's
+    x = np.multiply(x, dark, out=amps[1:-1])
     term = np.multiply(g, s)
     term *= qubit
     x += term

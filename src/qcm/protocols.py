@@ -14,13 +14,14 @@ back in vacuum:
 
 Both cost O(M): ``evolve`` applies the closed form's rank-two structure to
 the input without building the (M+1)^2 propagator, and one vectorised
-``reduced_qubit_density`` call reduces every qubit, so the large registers
-where the paper places its robustness claims are reachable (one
-``generate_w_state`` and ``run_anticlone`` pair at M = 10^5 takes about
-10 ms).  ``qcm wstate`` and the pipeline check of ``qcm anticlone`` run
-the same arithmetic batched, in ``w_state_columns`` and
-``anticlone_fidelities``, in O(1) per register: the M-1 partners couple
-alike, so a star register holds only three distinct amplitudes.
+``reduced_qubit_density`` call reduces every qubit straight off the qubit
+amplitudes, so the large registers where the paper places its robustness
+claims are reachable (one ``generate_w_state`` and ``run_anticlone`` pair
+takes about 10 ms at M = 10^5 and 0.15 s at M = 10^6).  ``qcm wstate``
+and the pipeline check of ``qcm anticlone`` run the same arithmetic
+batched, in ``w_state_columns`` and ``anticlone_fidelities``, in O(1) per
+register: the M-1 partners couple alike, so a star register holds only
+three distinct amplitudes.
 ``generate_w_state`` and ``run_anticlone``, the one-register routes, are
 the references they are tested against.
 
@@ -305,7 +306,7 @@ def w_state_columns(m: np.ndarray, r: np.ndarray, m_odd: int = 1) -> tuple:
     return tau_star, a1, a, kinds, ok
 
 
-def reduced_qubit_density(state: StateVector, j: int | np.ndarray) -> np.ndarray:
+def reduced_qubit_density(state: StateVector, j: int | np.ndarray | None = None) -> np.ndarray:
     """Reduced 2x2 density matrix of qubit j, tracing out the rest.
 
     Within the zero/one-excitation sector the only basis state with qubit j
@@ -316,14 +317,18 @@ def reduced_qubit_density(state: StateVector, j: int | np.ndarray) -> np.ndarray
 
     ``j`` may also be an integer index array; the result then has shape
     (..., 2, 2), one density per index, for one O(M) pass over the state.
+    Without ``j`` every qubit is reduced, in order, into an (M, 2, 2) stack
+    read straight off the state's qubit amplitudes, with no index array.
     """
-    m = state.m
-    index = np.asarray(j)
-    if not (index.dtype.kind in "iu" and index.min(initial=1) >= 1 and index.max(initial=m) <= m):
-        raise ConfigurationError(f"qubit index {j} is not an integer in 1..{m}")
+    m, qubits = state.m, state.amplitudes[1:-1]
+    if j is not None:
+        index = np.asarray(j)
+        if not (index.dtype.kind in "iu" and index.min(initial=1) >= 1 and index.max(initial=m) <= m):
+            raise ConfigurationError(f"qubit index {j} is not an integer in 1..{m}")
+        qubits = state.amplitudes[index]
     if state.norm_squared <= ZERO_NORM_FLOOR:
         raise ConfigurationError("cannot reduce a zero-norm state")
-    return _qubit_densities(state.amplitudes[0], state.amplitudes[index], state.norm_squared)
+    return _qubit_densities(state.amplitudes[0], qubits, state.norm_squared)
 
 
 def _qubit_densities(ground, qubits, norm_squared) -> np.ndarray:
@@ -470,7 +475,7 @@ def run_anticlone(m: int, scheme: CouplingScheme, alpha: float = 0.0) -> Protoco
     report's fidelities match ``fidelity_curve`` to 1e-12.
     """
     head, state = _trapped_step(m, scheme, np.pi / 2.0, alpha)
-    rho = reduced_qubit_density(state, np.arange(1, state.m + 1))
+    rho = reduced_qubit_density(state)
     # branch amplitudes with the input superposition factors stripped off
     rescale = np.sqrt(2.0) * np.exp(-1j * alpha)
     a1, a = state.amplitudes[1] * rescale, state.amplitudes[2] * rescale

@@ -427,7 +427,17 @@ INVARIANT_CASES = [
             ("nan", [np.nan, 0, 0], "amplitudes must be finite"),
             ("inf", [1, complex(0, np.inf), 0], "amplitudes must be finite"),
             ("norm", [1, 1, 0], "normalized state has |norm^2 - 1| = 1.000e+00"),
+            # finite entries whose squares overflow fail the norm bound, with no
+            # numpy warning; a non-finite entry still fails as not finite first
+            ("overflow", [1e200, 0, 0], "normalized state has |norm^2 - 1| = inf"),
+            ("nan-overflow", [1e200, np.nan, 0], "amplitudes must be finite"),
         )
+    ),
+    (
+        "conditional-overflow",
+        StateVector,
+        dict(amplitudes=[1e200, 0, 0], normalized=False),
+        "conditional state has norm^2 = inf > 1",
     ),
     # just past the unit-norm slack, each way
     (

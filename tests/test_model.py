@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -139,8 +140,14 @@ def test_sorted_distinct_is_np_unique():
 
 class TestStateVector:
     def test_norm_squared_is_derived(self):
-        state = StateVector(np.array([0.6, 0.0, 0.8j]))
-        assert state.norm_squared == float(np.sum(np.abs(state.amplitudes) ** 2))
+        # one pairwise sum of re^2 + im^2 over the float view, within 2 ulps of
+        # the exact sum
+        rng = np.random.default_rng(0)
+        raw = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+        state = StateVector(raw / np.linalg.norm(raw))
+        parts = state.amplitudes.view(float)
+        assert state.norm_squared == float(np.square(parts).sum())
+        assert abs(state.norm_squared - math.fsum(parts * parts)) <= 4.5e-16
         half = StateVector(np.array([0.5, 0.5, 0.0]), normalized=False)
         assert half.norm_squared == 0.5
         with pytest.raises(TypeError):
@@ -208,6 +215,9 @@ class TestStateVector:
         for bad in (np.nan, complex(0.0, np.inf), complex(0.6, np.nan), -np.inf):
             with pytest.raises(ValueError, match="^amplitudes must be finite$"):
                 StateVector(np.array([0.8, 0.0, bad]))
+            # a non-finite entry fails as such, before squares that overflow
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                StateVector(np.array([1e200, 0.0, bad]), normalized=False)
         with pytest.raises(ValueError):
             GeneratorMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]), kind="hermitian")
 

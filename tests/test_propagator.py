@@ -693,21 +693,33 @@ class TestKernelZeroRates:
         assert all(entries == size > 0 for _, entries, size in maps)
         assert max(size for *_, size in maps) >= propagator.DISTINCT_MIN_ENTRIES
 
-    @pytest.mark.parametrize("rate, exps", [(5e-324, 1), (1e308, 2)])
-    def test_matched_rates_take_one_exp(self, monkeypatch, rate, exps):
-        # -(Gamma + kappa)/2 is -Gamma to the bit while Gamma + kappa is finite;
-        # past it E = exp(-inf*t) is not dark, and the kernel takes its own exp
+    @pytest.mark.parametrize("rate", [5e-324, 1e308])
+    def test_matched_rates_take_one_exp(self, monkeypatch, rate):
+        # -(Gamma + kappa)/2 is -Gamma to the bit while Gamma + kappa is finite,
+        # and so is -(Gamma/2 + kappa/2), E's rate where the sum overflows
+        total = rate + rate
+        assert (total / 2.0 if total < math.inf else rate / 2.0 + rate / 2.0) == rate
         t = [0.0, 5e-324, 1e-308, 0.5, 2.0, 1e300]
-        dark = [math.exp(-rate * x) for x in t]
-        joint = [math.exp(-(rate + rate) / 2.0 * x) for x in t]
-        assert (float_bits(dark) == float_bits(joint)) == (exps == 1)
         maps = spy_on_entries(monkeypatch)
-        with np.errstate(over="ignore", invalid="ignore"):  # -inf*0.0 is NaN on both routes
+        with np.errstate(over="ignore"):  # -1e308*1e300 overflows on both routes
             terms = _kernel_terms(np.full(len(t), 3.0), rate, rate, np.array(t))
-        assert [name for name, *_ in maps].count("exp") == exps
+        assert [name for name, *_ in maps].count("exp") == 1
         rows = [_kernel_terms(3.0, rate, rate, x) for x in t]
         for k, column in enumerate(terms):
             assert float_bits(column) == float_bits([row[k] for row in rows])
+        # U(0) is the identity on both routes: (dark, qubit, E*S, photon) = (1, 0, 0, 1)
+        assert [float(column[0]) for column in terms] == [1.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("rates", [(1e308, 1e308), (1.5e308, 1e308), (1e308, 1.5e308)])
+    def test_rates_whose_sum_overflows_start_at_the_identity(self, rates):
+        # with E's rate (Gamma + kappa)/2 = inf, E(0) would be exp(-inf*0.0) = NaN
+        # and the propagator would refuse it; past overflow the rate is halved first
+        config = star_config(2, 1.0, *rates)
+        assert closed_form_propagator(config, 0.0).matrix.tolist() == np.eye(3).tolist()
+        state = initial_state(1.1, 0.4, config)
+        assert evolve(state, config, 0.0).amplitudes.tolist() == state.amplitudes.tolist()
+        # later the excitation has decayed away, to no norm at all
+        assert np.abs(closed_form_propagator(config, 1.0).matrix).max() == 0.0
 
     @pytest.mark.parametrize("routine", [math.sin, math.cos])
     def test_per_distinct_map_is_the_per_entry_map(self, routine):

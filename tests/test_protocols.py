@@ -235,6 +235,17 @@ class TestGenerateWState:
             )
             assert abs(state.amplitudes[m + 1]) < 1e-12
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES + (CouplingScheme.custom(1.7),), ids=scheme_id)
+    def test_amplitudes_are_the_propagators_first_column(self, scheme):
+        # evolve writes dark*x into its output buffer and adds the coupled terms
+        # in U's own product order, so the trapped state has U's bits
+        for m in range(2, 17):
+            state, report = generate_w_state(m, scheme)
+            config = star_config(m, report.r)
+            column = closed_form_propagator(config, report.trapping_time).matrix[:, 0]
+            assert state.amplitudes[0] == 0.0
+            assert state.amplitudes[1:].tobytes() == column.tobytes()
+
     def test_partner_exchange_symmetry(self):
         # partners all couple identically, so their amplitudes coincide
         state, _ = generate_w_state(9, CouplingScheme.custom(1.7))
@@ -350,6 +361,9 @@ class TestReducedQubitDensity:
             for j in indices:
                 expected = divided_densities(c[0], c[j], state.norm_squared)
                 assert same_bits(reduced_qubit_density(state, j), expected)
+            # without an index every qubit is reduced, as the full index array reduces it
+            every = reduced_qubit_density(state)
+            assert every.tobytes() == reduced_qubit_density(state, np.arange(1, m + 1)).tobytes()
 
     def test_index_validation(self):
         state = initial_state(0.0, 0.0, star_config(2, 1.0))
@@ -521,7 +535,7 @@ class TestRunAnticlone:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=scheme_id)
     def test_large_registers_against_the_references(self, scheme):
         # the paper's regime: fidelities within 1e-15 of stack, divide and einsum
-        for m in (4096, 10**4):
+        for m in (256, 1024, 2048, 4096, 10**4):
             f_target, f_input = fidelity_curve(m, scheme)
             fidelities = run_anticlone(m, scheme, alpha=0.7).fidelities
             reference = divided_run_anticlone(m, scheme, 0.7)
