@@ -467,6 +467,16 @@ def _rk4_blocks(h: np.ndarray, states: np.ndarray, m: np.ndarray, t, dt: float) 
     return np.concatenate(rk4_propagate_many(blocks, vectors, t, dt=dt))
 
 
+def _count_groups(m: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(count, trial indices) of each distinct qubit count of m, counts ascending,
+    from one stable argsort and the bounds of its runs; each group's indices
+    ascend, so a stack taken with them keeps trial order."""
+    order = np.argsort(m, kind="stable")
+    counts = sorted_distinct(m).tolist()
+    bounds = np.searchsorted(m[order], counts).tolist() + [m.size]
+    return [(count, order[a:b]) for count, a, b in zip(counts, bounds, bounds[1:])]
+
+
 def _matrix_suites(trials: int, rng, inject_fault: str | None) -> dict[str, float]:
     """Unitarity, closed-vs-eigendecomposition and group-property defects."""
     m, g, t = np.zeros(trials, np.int64), np.zeros((trials, 16)), np.zeros((trials, 3))
@@ -479,17 +489,17 @@ def _matrix_suites(trials: int, rng, inject_fault: str | None) -> dict[str, floa
     worst = {"unitarity": 0.0, "closed_vs_expm": 0.0, "group_property": 0.0}
     # matrix products and eigh on same-shape stacks only: zero-padding would
     # change their summation order, hence their bits
-    for count in sorted_distinct(m).tolist():
-        idx, block = np.flatnonzero(m == count), slice(-count - 1, None)
+    for count, idx in _count_groups(m):
+        block = slice(-count - 1, None)
         u1, u2, u12 = u[:, idx, block, block]
         # expm_hermitian checks each generator block it is given
         defects = {
-            "unitarity": np.swapaxes(u1.conj(), -1, -2) @ u1 - np.eye(count + 1),
+            "unitarity": u1.conj().swapaxes(-1, -2) @ u1 - np.eye(count + 1),
             "closed_vs_expm": u1 - expm_hermitian(h[idx, block, block], t[idx, 0]),
             "group_property": u1 @ u2 - u12,
         }
         for suite, defect in defects.items():
-            worst[suite] = max(worst[suite], float(np.max(np.abs(defect))))
+            worst[suite] = max(worst[suite], float(abs(defect).max()))
     return worst
 
 
@@ -507,11 +517,11 @@ def _rk4_suite(trials: int, rng, inject_fault: str | None) -> float:
     _check_generators(h, "hermitian")
     for state, count in zip(states, m.tolist()):
         state[: count + 1] /= np.linalg.norm(state[: count + 1])
-    for count in sorted_distinct(m).tolist():
-        idx, block = np.flatnonzero(m == count), slice(-count - 1, None)
+    for count, idx in _count_groups(m):
+        block = slice(-count - 1, None)
         closed[idx, : count + 1] = (u[idx, block, block] @ states[idx, : count + 1, None])[..., 0]
     integrated = _rk4_blocks(h, states, m, t, RK4_DT)
-    return float(np.max(np.abs(closed[np.arange(17) <= m[:, None]] - integrated)))
+    return float(abs(closed[np.arange(17) <= m[:, None]] - integrated).max())
 
 
 def _conditional_suite(trials: int, rng) -> float:
@@ -537,7 +547,7 @@ def _conditional_suite(trials: int, rng) -> float:
     amplitudes = map(conditional_amplitudes, *zip(*params), t.tolist())
     # each trial's block in trial order: b1, b on the M - 1 partners, the photon
     predicted = [[a.b1, *[a.b] * (a.m - 1), a.b_photon] for a in amplitudes]
-    return float(np.max(np.abs(np.concatenate(predicted) - integrated)))
+    return float(abs(np.concatenate(predicted) - integrated).max())
 
 
 def run_check_suites(

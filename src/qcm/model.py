@@ -149,12 +149,11 @@ def check_odd_index(m_odd) -> int:
     return index
 
 
-def _frozen_array(name: str, values, dtype: type) -> np.ndarray:
-    """The input rule for a record's array field: ``values`` as a read-only
-    copy of ``dtype``, float or complex.  Its numpy dtype kind must be int or
-    float, or complex too for a complex field; a bool, a str, bytes, an
-    object, a time or a ragged sequence raises a ConfigurationError that
-    names the field."""
+def _number_array(name: str, values, dtype: type) -> np.ndarray:
+    """The array rule: ``values`` as an array, not copied, of a numpy dtype
+    kind int or float, or complex too where ``dtype`` is complex; a bool, a
+    str, bytes, an object, a time or a ragged sequence raises a
+    ConfigurationError that names the argument."""
     number, kinds = ("complex", "iufc") if dtype is complex else ("real", "iuf")
     try:
         array = np.asarray(values)
@@ -162,7 +161,13 @@ def _frozen_array(name: str, values, dtype: type) -> np.ndarray:
         raise ConfigurationError(f"{name} must be {number}, got a ragged sequence") from None
     if array.dtype.kind not in kinds:
         raise ConfigurationError(f"{name} must be {number}, got {array.dtype}")
-    array = np.array(array, dtype=dtype)
+    return array
+
+
+def _frozen_array(name: str, values, dtype: type) -> np.ndarray:
+    """The input rule for a record's array field: ``_number_array``'s array as
+    a read-only copy of ``dtype``, float or complex."""
+    array = np.array(_number_array(name, values, dtype), dtype=dtype)
     array.flags.writeable = False
     return array
 

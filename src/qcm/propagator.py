@@ -32,9 +32,11 @@ from .model import (
     SystemConfig,
     _check_generators,
     _freeze_matrix,
+    _number_array,
     check_non_negative,
     check_odd_index,
     check_positive,
+    check_scalar,
     sorted_distinct,
 )
 
@@ -353,25 +355,27 @@ def expm_hermitian(matrix: np.ndarray, t) -> np.ndarray:
     """exp(-i*matrix*t) for Hermitian ``matrix`` (or a stack, t (...,)) via eigh.
 
     ``matrix`` is checked as ``GeneratorMatrix`` checks a Hermitian generator,
-    since eigh reads only one triangle of whatever it is given.
+    since eigh reads only one triangle of whatever it is given; each time
+    follows the scalar rule (real, not a bool) and must be finite and >= 0.
     """
-    matrix = np.asarray(matrix)
-    t = np.asarray(t, dtype=float)
+    matrix = _number_array("matrix", matrix, complex)
+    t = _real_times(t)
     if not _stack_shapes_fit(matrix.shape, t.shape):
         raise ConfigurationError(
             f"shapes {matrix.shape} and {t.shape} do not fit matrices (..., d, d) and times (...)"
         )
     _check_generators(matrix, "hermitian")
-    for time in t.reshape(-1).tolist():
-        check_non_negative("time", time)
+    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
+        for time in t.reshape(-1).tolist():
+            check_non_negative("time", time)
     eigvals, vecs = np.linalg.eigh(matrix)
     with np.errstate(over="ignore"):
-        overflowed = np.isinf(eigvals * t[..., None]).any(axis=-1)
-    if overflowed.any():
+        phases = eigvals * t[..., None]
+    if np.isinf(phases).any():
+        overflowed = np.isinf(phases).any(axis=-1)
         time = np.broadcast_to(t, overflowed.shape)[overflowed][0]
         raise ConfigurationError(f"time {time} is too large: the phase eigenvalue*t overflows")
-    phases = np.exp(-1j * eigvals * t[..., None])[..., None, :]
-    return (vecs * phases) @ np.swapaxes(vecs.conj(), -1, -2)
+    return (vecs * np.exp(-1j * phases)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def evolve_oracle_expm(generator: GeneratorMatrix, state: StateVector, t: float) -> StateVector:
@@ -390,6 +394,57 @@ def evolve_oracle_expm(generator: GeneratorMatrix, state: StateVector, t: float)
     return StateVector(amplitudes=amps, normalized=state.normalized)
 
 
+def _real_times(t) -> np.ndarray:
+    """The oracles' times as a float64 array, each entry real and not a bool
+    (the scalar rule); anything else raises a ConfigurationError that names
+    the time."""
+    return np.asarray(_number_array("time", t, float), dtype=float)
+
+
+def _step_counts(t: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(h, n) of each time t: n = ceil(t/dt) RK4 steps (t/dt rounded to 9
+    decimals first) of size h = t/n <= dt, hitting t exactly; n = 0 at t = 0."""
+    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
+        raise ConfigurationError("times must be finite and >= 0")
+    with np.errstate(over="ignore"):
+        ratio = t / dt
+    if np.any(ratio > 2**53):  # past it the int64 step count is not exact, or overflows
+        raise ConfigurationError(
+            f"t / dt must be at most 2**53 steps, got t = {t.max()} and dt = {dt}"
+        )
+    n = np.ceil(np.round(ratio, 9)).astype(np.int64)
+    return t / np.maximum(n, 1), n
+
+
+def _rk4_power(g: np.ndarray, psi: np.ndarray, h: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """T(h)^n psi, row by row, for generators g (..., d, d) and amplitudes psi
+    (..., d): row i of a matrix takes the step size h[..., i] and the step
+    count n[..., i] (h and n (..., d), or (..., 1) for one per matrix).
+
+    A = -i*h*G scales each row by its own h, and the step matrix T and its
+    squarings T^(2^bit) are products of A, so a matrix that holds several
+    instances as diagonal blocks keeps them apart: every entry off the
+    blocks is a sum of terms with a zero factor, and stays exactly zero.
+    Rows whose n has a bit set take that bit's power.
+    """
+    # overflow of an unstable run is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = -1j * h[..., None] * g
+        eye = np.eye(g.shape[-1])
+        # numpy divides a complex x by c + 0j as x * (1/c) (Smith's algorithm):
+        # the product gives the same values without the complex division
+        step = eye + a @ (eye + a @ (eye + a @ (eye + a * 0.25) * (1.0 / 3.0)) * 0.5)
+        # the take mask of every bit in one shift; step holds T^(2^bit)
+        takes = ((n[..., None] >> np.arange(int(n.max(initial=0)).bit_length())) & 1).astype(bool)
+        for bit in range(takes.shape[-1]):
+            if bit:
+                step = step @ step
+            psi = np.where(takes[..., bit], np.matmul(step, psi[..., None])[..., 0], psi)
+    if not np.isfinite(psi).all():
+        raise FloatingPointError("RK4 produced non-finite amplitudes; reduce dt")
+    return psi
+
+
 def rk4_propagate(
     generator: np.ndarray,
     amplitudes: np.ndarray,
@@ -403,6 +458,9 @@ def rk4_propagate(
     instance takes n = ceil(t/dt) steps of size h = t/n <= dt, hitting its
     endpoint exactly; an instance with n = 0 returns its input unchanged.
     No renormalization is applied, so conditional norms decay naturally.
+    Generators and amplitudes follow the array rule and must be finite, and
+    each time the scalar rule; a run that overflows from finite input raises
+    FloatingPointError.
 
     For a constant generator one RK4 step is exactly psi <- T(h) psi with
     the degree-4 Taylor polynomial T = 1 + A + A^2/2 + A^3/6 + A^4/24 of
@@ -413,39 +471,47 @@ def rk4_propagate(
     the oracle stays independent of the closed forms.
     """
     check_positive("dt", dt)
-    g = np.asarray(generator, dtype=complex)
-    psi = np.array(amplitudes, dtype=complex)
-    t_arr = np.asarray(t, dtype=float)
-    if not _stack_shapes_fit(g.shape, t_arr.shape, psi.shape):
+    g = np.asarray(_number_array("generator", generator, complex), dtype=complex)
+    psi = np.array(_number_array("amplitudes", amplitudes, complex), dtype=complex)
+    t = _real_times(t)
+    if not _stack_shapes_fit(g.shape, t.shape, psi.shape):
         raise ConfigurationError(
-            f"shapes {g.shape}, {psi.shape} and {t_arr.shape} do not fit generators "
+            f"shapes {g.shape}, {psi.shape} and {t.shape} do not fit generators "
             "(..., d, d), amplitudes (..., d) and times (...)"
         )
-    if np.any(t_arr < 0.0) or not np.all(np.isfinite(t_arr)):
-        raise ConfigurationError("times must be finite and >= 0")
-    with np.errstate(over="ignore"):
-        ratio = t_arr / dt
-    if np.any(ratio > 2**53):  # past it the int64 step count is not exact, or overflows
-        raise ConfigurationError(
-            f"t / dt must be at most 2**53 steps, got t = {t_arr.max()} and dt = {dt}"
-        )
-    n_steps = np.ceil(np.round(ratio, 9)).astype(np.int64)
-    h = t_arr / np.maximum(n_steps, 1)
+    h, n = _step_counts(t, dt)
+    _check_rk4_input(g, psi)
+    return _rk4_power(g, psi, h[..., None], n[..., None])
 
-    # overflow of an unstable run is caught by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = -1j * h[..., None, None] * g
-        eye = np.eye(g.shape[-1])
-        step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-        # step holds T^(2^bit); instances whose n has that bit set take it
-        for bit in range(int(np.max(n_steps, initial=0)).bit_length()):
-            if bit:
-                step = step @ step
-            take = ((n_steps >> bit) & 1).astype(bool)[..., None]
-            psi = np.where(take, np.matmul(step, psi[..., None])[..., 0], psi)
-    if not np.all(np.isfinite(psi)):
-        raise FloatingPointError("RK4 produced non-finite amplitudes; reduce dt")
-    return psi
+
+def _check_rk4_input(g: np.ndarray, psi: np.ndarray) -> None:
+    """The RK4 oracle's generators and amplitudes must be finite: a NaN would
+    end as a FloatingPointError blamed on dt, and in a packed batch it would
+    spread to the instance's bin-mates (0*NaN is NaN)."""
+    if not np.isfinite(g).all():
+        raise ConfigurationError("generator must have finite entries")
+    if not np.isfinite(psi).all():
+        raise ConfigurationError("amplitudes must be finite")
+
+
+def _first_fit_decreasing(dims: list[int], width: int) -> list[tuple[int, int]]:
+    """(bin, offset) of each instance of dimension dims[i] in bins of ``width``
+    rows: largest first, each at the end of the first bin with room, or at
+    offset 0 of a new bin.  Bins only fill, so among equal dimensions the
+    search resumes where the last one stopped."""
+    rooms, places = [], [(0, 0)] * len(dims)
+    first, last = 0, None
+    for i in sorted(range(len(dims)), key=dims.__getitem__, reverse=True):
+        d = dims[i]
+        if d != last:
+            first, last = 0, d
+        while first < len(rooms) and rooms[first] < d:
+            first += 1
+        if first == len(rooms):
+            rooms.append(width)
+        places[i] = (first, width - rooms[first])
+        rooms[first] -= d
+    return places
 
 
 def rk4_propagate_many(
@@ -456,36 +522,57 @@ def rk4_propagate_many(
 ) -> list[np.ndarray]:
     """RK4-integrate independent instances of mixed dimension in one batch.
 
-    Instances are zero-padded to the largest dimension so one batched
-    step-matrix power serves all (the padding stays exactly zero), then
-    sliced back.  Results are identical to per-instance ``rk4_propagate``
-    calls up to floating-point summation order.
+    Each instance becomes a diagonal block of a d_max x d_max matrix, packed
+    first-fit decreasing (``_first_fit_decreasing``), so that several small
+    instances share one matrix; each row keeps its own instance's step size
+    and step count, and one step-matrix power serves every bin
+    (``_rk4_power``).  Instances never mix: the entries off the blocks stay
+    exactly zero.  An instance that opens a bin holds the same values at the
+    same positions as in a zero-padded ``rk4_propagate`` stack, so it gets
+    the same bits; one at an offset may differ in the last bits.  A step
+    matrix that overflows spreads NaN through its bin (inf*0 is NaN), so a
+    bin-mate that takes a later power raises FloatingPointError with it.
     """
     count = len(generators)
     if count != len(amplitude_vectors):
         raise ConfigurationError("generators and amplitude vectors must pair up")
-    times = np.asarray(times, dtype=float)
+    times = _real_times(times)
     if times.shape != (count,):
         raise ConfigurationError(f"need one time per generator, got {times.size} for {count}")
     if count == 0:
         return []
-    dims = []
+    gens, vecs = [], []
     for i, (gen, vec) in enumerate(zip(generators, amplitude_vectors)):
-        square, vector = np.asarray(gen).shape, np.asarray(vec).shape
-        if len(vector) != 1 or square != vector * 2:
+        gen = _number_array(f"instance {i}: generator", gen, complex)
+        vec = _number_array(f"instance {i}: amplitudes", vec, complex)
+        if vec.ndim != 1 or gen.shape != vec.shape * 2:
             raise ConfigurationError(
-                f"instance {i}: shapes {square} and {vector} do not fit a generator (d, d) "
+                f"instance {i}: shapes {gen.shape} and {vec.shape} do not fit a generator (d, d) "
                 "and amplitudes (d,)"
             )
-        dims += vector
-    d_max = max(dims)
-    g = np.zeros((count, d_max, d_max), dtype=complex)
-    psi = np.zeros((count, d_max), dtype=complex)
-    for i, (gen, vec) in enumerate(zip(generators, amplitude_vectors)):
-        g[i, : dims[i], : dims[i]] = gen
-        psi[i, : dims[i]] = vec
-    out = rk4_propagate(g, psi, times, dt)
-    return [out[i, : dims[i]] for i in range(count)]
+        gens.append(gen)
+        vecs.append(vec)
+    check_positive("dt", dt)
+    h, n = _step_counts(times, dt)
+    dims = [vec.size for vec in vecs]
+    width = max(dims)
+    places = _first_fit_decreasing(dims, width)
+    bins = 1 + max(k for k, _ in places)
+    g = np.zeros((bins, width, width), dtype=complex)
+    for gen, d, (k, offset) in zip(gens, dims, places):
+        g[k, offset : offset + d, offset : offset + d] = gen
+    # each instance's rows among the bins' rows laid end to end, in instance order
+    ends = np.cumsum(dims)
+    first = [k * width + offset for k, offset in places]
+    rows = np.repeat(np.subtract(first, ends - dims), dims) + np.arange(ends[-1])
+    psi = np.zeros(bins * width, dtype=complex)
+    h_rows, n_rows = np.zeros(bins * width), np.zeros(bins * width, dtype=np.int64)
+    psi[rows] = np.concatenate(vecs)
+    h_rows[rows], n_rows[rows] = np.repeat(h, dims), np.repeat(n, dims)
+    psi, h_rows, n_rows = (a.reshape(bins, width) for a in (psi, h_rows, n_rows))
+    _check_rk4_input(g, psi)
+    out = _rk4_power(g, psi, h_rows, n_rows).reshape(-1)[rows]
+    return [out[end - d : end] for d, end in zip(dims, ends.tolist())]
 
 
 def evolve_oracle_rk4(
@@ -501,8 +588,9 @@ def evolve_oracle_rk4(
     """
     if state.m != generator.m:
         raise ConfigurationError(f"state is for M={state.m} qubits, generator for M={generator.m}")
+    check_scalar("time", t)
     amps = np.array(state.amplitudes)
-    amps[1:] = rk4_propagate(generator.matrix, amps[1:], float(t), dt)
+    amps[1:] = rk4_propagate(generator.matrix, amps[1:], t, dt)
     # a coarse step drifts the norm below 1 even for a hermitian generator,
     # so the flag follows the measured norm rather than the generator kind
     norm2 = float(np.sum(np.abs(amps) ** 2))

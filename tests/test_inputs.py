@@ -551,6 +551,144 @@ INVARIANT_CASES = [
             ("stack", PAIR, np.ones((2, 2)), "(2, 2, 2) and (2, 2)"),
         )
     ),
+    # every oracle time follows the scalar rule: real, not a bool
+    *(
+        (
+            f"{name}-time-{label}",
+            call,
+            dict(arguments, **{argument: bad}),
+            f"time must be real, got {kind}",
+        )
+        for name, call, arguments, argument in (
+            ("rk4_propagate", rk4_propagate, dict(generator=np.eye(2), amplitudes=np.ones(2)), "t"),
+            ("expm_hermitian", expm_hermitian, dict(matrix=np.eye(2)), "t"),
+            (
+                "rk4_propagate_many",
+                rk4_propagate_many,
+                dict(generators=[np.eye(2)], amplitude_vectors=[np.ones(2)]),
+                "times",
+            ),
+        )
+        for label, bad, kind in (
+            ("str", "1.0", "<U3"),
+            ("bool", True, "bool"),
+            ("complex", 0.5j, "complex128"),
+            ("ragged", [0.5, [0.5]], "a ragged sequence"),
+        )
+    ),
+    *(
+        (
+            f"evolve_oracle_rk4-time-{type(bad).__name__}",
+            evolve_oracle_rk4,
+            dict(generator=HERMITIAN, state=STATE, t=bad),
+            f"time must be a real scalar, got {bad!r}",
+        )
+        for bad in ("0.5", True, 0.5j)
+    ),
+    # the oracles' arrays follow the array rule and must be finite; a NaN is no
+    # FloatingPointError blamed on dt
+    *(
+        (f"{name}-{label}", call, arguments, message)
+        for name, call, label, arguments, message in (
+            (
+                "rk4_propagate",
+                rk4_propagate,
+                "str",
+                dict(generator=np.full((2, 2), "a"), amplitudes=np.ones(2), t=0.5),
+                "generator must be complex, got <U1",
+            ),
+            (
+                "rk4_propagate",
+                rk4_propagate,
+                "ragged-generator",
+                dict(generator=[[1, 0], [0]], amplitudes=np.ones(2), t=0.5),
+                "generator must be complex, got a ragged sequence",
+            ),
+            (
+                "rk4_propagate",
+                rk4_propagate,
+                "ragged-amplitudes",
+                dict(generator=np.eye(2), amplitudes=[1, [0, 1]], t=0.5),
+                "amplitudes must be complex, got a ragged sequence",
+            ),
+            (
+                "rk4_propagate",
+                rk4_propagate,
+                "nan-generator",
+                dict(generator=[[np.nan, 0], [0, 0]], amplitudes=[1, 0], t=1.0),
+                "generator must have finite entries",
+            ),
+            (
+                "rk4_propagate",
+                rk4_propagate,
+                "nan-amplitudes",
+                dict(generator=np.eye(2), amplitudes=[np.nan, 0], t=0.0),
+                "amplitudes must be finite",
+            ),
+            (
+                "rk4_propagate_many",
+                rk4_propagate_many,
+                "bool-generator",
+                dict(
+                    generators=[np.eye(2), np.eye(2, dtype=bool)],
+                    amplitude_vectors=[np.ones(2)] * 2,
+                    times=[0.5, 0.5],
+                ),
+                "instance 1: generator must be complex, got bool",
+            ),
+            (
+                "rk4_propagate_many",
+                rk4_propagate_many,
+                "str-amplitudes",
+                dict(
+                    generators=[np.eye(2)] * 2,
+                    amplitude_vectors=[np.ones(2), ["a", "b"]],
+                    times=[0.5, 0.5],
+                ),
+                "instance 1: amplitudes must be complex, got <U1",
+            ),
+            (
+                "rk4_propagate_many",
+                rk4_propagate_many,
+                "ragged-amplitudes",
+                dict(
+                    generators=[np.eye(2)] * 2,
+                    amplitude_vectors=[np.ones(2), [1, [0, 1]]],
+                    times=[0.5, 0.5],
+                ),
+                "instance 1: amplitudes must be complex, got a ragged sequence",
+            ),
+            (
+                "rk4_propagate_many",
+                rk4_propagate_many,
+                "inf-generator",
+                dict(
+                    generators=[np.eye(2), [[np.inf, 0], [0, 0]]],
+                    amplitude_vectors=[np.ones(2)] * 2,
+                    times=[0.5, 0.5],
+                ),
+                "generator must have finite entries",
+            ),
+            (
+                "rk4_propagate_many",
+                rk4_propagate_many,
+                "nan-amplitudes",
+                dict(
+                    generators=[np.eye(2)] * 2,
+                    amplitude_vectors=[np.ones(2), [0, np.nan]],
+                    times=[0.5, 0.0],
+                ),
+                "amplitudes must be finite",
+            ),
+            (
+                "expm_hermitian",
+                expm_hermitian,
+                "str",
+                dict(matrix=np.full((2, 2), "a"), t=0.5),
+                "matrix must be complex, got <U1",
+            ),
+        )
+    ),
     (
         "evolve-size",
         evolve,

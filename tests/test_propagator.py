@@ -372,7 +372,7 @@ class TestRk4StepMatrixPower:
     def test_padded_batch_matches_step_loop(self):
         rng = np.random.default_rng(30)
         generators, blocks, times = self.mixed_batch(rng)
-        assert len({g.shape[0] for g in generators}) > 1  # padding is exercised
+        assert len({g.shape[0] for g in generators}) > 1  # bins are packed and padded
         outs = rk4_propagate_many(generators, blocks, times, dt=self.DT)
         for gen, block, t, out in zip(generators, blocks, times, outs):
             ref = rk4_step_loop(gen, block, t, self.DT)
@@ -397,6 +397,98 @@ class TestRk4StepMatrixPower:
             assert norm2 == pytest.approx(norm2_in * np.exp(-2.0 * 0.3 * t), abs=1e-8)
             ref = rk4_step_loop(gen, block, t, self.DT)
             np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-13)
+
+
+def random_generator(rng, d, dissipative=False):
+    """A d x d Hermitian generator of O(1) entries, minus i*diag(rates) if dissipative."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    g = (a + a.conj().T) / 2.0
+    return g - 1j * np.diag(rng.uniform(0.0, 0.5, size=d)) if dissipative else g
+
+
+class TestPackedBatch:
+    """``rk4_propagate_many`` packs its instances block-diagonally into bins."""
+
+    DT = 0.01
+
+    def batch(self, rng, dims, dissipative):
+        generators = [random_generator(rng, d, dissipative) for d in dims]
+        vectors = []
+        for d in dims:
+            raw = rng.normal(size=d) + 1j * rng.normal(size=d)
+            vectors.append(raw / np.linalg.norm(raw) if d else raw)
+        return generators, vectors, rng.uniform(0.0, 0.3, size=len(dims))
+
+    def test_first_fit_decreasing(self):
+        # largest first, each into the first bin with room, else a new bin at offset 0
+        dims = [9, 8, 5, 4, 3, 3, 2, 1, 9]
+        assert propagator._first_fit_decreasing(dims, 9) == [
+            (0, 0), (2, 0), (3, 0), (3, 5), (4, 0), (4, 3), (4, 6), (2, 8), (1, 0)
+        ]
+
+    @pytest.mark.parametrize("dissipative", [False, True])
+    def test_bin_mates_leave_an_instance_alone(self, dissipative):
+        # the same dimensions with re-drawn entries and times around each instance
+        rng = np.random.default_rng(40)
+        dims = [9, 8, 5, 4, 3, 3, 2, 1, 9]
+        places = propagator._first_fit_decreasing(dims, 9)
+        assert len({k for k, _ in places}) < len(dims)  # bins are shared
+        mine = self.batch(rng, dims, dissipative)
+        outs = rk4_propagate_many(*mine, dt=self.DT)
+        for i in range(len(dims)):
+            theirs = self.batch(rng, dims, dissipative)
+            mixed = [
+                [own if j == i else other for j, (own, other) in enumerate(zip(*pair))]
+                for pair in zip(mine, theirs)
+            ]
+            again = rk4_propagate_many(*mixed, dt=self.DT)
+            np.testing.assert_array_equal(again[i], outs[i])
+
+    @pytest.mark.parametrize("dissipative", [False, True])
+    def test_openers_keep_the_padded_bits(self, dissipative):
+        # an instance at offset 0 is bit for bit its slot in a zero-padded stack;
+        # every other one is the k1..k4 loop up to rounding
+        rng = np.random.default_rng(41)
+        dims = rng.integers(1, 18, size=40).tolist()
+        generators, vectors, times = self.batch(rng, dims, dissipative)
+        width = max(dims)
+        g, psi = np.zeros((len(dims), width, width), complex), np.zeros((len(dims), width), complex)
+        for i, (gen, vec, d) in enumerate(zip(generators, vectors, dims)):
+            g[i, :d, :d], psi[i, :d] = gen, vec
+        padded = rk4_propagate(g, psi, times, dt=self.DT)
+        outs = rk4_propagate_many(generators, vectors, times, dt=self.DT)
+        places = propagator._first_fit_decreasing(dims, width)
+        assert 0 < sum(offset == 0 for _, offset in places) < len(dims)
+        for (_, offset), d, gen, vec, t, out, slot in zip(
+            places, dims, generators, vectors, times, outs, padded
+        ):
+            if offset == 0:
+                np.testing.assert_array_equal(out, slot[:d])
+            else:
+                ref = rk4_step_loop(gen, vec, t, self.DT)
+                np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("dissipative", [False, True])
+    def test_mixed_batch(self, dissipative):
+        # one instance of each dimension 1..17, an empty one and one of n = 0 steps
+        rng = np.random.default_rng(42)
+        dims = [*range(1, 18), 0, 6]
+        generators, vectors, times = self.batch(rng, dims, dissipative)
+        times[-1] = 0.0
+        outs = rk4_propagate_many(generators, vectors, times, dt=self.DT)
+        assert [out.shape for out in outs] == [(d,) for d in dims]
+        np.testing.assert_array_equal(outs[-1], vectors[-1])
+        for gen, vec, t, out in zip(generators[:17], vectors, times, outs):
+            ref = rk4_step_loop(gen, vec, t, self.DT)
+            np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-13)
+            norm2_in, norm2 = np.vdot(vec, vec).real, np.vdot(out, out).real
+            assert norm2 < norm2_in if dissipative else norm2 == pytest.approx(norm2_in, abs=1e-6)
+
+    def test_a_nan_bin_mate_is_refused(self):
+        # 0*NaN is NaN: a non-finite input would spread through its bin
+        generators = [np.eye(3), np.array([[np.nan]])]
+        with pytest.raises(ConfigurationError, match="^generator must have finite entries$"):
+            rk4_propagate_many(generators, [np.ones(3), np.ones(1)], [0.5, 0.5])
 
 
 class TestEvolve:
