@@ -443,9 +443,14 @@ def write_table(headers: list[str], columns: list, args: argparse.Namespace):
 def _closed_stacks(m: np.ndarray, g: np.ndarray, t: np.ndarray, inject_fault: str | None):
     """Every trial's generator (trials, 17, 17) and checked closed-form propagators
     (n, trials, 17, 17) at its times t (trials, n), with the injected fault if any.
-    Row g[i] ends with trial i's m[i] couplings, so a trial's block is the last
-    m[i] + 1 rows and columns: its qubits, then the photon.  Each suite checks
-    the generators where it uses them, so that no block is checked twice."""
+
+    The trial layout of every check suite: row g[i] ends with trial i's m[i]
+    couplings (16 wide, or 12 in the conditional suite), so the trial's block
+    is the trailing m[i] + 1 rows and columns of its generator and
+    propagators: its qubits, then the photon.  Its amplitudes (a random
+    state, the excited input) are the trailing m[i] + 1 entries of its row.
+    Each suite checks the generators where it uses them, so that no block is
+    checked twice."""
     h = _generators(g)
     omega = _check_registers([row[16 - count :] for row, count in zip(g, m.tolist())])
     omega2 = np.repeat([w * w for w in omega], t.shape[1])
@@ -460,11 +465,12 @@ def _closed_stacks(m: np.ndarray, g: np.ndarray, t: np.ndarray, inject_fault: st
 
 
 def _rk4_blocks(h: np.ndarray, states: np.ndarray, m: np.ndarray, t, dt: float) -> np.ndarray:
-    """RK4 of each trial's block of h on its m[i] + 1 first states, in trial order."""
-    counts = m.tolist()
-    blocks = [matrix[-c - 1 :, -c - 1 :] for matrix, c in zip(h, counts)]
-    vectors = [row[: c + 1] for row, c in zip(states, counts)]
-    return np.concatenate(rk4_propagate_many(blocks, vectors, t, dt=dt))
+    """RK4 of each trial's block of h on its amplitudes in states, in trial order;
+    both are one slice per trial, its trailing m[i] + 1 rows (``_closed_stacks``)."""
+    blocks = [slice(-count - 1, None) for count in m.tolist()]
+    generators = [matrix[b, b] for matrix, b in zip(h, blocks)]
+    vectors = [row[b] for row, b in zip(states, blocks)]
+    return np.concatenate(rk4_propagate_many(generators, vectors, t, dt=dt))
 
 
 def _count_groups(m: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -511,17 +517,17 @@ def _rk4_suite(trials: int, rng, inject_fault: str | None) -> float:
         m[i] = count = rng.integers(1, 17)
         g[i, 16 - count :] = rng.uniform(0.25, 2.0, size=count)
         t[i] = rng.uniform(0.0, 1.0)
-        states.real[i, : count + 1] = rng.normal(size=count + 1)
-        states.imag[i, : count + 1] = rng.normal(size=count + 1)
+        states.real[i, 16 - count :] = rng.normal(size=count + 1)
+        states.imag[i, 16 - count :] = rng.normal(size=count + 1)
     h, (u,) = _closed_stacks(m, g, t[:, None], inject_fault)
     _check_generators(h, "hermitian")
     for state, count in zip(states, m.tolist()):
-        state[: count + 1] /= np.linalg.norm(state[: count + 1])
+        state[16 - count :] /= np.linalg.norm(state[16 - count :])
     for count, idx in _count_groups(m):
         block = slice(-count - 1, None)
-        closed[idx, : count + 1] = (u[idx, block, block] @ states[idx, : count + 1, None])[..., 0]
+        closed[idx, block] = (u[idx, block, block] @ states[idx, block, None])[..., 0]
     integrated = _rk4_blocks(h, states, m, t, RK4_DT)
-    return float(abs(closed[np.arange(17) <= m[:, None]] - integrated).max())
+    return float(abs(closed[np.arange(17) >= 16 - m[:, None]] - integrated).max())
 
 
 def _conditional_suite(trials: int, rng) -> float:
@@ -542,7 +548,7 @@ def _conditional_suite(trials: int, rng) -> float:
     _check_registers([row[12 - count :] for row, count in zip(star, m.tolist())])
     h = _generators(star, np.where(np.arange(13) < 12, gamma_decay[:, None], kappa[:, None]))
     _check_generators(h, "dissipative")
-    excited = np.eye(1, 13, dtype=complex).repeat(trials, axis=0)  # the input qubit
+    excited = (np.arange(13) == 12 - m[:, None]).astype(complex)  # the input qubit
     integrated = _rk4_blocks(h, excited, m, t, CONDITIONAL_DT)
     amplitudes = map(conditional_amplitudes, *zip(*params), t.tolist())
     # each trial's block in trial order: b1, b on the M - 1 partners, the photon

@@ -355,8 +355,8 @@ def expm_hermitian(matrix: np.ndarray, t) -> np.ndarray:
     """exp(-i*matrix*t) for Hermitian ``matrix`` (or a stack, t (...,)) via eigh.
 
     ``matrix`` is checked as ``GeneratorMatrix`` checks a Hermitian generator,
-    since eigh reads only one triangle of whatever it is given; each time
-    follows the scalar rule (real, not a bool) and must be finite and >= 0.
+    since eigh reads only one triangle of whatever it is given; the times
+    follow ``_real_times``.
     """
     matrix = _number_array("matrix", matrix, complex)
     t = _real_times(t)
@@ -365,9 +365,6 @@ def expm_hermitian(matrix: np.ndarray, t) -> np.ndarray:
             f"shapes {matrix.shape} and {t.shape} do not fit matrices (..., d, d) and times (...)"
         )
     _check_generators(matrix, "hermitian")
-    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
-        for time in t.reshape(-1).tolist():
-            check_non_negative("time", time)
     eigvals, vecs = np.linalg.eigh(matrix)
     with np.errstate(over="ignore"):
         phases = eigvals * t[..., None]
@@ -387,7 +384,7 @@ def evolve_oracle_expm(generator: GeneratorMatrix, state: StateVector, t: float)
         raise ConfigurationError("eigendecomposition oracle requires a hermitian generator")
     if state.m != generator.m:
         raise ConfigurationError(f"state is for M={state.m} qubits, generator for M={generator.m}")
-    check_non_negative("time", t)
+    check_scalar("time", t)
     u = expm_hermitian(generator.matrix, t)
     amps = np.array(state.amplitudes)
     amps[1:] = u @ amps[1:]
@@ -395,17 +392,20 @@ def evolve_oracle_expm(generator: GeneratorMatrix, state: StateVector, t: float)
 
 
 def _real_times(t) -> np.ndarray:
-    """The oracles' times as a float64 array, each entry real and not a bool
-    (the scalar rule); anything else raises a ConfigurationError that names
-    the time."""
-    return np.asarray(_number_array("time", t, float), dtype=float)
+    """The oracles' time rule: t as a float64 array whose entries are real, not
+    bools, finite and >= 0, tested in one vectorised pass; the first time that
+    fails raises ``check_non_negative``'s ConfigurationError."""
+    t = np.asarray(_number_array("time", t, float), dtype=float)
+    ok = (t >= 0.0) & (t < math.inf)  # NaN fails both
+    if not ok.all():
+        check_non_negative("time", t.reshape(-1)[ok.argmin()].item())
+    return t
 
 
 def _step_counts(t: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(h, n) of each time t: n = ceil(t/dt) RK4 steps (t/dt rounded to 9
-    decimals first) of size h = t/n <= dt, hitting t exactly; n = 0 at t = 0."""
-    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
-        raise ConfigurationError("times must be finite and >= 0")
+    """(h, n) of each time t of ``_real_times``: n = ceil(t/dt) RK4 steps (t/dt
+    rounded to 9 decimals first) of size h = t/n <= dt, hitting t exactly;
+    n = 0 at t = 0."""
     with np.errstate(over="ignore"):
         ratio = t / dt
     if np.any(ratio > 2**53):  # past it the int64 step count is not exact, or overflows
@@ -459,7 +459,7 @@ def rk4_propagate(
     endpoint exactly; an instance with n = 0 returns its input unchanged.
     No renormalization is applied, so conditional norms decay naturally.
     Generators and amplitudes follow the array rule and must be finite, and
-    each time the scalar rule; a run that overflows from finite input raises
+    the times ``_real_times``; a run that overflows from finite input raises
     FloatingPointError.
 
     For a constant generator one RK4 step is exactly psi <- T(h) psi with
@@ -522,16 +522,18 @@ def rk4_propagate_many(
 ) -> list[np.ndarray]:
     """RK4-integrate independent instances of mixed dimension in one batch.
 
-    Each instance becomes a diagonal block of a d_max x d_max matrix, packed
+    Each instance is one slice of rows of a d_max x d_max bin, packed
     first-fit decreasing (``_first_fit_decreasing``), so that several small
-    instances share one matrix; each row keeps its own instance's step size
-    and step count, and one step-matrix power serves every bin
-    (``_rk4_power``).  Instances never mix: the entries off the blocks stay
-    exactly zero.  An instance that opens a bin holds the same values at the
-    same positions as in a zero-padded ``rk4_propagate`` stack, so it gets
-    the same bits; one at an offset may differ in the last bits.  A step
-    matrix that overflows spreads NaN through its bin (inf*0 is NaN), so a
-    bin-mate that takes a later power raises FloatingPointError with it.
+    instances share one bin: its generator is the slice's diagonal block,
+    and its amplitudes, step size and step count fill the slice's rows.  One
+    step-matrix power serves every bin (``_rk4_power``), and each output is
+    its instance's slice of the powered bins.  Instances never mix: the
+    entries off the blocks stay exactly zero.  An instance that opens a bin
+    holds the same values at the same positions as in a zero-padded
+    ``rk4_propagate`` stack, so it gets the same bits; one at an offset may
+    differ in the last bits.  A step matrix that overflows spreads NaN
+    through its bin (inf*0 is NaN), so a bin-mate that takes a later power
+    raises FloatingPointError with it.
     """
     count = len(generators)
     if count != len(amplitude_vectors):
@@ -558,21 +560,14 @@ def rk4_propagate_many(
     width = max(dims)
     places = _first_fit_decreasing(dims, width)
     bins = 1 + max(k for k, _ in places)
-    g = np.zeros((bins, width, width), dtype=complex)
-    for gen, d, (k, offset) in zip(gens, dims, places):
-        g[k, offset : offset + d, offset : offset + d] = gen
-    # each instance's rows among the bins' rows laid end to end, in instance order
-    ends = np.cumsum(dims)
-    first = [k * width + offset for k, offset in places]
-    rows = np.repeat(np.subtract(first, ends - dims), dims) + np.arange(ends[-1])
-    psi = np.zeros(bins * width, dtype=complex)
-    h_rows, n_rows = np.zeros(bins * width), np.zeros(bins * width, dtype=np.int64)
-    psi[rows] = np.concatenate(vecs)
-    h_rows[rows], n_rows[rows] = np.repeat(h, dims), np.repeat(n, dims)
-    psi, h_rows, n_rows = (a.reshape(bins, width) for a in (psi, h_rows, n_rows))
+    g, psi = np.zeros((bins, width, width), dtype=complex), np.zeros((bins, width), dtype=complex)
+    h_rows, n_rows = np.zeros((bins, width)), np.zeros((bins, width), dtype=np.int64)
+    blocks = [(k, slice(offset, offset + d)) for (k, offset), d in zip(places, dims)]
+    for (k, rows), gen, vec, size, steps in zip(blocks, gens, vecs, h.tolist(), n.tolist()):
+        g[k, rows, rows], psi[k, rows], h_rows[k, rows], n_rows[k, rows] = gen, vec, size, steps
     _check_rk4_input(g, psi)
-    out = _rk4_power(g, psi, h_rows, n_rows).reshape(-1)[rows]
-    return [out[end - d : end] for d, end in zip(dims, ends.tolist())]
+    out = _rk4_power(g, psi, h_rows, n_rows)
+    return [out[k, rows] for k, rows in blocks]
 
 
 def evolve_oracle_rk4(

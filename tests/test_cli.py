@@ -1099,6 +1099,25 @@ class TestArgumentErrors:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"error: m-range must be A:B with integers A and B, got {text!r}\n"
 
+    @pytest.mark.parametrize("command", [["wstate", "--scheme", "w_plus"], ["anticlone"]])
+    def test_descending_range_is_empty(self, capsys, command):
+        assert run_cli(capsys, [*command, "--m-range", "5:3"]) == (
+            EXIT_CONFIG, "", "error: empty m-range '5:3'\n"
+        )
+
+    def test_scan_without_m_exits_two(self, capsys):
+        assert run_cli(capsys, ["scan"]) == (EXIT_CONFIG, "", "error: scan needs a single --m\n")
+
+    def test_bare_memory_error_is_reported(self, capsys, monkeypatch):
+        # a MemoryError with no message still names its cause
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli.COMMANDS, "scan", (exhausted, *cli.COMMANDS["scan"][1:]))
+        assert run_cli(capsys, ["scan", "--m", "4"]) == (
+            EXIT_CONFIG, "", "error: not enough memory\n"
+        )
+
     @pytest.mark.parametrize("command", ["wstate", "decoherence"])
     def test_both_scheme_and_ratio_rejected(self, capsys, command):
         # --r used to win silently over --scheme

@@ -302,6 +302,8 @@ OTHER_CASES = [
     (decay_robustness_scan, dict(m_values=[2, 3]), "schemes", [W_PLUS, "w_prime"], "scheme"),
     (decay_robustness_scan, dict(m_values=[2, 3]), "schemes", W_PLUS, "schemes"),
     (decay_robustness_scan, dict(m_values=[2, 3]), "m_values", 5, "m_values"),
+    # a ragged sequence, which numpy refuses to make an array of
+    (star_config, dict(m=3, r=1.5), "r", [[1], [1, 2]], "coupling ratio"),
 ]
 
 #: labels, each one of a fixed tuple of str: a scheme tag, and a trapped state's classification

@@ -484,11 +484,34 @@ class TestPackedBatch:
             norm2_in, norm2 = np.vdot(vec, vec).real, np.vdot(out, out).real
             assert norm2 < norm2_in if dissipative else norm2 == pytest.approx(norm2_in, abs=1e-6)
 
+    def test_an_empty_batch_is_an_empty_list(self):
+        assert rk4_propagate_many([], [], []) == []
+
     def test_a_nan_bin_mate_is_refused(self):
         # 0*NaN is NaN: a non-finite input would spread through its bin
         generators = [np.eye(3), np.array([[np.nan]])]
         with pytest.raises(ConfigurationError, match="^generator must have finite entries$"):
             rk4_propagate_many(generators, [np.ones(3), np.ones(1)], [0.5, 0.5])
+
+
+#: each oracle on a stack of 2 x 2 generators, one per time
+TIME_ORACLES = {
+    "rk4_propagate": lambda t: rk4_propagate(np.zeros((len(t), 2, 2)), np.ones((len(t), 2)), t),
+    "rk4_propagate_many": lambda t: rk4_propagate_many(
+        [np.zeros((2, 2))] * len(t), [np.ones(2)] * len(t), t
+    ),
+    "expm_hermitian": lambda t: expm_hermitian(np.zeros((len(t), 2, 2)), t),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(TIME_ORACLES))
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_oracles_refuse_a_bad_time_alike(oracle, bad):
+    # the RK4 routines used to say only "times must be finite and >= 0"
+    message = f"^time must be finite and >= 0, got {bad}$"
+    for times in ([bad], [0.5, bad, -2.0, math.nan]):  # a stack names its first bad time
+        with pytest.raises(ConfigurationError, match=message):
+            TIME_ORACLES[oracle](np.array(times))
 
 
 class TestEvolve:
