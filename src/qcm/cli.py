@@ -10,15 +10,17 @@ Commands:
     scan         coupling-ratio sweep at fixed M plus the special ratios
 
 Identical invocations (including --seed) produce byte-identical output,
-rows in a fixed sorted order.  CSV prints floats with 17 significant digits
-('%.17g'); JSON prints ``json.dumps``' shortest repr that round-trips, so
+rows in a fixed sorted order.  Each command hands ``write_table`` one table,
+a mapping from each header to its column in column order; columns of
+unequal length are a configuration error.  CSV prints floats with 17
+significant digits ('%.17g'); JSON prints ``json.dumps``' shortest repr that round-trips, so
 r = 1 + sqrt(2) reads 2.4142135623730949 in CSV and 2.414213562373095 in
 JSON.  Each CSV column is classified once, as numbers or text
 (``_printed``).  A CSV table with KERNEL_MIN_CELLS float cells or more takes
-its float cells from one vectorised numpy kernel (``_float_cells``),
-_BLOCK_CELLS rows of one column at a time.  The kernel prints the cells
-that '%g' writes in fixed notation; a smaller table, and each e-notation
-cell, zero, nan or inf, goes through '%.17g' itself, with identical bytes.
+its float cells from one vectorised numpy kernel (``_float_cells``), one
+call per float column.  The kernel prints the cells that '%g' writes in
+fixed notation; a smaller table, and each e-notation cell, zero, nan or
+inf, goes through '%.17g' itself, with identical bytes.
 Its integer columns print from their own digits (``_int_cells``).  Each
 column becomes NUL-padded byte cells, 24 bytes for a float, else as wide
 as its widest cell; the table is those cells side by side, with its commas
@@ -159,14 +161,6 @@ def format_value(value) -> str:
 #: fresh process (0.9-1.3 ms to rebuild, about 0.5 ms of it the layout
 #: table).  So the kernel pays only on large tables
 KERNEL_MIN_CELLS = 5000
-#: rows of one float column per ``_float_cells`` call, so that the kernel's
-#: arrays stay in cache.  Measured as above on the 99999-row `wstate
-#: --m-range 2:100000 --scheme w_minus` table (four float columns): about
-#: 98-106 ms in chunks of 2048 to 16384 rows, and 105-109 ms with each
-#: column in one call; the traced peak memory is 46.2 MB at every size, as
-#: the table's text dominates it.  No benchmark workload prints a float
-#: column longer than 3998 rows, so there this never splits a column
-_BLOCK_CELLS = 4096
 
 
 @functools.cache
@@ -365,7 +359,7 @@ def _byte_column(cells) -> np.ndarray | None:
     return np.frombuffer(packed, np.uint8).reshape(len(cells), width)
 
 
-def _csv_text(headers: list[str], columns: list) -> str:
+def _csv_text(table: dict) -> str:
     """The CSV text of a table, each column classified once by ``_printed``.
     With KERNEL_MIN_CELLS float64 cells or more, the text columns become
     byte cells (``_byte_column``) first, so that a refused one costs no
@@ -373,8 +367,9 @@ def _csv_text(headers: list[str], columns: list) -> str:
     or where ``_byte_column`` refuses a text column, every cell goes
     through one %-template ('%.17g' on a float column, '%s' on any other).
     Both give the same bytes."""
+    headers = list(table)
+    columns = [_printed(c) for c in table.values()]
     rows = len(columns[0]) if columns else 0
-    columns = [_printed(c) for c in columns]
     floats = sum(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
     if rows > 0 and rows * floats >= KERNEL_MIN_CELLS and sys.byteorder == "little":
         cells = [c if isinstance(c, np.ndarray) else _byte_column(c) for c in columns]
@@ -392,17 +387,16 @@ def _csv_text(headers: list[str], columns: list) -> str:
 def _kernel_text(headers: list[str], columns: list) -> str:
     """``_csv_text`` of number columns and the byte cells of text columns.
     Each column becomes its own (rows, width) NUL-padded uint8 cells: a
-    float column through ``_float_cells``, _BLOCK_CELLS rows at a time, an
-    integer column through ``_int_cells``.  The table is those cells side by
-    side, a comma between two and a newline after the last, and its NULs
-    are stripped once."""
+    float column through one ``_float_cells`` call, an integer column
+    through ``_int_cells``.  The table is those cells side by side, a comma
+    between two and a newline after the last, and its NULs are stripped
+    once."""
     rows = len(columns[0])
     comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
     parts = []
     for cells in columns:
         if cells.dtype == np.float64:
-            blocks = range(0, rows, _BLOCK_CELLS)
-            cells = np.concatenate([_float_cells(cells[i : i + _BLOCK_CELLS]) for i in blocks])
+            cells = _float_cells(cells)
         elif cells.ndim == 1:
             cells = _int_cells(cells)
         parts += [cells, comma]
@@ -412,23 +406,20 @@ def _kernel_text(headers: list[str], columns: list) -> str:
     return ",".join(headers) + "\n" + text.translate(None, b"\0").decode()
 
 
-def write_table(headers: list[str], columns: list, args: argparse.Namespace):
-    """Emit columns (one sequence or array per header, of equal lengths) as
-    CSV (fixed header) or a JSON array of row objects.  A header without its
-    column, or a column of another length, raises ConfigurationError: both
-    routes would drop rows or cells silently."""
-    lengths = [len(c) for c in columns]
-    if len(headers) != len(columns) or len(set(lengths)) > 1:
-        raise ConfigurationError(
-            f"a table needs one column per header, all of one length: got {len(headers)} "
-            f"headers and columns of lengths {lengths}"
-        )
+def write_table(table: dict, args: argparse.Namespace):
+    """Emit a table, a mapping from each header to its column (a sequence or
+    array), in the mapping's order, as CSV (fixed header) or a JSON array of
+    row objects.  Columns of unequal length raise ConfigurationError: both
+    routes would drop rows silently."""
+    lengths = [len(c) for c in table.values()]
+    if len(set(lengths)) > 1:
+        raise ConfigurationError(f"a table's columns must be of one length, got lengths {lengths}")
     if args.format == "json":
-        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        payload = [dict(zip(headers, row)) for row in zip(*cells)]
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+        payload = [dict(zip(table, row)) for row in zip(*cells)]
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = _csv_text(headers, columns)
+        text = _csv_text(table)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -586,8 +577,7 @@ def run_check_suites(
 def cmd_check(args: argparse.Namespace) -> int:
     rows = run_check_suites(args.trials, args.seed, args.inject_fault)
     headers = ["suite", "trials", "max_deviation", "tolerance", "passed"]
-    columns = [np.array([row[h] for row in rows]) for h in headers[1:]]
-    write_table(headers, [tuple(row["suite"] for row in rows), *columns], args)
+    write_table({h: np.array([row[h] for row in rows]) for h in headers}, args)
     failed = [row["suite"] for row in rows if not row["passed"]]
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
@@ -608,8 +598,8 @@ def cmd_wstate(args: argparse.Namespace) -> int:
     replay_flagged(ok, lambda i: renormalized_trapping_time(
         int(m[i]), generate_w_state(int(m[i]), scheme)[1].r, 0.0, 0.0, m_odd
     ))
-    headers = ["m", "scheme", "r", "tau_star", "a1", "a", "classification"]
-    write_table(headers, [m, (scheme.tag,) * m.size, r, tau, a1, a, kinds], args)
+    table = {"m": m, "scheme": (scheme.tag,) * m.size, "r": r, "tau_star": tau}
+    write_table({**table, "a1": a1, "a": a, "classification": kinds}, args)
     return EXIT_OK
 
 
@@ -638,9 +628,8 @@ def cmd_anticlone(args: argparse.Namespace) -> int:
     replay_flagged(
         ok, lambda i: _check_anticlone_row(int(m[i]), ANTICLONE_SCHEMES[i % n], args.alpha)
     )
-    headers, schemes, sides = zip(*ANTICLONE_COLUMNS)
-    columns = [closed[:, ANTICLONE_SCHEMES.index(s), side] for s, side in zip(schemes, sides)]
-    write_table(["m", *headers], [counts, *columns], args)
+    columns = {h: closed[:, ANTICLONE_SCHEMES.index(s), side] for h, s, side in ANTICLONE_COLUMNS}
+    write_table({"m": counts, **columns}, args)
     return EXIT_OK
 
 
@@ -667,9 +656,8 @@ def cmd_decoherence(args: argparse.Namespace) -> int:
         m_odd=args.m_odd,
         schemes=schemes,
     )
-    headers = ["m", "scheme", "r", "tau_star_c", "f_r", "p_no_click"]
-    columns = [table.m, table.scheme, table.r, table.tau_star_c, table.fidelity, table.p_no_click]
-    write_table(headers, columns, args)
+    columns = {"m": table.m, "scheme": table.scheme, "r": table.r, "tau_star_c": table.tau_star_c}
+    write_table({**columns, "f_r": table.fidelity, "p_no_click": table.p_no_click}, args)
     return EXIT_OK
 
 
@@ -716,8 +704,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     a1, a, ok = _scan_columns(m, r)
     replay_flagged(ok, lambda i: fidelity_curve(m, CouplingScheme.custom(float(r[i]))))
     kinds = ("grid",) * grid.size + special
-    headers = ["kind", "r", "a1", "a", "f_target", "f_input"]
-    write_table(headers, [kinds, r, a1, a, 0.5 * (1.0 - a), 0.5 * (1.0 - a1)], args)
+    table = {"kind": kinds, "r": r, "a1": a1, "a": a}
+    write_table({**table, "f_target": 0.5 * (1.0 - a), "f_input": 0.5 * (1.0 - a1)}, args)
     return EXIT_OK
 
 

@@ -699,16 +699,28 @@ class TestScanCommand:
 
 
 class TestOutputModes:
-    def test_json_mirrors_csv_columns(self, capsys):
-        _, out_csv, _ = run_cli(capsys, ["wstate", "--m", "4", "--scheme", "w_plus"])
-        _, out_json, _ = run_cli(
-            capsys, ["wstate", "--m", "4", "--scheme", "w_plus", "--format", "json"]
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["check", "--trials", "5"], id="check"),
+            pytest.param(["wstate", "--m", "4", "--scheme", "w_plus"], id="wstate"),
+            pytest.param(["anticlone", "--m-range", "2:8"], id="anticlone"),
+            pytest.param(["decoherence", "--m-range", "2:4"], id="decoherence"),
+            pytest.param(["scan", "--m", "4", "--r-grid", "0.5:3.5:7"], id="scan"),
+            # large enough for the CSV route's kernel
+            pytest.param(["decoherence", "--m-range", "2:2000"], id="decoherence_kernel"),
+        ],
+    )
+    def test_json_mirrors_csv_columns(self, capsys, argv):
+        # each JSON row holds its CSV row's cells under the CSV header, in its order
+        code, out_csv, _ = run_cli(capsys, argv)
+        _, out_json, _ = run_cli(capsys, [*argv, "--format", "json"])
         headers, rows = parse_csv(out_csv)
         payload = json.loads(out_json)
-        assert list(payload[0].keys()) == headers
-        assert payload[0]["classification"] == rows[0]["classification"]
-        assert payload[0]["r"] == pytest.approx(float(rows[0]["r"]), abs=1e-15)
+        assert code == EXIT_OK and len(payload) == len(rows) > 0
+        assert all(list(row) == headers for row in payload)
+        cells = [[cli.format_value(v) for v in row.values()] for row in payload]
+        assert cells == [list(row.values()) for row in rows]
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -731,10 +743,11 @@ class TestOutputModes:
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1.0 / 3.0, -2.5, 0.1]
 
 
-def reference_csv(headers, columns):
-    """The CSV text of ``columns`` formatted cell by cell with format_value."""
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    lines = [",".join(headers)]
+def reference_csv(table):
+    """The CSV text of ``table``, header to column, formatted cell by cell with
+    format_value."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    lines = [",".join(table)]
     lines += [",".join(map(cli.format_value, row)) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
@@ -743,11 +756,11 @@ def decoherence_csv(table) -> str:
     """``reference_csv`` of a decay-robustness table, as `decoherence` heads it."""
     headers = ["m", "scheme", "r", "tau_star_c", "f_r", "p_no_click"]
     columns = [table.m, table.scheme, table.r, table.tau_star_c, table.fidelity, table.p_no_click]
-    return reference_csv(headers, columns)
+    return reference_csv(dict(zip(headers, columns)))
 
 
-def table_text(capsys, headers, columns, format="csv", out=None):
-    cli.write_table(headers, columns, argparse.Namespace(format=format, out=out))
+def table_text(capsys, table, format="csv", out=None):
+    cli.write_table(table, argparse.Namespace(format=format, out=out))
     return capsys.readouterr().out
 
 
@@ -763,31 +776,29 @@ class TestWriteTable:
         (1, "x", 0.1, True, None, -0.0, math.nan, False, "%s", 10**20),
         np.array(SPECIAL_FLOATS) + 1j,
     ]
-    headers = [f"c{j}" for j in range(len(columns))]
+    table = {f"c{j}": column for j, column in enumerate(columns)}
 
     def test_columns_match_the_per_cell_reference(self, capsys):
         # one %-template per table formats every cell as format_value does
-        assert table_text(capsys, self.headers, self.columns) == reference_csv(
-            self.headers, self.columns
-        )
+        assert table_text(capsys, self.table) == reference_csv(self.table)
 
     @pytest.mark.parametrize("j", range(len(columns)))
     def test_each_column_alone(self, capsys, j):
-        column = self.columns[j]
-        assert table_text(capsys, ["c"], [column]) == reference_csv(["c"], [column])
+        table = {"c": self.columns[j]}
+        assert table_text(capsys, table) == reference_csv(table)
 
     def test_empty_columns_give_the_header_alone(self, capsys):
         columns = [np.array([]), np.array([], dtype=np.int64), (), []]
-        assert table_text(capsys, list("abcd"), columns) == "a,b,c,d\n"
+        assert table_text(capsys, dict(zip("abcd", columns))) == "a,b,c,d\n"
 
     def test_out_file_holds_the_stdout_text(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
-        assert table_text(capsys, self.headers, self.columns, out=str(path)) == ""
-        assert path.read_text() == reference_csv(self.headers, self.columns)
+        assert table_text(capsys, self.table, out=str(path)) == ""
+        assert path.read_text() == reference_csv(self.table)
 
     def test_json_rows_are_the_plain_cells(self, capsys):
         columns = [np.array([0.1, -2.5]), np.array([-3, 4]), np.array([True, False]), ("a", "b")]
-        text = table_text(capsys, list("wxyz"), columns, format="json")
+        text = table_text(capsys, dict(zip("wxyz", columns)), format="json")
         assert json.loads(text) == [
             {"w": 0.1, "x": -3, "y": True, "z": "a"},
             {"w": -2.5, "x": 4, "y": False, "z": "b"},
@@ -923,8 +934,9 @@ class TestFloatKernel:
     )
     def test_tables_at_the_cut_over(self, capsys, monkeypatch, above, edge):
         # two float columns; with ``edge``, a table of edge rows past a multiple
-        # of the kernel's rows per block, which it takes from each float column
-        step = cli._BLOCK_CELLS
+        # of 4096 rows, where a kernel that split its columns into blocks of
+        # 4096 rows would have to join them
+        step = 4096
         if edge is None:
             rows = -(-cli.KERNEL_MIN_CELLS // 2) - (not above)
         else:
@@ -934,21 +946,18 @@ class TestFloatKernel:
         columns = [m, tags, 1.0 / m, -np.sqrt(m) * 10.0 ** (m % 40 - 20), m % 3 == 0]
         if edge is not None:
             # negative, zero, e-notation and nan cells on both sides of each edge
-            last = np.arange(step, rows + 1, step) - 1  # each block's last row
+            last = np.arange(step, rows + 1, step) - 1  # the last row before each edge
             first = last[last + 1 < rows] + 1
             m[last], columns[2][last], columns[3][last] = 0, math.nan, -2.5e-300
             m[first], columns[2][first], columns[3][first] = -1, -3.5e-07, math.nan
             m[last - 1], m[first[first + 1 < rows] + 1] = 2**53, -(2**53)
-        headers = ["m", "scheme", "x", "y", "flag"]
+        table = dict(zip(["m", "scheme", "x", "y", "flag"], columns))
         calls = spy_on_kernel(monkeypatch)
         counts = spy_on_kernel(monkeypatch, "_int_cells")
-        assert table_text(capsys, headers, columns) == reference_csv(headers, columns)
-        assert bool(calls) == above
-        # the integer column prints from its own digits, once for the whole table
-        assert counts == [rows] * above
-        if edge is not None:
-            # each float column in blocks of step rows, then one for the rest
-            assert calls == ([step] * (rows // step) + [rows % step] * (rows % step > 0)) * 2
+        assert table_text(capsys, table) == reference_csv(table)
+        # each float column in one kernel call, and the integer column from its
+        # own digits, once for the whole table
+        assert (calls, counts) == ([rows, rows] * above, [rows] * above)
 
     @pytest.mark.parametrize(
         "column, kernel",
@@ -966,27 +975,20 @@ class TestFloatKernel:
         # each cell is format_value's text; the kernel formats the float64 column alone
         monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
         calls = spy_on_kernel(monkeypatch)
-        columns = [np.linspace(0.1, 0.4, 4), column]
+        table = {"x": np.linspace(0.1, 0.4, 4), "c": column}
         if kernel is None:  # zip used to print two rows of the four
-            with pytest.raises(ValueError, match=r"2 headers and columns of lengths \[4, 2\]"):
-                table_text(capsys, ["x", "c"], columns)
+            with pytest.raises(ValueError, match=r"of one length, got lengths \[4, 2\]$"):
+                table_text(capsys, table)
             assert (capsys.readouterr().out, calls) == ("", [])
             return
-        assert table_text(capsys, ["x", "c"], columns) == reference_csv(["x", "c"], columns)
+        assert table_text(capsys, table) == reference_csv(table)
         assert calls == ([4] if kernel else [])
 
-    @pytest.mark.parametrize(
-        "format, headers, column, message",
-        [
-            pytest.param("json", ["x", "c"], ("a", "b"), r"2 headers .* \[4, 2\]", id="json_short"),
-            pytest.param("csv", ["x"], tuple("abcd"), r"1 headers .* \[4, 4\]", id="csv_headers"),
-            pytest.param("json", ["x"], tuple("abcd"), r"1 headers .* \[4, 4\]", id="json_headers"),
-        ],
-    )
-    def test_unpaired_columns_are_an_error(self, capsys, format, headers, column, message):
-        # zip used to drop the rows past the shortest column, or the cells past the headers
-        with pytest.raises(ValueError, match=message):
-            table_text(capsys, headers, [np.linspace(0.1, 0.4, 4), column], format)
+    @pytest.mark.parametrize("format", [pytest.param("json", id="json_short")])
+    def test_unpaired_columns_are_an_error(self, capsys, format):
+        # zip used to drop the rows past the shortest column
+        with pytest.raises(ValueError, match=r"of one length, got lengths \[4, 2\]$"):
+            table_text(capsys, {"x": np.linspace(0.1, 0.4, 4), "c": ("a", "b")}, format)
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("bound", [2**53, -(2**53)])
@@ -995,8 +997,8 @@ class TestFloatKernel:
         monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
         calls = spy_on_kernel(monkeypatch)
         counts = spy_on_kernel(monkeypatch, "_int_cells")
-        columns = [np.linspace(0.1, 0.4, 4), bound - np.sign(bound) * np.arange(4)]
-        assert table_text(capsys, ["x", "m"], columns) == reference_csv(["x", "m"], columns)
+        table = {"x": np.linspace(0.1, 0.4, 4), "m": bound - np.sign(bound) * np.arange(4)}
+        assert table_text(capsys, table) == reference_csv(table)
         assert (calls, counts) == ([4], [4])
 
     @pytest.mark.parametrize(
@@ -1014,9 +1016,9 @@ class TestFloatKernel:
             monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
         calls = spy_on_kernel(monkeypatch)
         counts = spy_on_kernel(monkeypatch, "_int_cells")
-        columns = [np.linspace(0.1, 0.4, 4), column]
+        table = {"x": np.linspace(0.1, 0.4, 4), "m": column}
         assert cli._printed(column) == list(map(str, column.tolist()))
-        assert table_text(capsys, ["x", "m"], columns) == reference_csv(["x", "m"], columns)
+        assert table_text(capsys, table) == reference_csv(table)
         assert (calls, counts) == ([4] * kernel, [])
 
     def test_counts_up_to_two_to_the_53_take_the_kernel(self, capsys, monkeypatch):

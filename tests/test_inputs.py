@@ -765,9 +765,8 @@ INVARIANT_CASES = [
     (
         "write_table",
         write_table,
-        dict(headers=["m", "r"], columns=[[2, 3]], args=argparse.Namespace(format="csv")),
-        "a table needs one column per header, all of one length: got 2 headers and columns "
-        "of lengths [2]",
+        dict(table={"m": [2, 3], "r": [1.0]}, args=argparse.Namespace(format="csv")),
+        "a table's columns must be of one length, got lengths [2, 1]",
     ),
 ]
 
